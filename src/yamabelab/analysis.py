@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core_params import (
     SolitonParams,
@@ -29,7 +28,7 @@ from .core_params import (
     validate,
 )
 from .geometry import GeometryCurves, compute_geometry
-from .profile_solver import RadialProfile, _rhs, solve_profile
+from .profile_solver import RadialProfile, _dopri5, _vpp, solve_profile
 
 __all__ = [
     "LimitEstimate",
@@ -298,18 +297,10 @@ def w_equation_defect(
         raise ValueError("s_span reaches beyond the profile grid")
     r_start = r[0] / 1.05
     y0 = profile.value_at(r_start, derivative=True)
-    sol = solve_ivp(
-        _rhs(p.n, p.m, p.alpha, p.beta),
-        (r_start, r[-1]),
-        y0,
-        method="RK45",
-        rtol=1e-12,
-        atol=1e-30 * p.eta,
-        t_eval=r,
-    )
-    if sol.status != 0:
-        raise RuntimeError(f"window re-integration failed: {sol.message}")
-    v, dv = sol.y
+    traj = _dopri5(_vpp(n, m, p.alpha, beta), r_start, y0, r[-1], 1e-12, 1e-30 * p.eta)
+    if traj.status != 0:
+        raise RuntimeError(f"window re-integration stalled at r = {traj.t[-1]!r}")
+    v, dv = traj(r)
     wt = r * r * v**one_m
     ws = wt * (2.0 + one_m * r * dv / v)
     h = s[1] - s[0]

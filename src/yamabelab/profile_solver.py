@@ -6,10 +6,15 @@ The second-order equation is integrated in the explicit form
 
 with state (v, v'), starting from a fourth-order series at a small radius
 r0 = r0_scale * eta^((m-1)/2) because the origin is a regular singular point
-of the r-form.  An embedded Runge-Kutta pair with dense output supplies the
-adaptive steps; the stored grid is the union of the accepted steps and a
-log-uniform refinement so that downstream quadratures resolve the identity
-checks.  Runs end in one of three statuses:
+of the r-form.  The steps come from a scalar Dormand-Prince 5(4) kernel with
+Shampine's quartic dense output that runs on plain floats and keeps the
+controller of scipy's RK45: initial step selection at error order 4, RMS
+error norm with scale atol + max(|y|, |y_new|) * rtol, safety factor 0.9,
+step factors clamped to [0.2, 10] (at most 1 right after a rejection), and a
+minimum step of 10 ulp(r).  The stored grid is the union of the accepted
+steps and a log-uniform refinement filled from the dense output, so that
+downstream quadratures resolve the identity checks.  Runs end in one of three
+statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -22,11 +27,14 @@ Profiles are immutable; solving is a pure function of (params, numerics).
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
 from .core_params import SolitonParams, validate
 
@@ -149,22 +157,193 @@ def series_start(params: SolitonParams, r0: float) -> tuple[float, float]:
     return params.eta + 0.5 * v2 * r0 * r0, v2 * r0
 
 
-def _rhs(n: int, m: float, alpha: float, beta: float):
+def _vpp(n: int, m: float, alpha: float, beta: float):
+    """v'' of the profile equation as a function of (r, v, v')."""
     one_m = 1.0 - m
 
-    def f(r, y):
-        v, dv = y
+    def f(r, v, dv):
         if v <= 0.0:
-            # force step rejection instead of complex powers
-            return [dv, np.nan]
-        vpp = (
+            # NaN makes the error norm NaN, so the trial step is rejected
+            # instead of taking a complex power
+            return math.nan
+        return (
             -(m - 1.0) * dv * dv / v
             - (n - 1) * dv / r
             - (alpha * v + beta * r * dv) * v**one_m / (n - 1)
         )
-        return [dv, vpp]
 
     return f
+
+
+# Dormand & Prince (1980) 5(4) pair with Shampine's quartic dense output and
+# the step controller of scipy.integrate.RK45 (Hairer, Norsett & Wanner,
+# Solving ODEs I, II.4-II.6).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (
+    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+)
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXPONENT = -1 / 5  # -1/(error estimator order + 1)
+_EPS = float(np.finfo(float).eps)
+_SQRT2 = 2**0.5
+
+
+def _rms(a: float, b: float) -> float:
+    # a * a, not a ** 2, which raises OverflowError on floats
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+def _quartic(t0, h, y0, q, r):
+    """Dense output y0 + h * sum_j q_j x^(j+1), x = (r - t0)/h, of one step."""
+    x = (r - t0) / h
+    x2 = x * x
+    x3 = x2 * x
+    return y0 + h * (q[..., 0] * x + q[..., 1] * x2 + q[..., 2] * x3 + q[..., 3] * (x3 * x))
+
+
+class _Trajectory(NamedTuple):
+    """Accepted steps of a _dopri5 run and their interpolants.
+
+    t[i] and y[:, i] = (v, v') are the accepted radii and states; step i
+    starts at t[i], has size h[i] and quartic coefficients q[:, i] (2 x 4).
+    After a cap crossing, t[-1] and y[:, -1] are the crossing, which lies
+    inside the last step."""
+
+    status: int  # 0 reached r_end, 1 crossed the cap, -1 step size underflow
+    t: np.ndarray
+    y: np.ndarray
+    h: np.ndarray
+    q: np.ndarray
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """(2, len(r)) states at the radii r; a radius equal to t[i] is taken
+        from the step that ends there."""
+        seg = np.clip(np.searchsorted(self.t, r) - 1, 0, len(self.h) - 1)
+        return _quartic(self.t[seg], self.h[seg], self.y[:, seg], self.q[:, seg], r)
+
+
+def _dopri5(f, r0, y0, r_end, rtol, atol, cap=math.inf) -> _Trajectory:
+    """Integrate v'' = f(r, v, v') from (v, v')(r0) = y0 towards r_end.
+
+    Scalar Dormand-Prince 5(4) with scipy RK45's initial step selection,
+    controller and error norm, so it accepts the same steps.  Stops early
+    when v crosses cap upwards (root of that step's quartic by brentq) or
+    when the step size falls below 10 ulp(r)."""
+    rtol = max(rtol, 100 * _EPS)
+    t = r0
+    v, dv = y0
+    fv = f(t, v, dv)
+
+    # initial step, error estimator order 4
+    sv = atol + abs(v) * rtol
+    sd = atol + abs(dv) * rtol
+    d0 = _rms(v / sv, dv / sd)
+    d1 = _rms(dv / sv, fv / sd)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, r_end - t)
+    dv1 = dv + h0 * fv
+    f1 = f(t + h0, v + h0 * dv, dv1)
+    d2 = _rms((dv1 - dv) / sv, (f1 - fv) / sd) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERR_EXPONENT
+    h_abs = min(100 * h0, h1, r_end - t)
+
+    ts, vs, dvs = array("d", [t]), array("d", [v]), array("d", [dv])
+    hs, ks = array("d"), array("d")
+    status = None
+    while status is None:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, r_end)
+            h = t_new - t
+            h_abs = h
+            k1v, k1d = dv, fv
+            k2v = dv + h * (_A21 * k1d)
+            k2d = f(t + _C2 * h, v + h * (_A21 * k1v), k2v)
+            k3v = dv + h * (_A31 * k1d + _A32 * k2d)
+            k3d = f(t + _C3 * h, v + h * (_A31 * k1v + _A32 * k2v), k3v)
+            k4v = dv + h * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
+            k4d = f(t + _C4 * h, v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v), k4v)
+            k5v = dv + h * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
+            k5d = f(
+                t + _C5 * h,
+                v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
+                k5v,
+            )
+            k6v = dv + h * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d)
+            k6d = f(
+                t + h,
+                v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
+                k6v,
+            )
+            v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
+            dv_new = dv + h * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B5 * k5d + _B6 * k6d)
+            f_new = f(t + h, v_new, dv_new)
+            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * dv_new)
+            ed = h * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d + _E7 * f_new)
+            err = _rms(
+                ev / (atol + max(abs(v), abs(v_new)) * rtol),
+                ed / (atol + max(abs(dv), abs(dv_new)) * rtol),
+            )
+            if err < 1.0:
+                if err == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * err**_ERR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            # a NaN error norm (a stage with v <= 0) shrinks by _MIN_FACTOR
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXPONENT)
+            rejected = True
+        else:
+            status = -1
+            break
+        ts.append(t_new)
+        vs.append(v_new)
+        dvs.append(dv_new)
+        hs.append(h)
+        ks.extend((k1v, k2v, k3v, k4v, k5v, k6v, dv_new, k1d, k2d, k3d, k4d, k5d, k6d, f_new))
+        if v <= cap <= v_new:
+            status = 1
+        elif t_new >= r_end:
+            status = 0
+        t, v, dv, fv = t_new, v_new, dv_new, f_new
+
+    q = (np.frombuffer(ks).reshape(-1, 2, 7) @ _P).transpose(1, 0, 2)
+    traj = _Trajectory(status, np.frombuffer(ts), np.array((vs, dvs)), np.frombuffer(hs), q)
+    if status == 1:
+        t_old, h, y_old = traj.t[-2], traj.h[-1], traj.y[:, -2]
+        root = brentq(
+            lambda r: _quartic(t_old, h, y_old[0], q[0, -1], r) - cap,
+            t_old,
+            traj.t[-1],
+            xtol=4 * _EPS,
+            rtol=4 * _EPS,
+        )
+        traj.t[-1] = root
+        traj.y[:, -1] = _quartic(t_old, h, y_old, q[:, -1], root)
+    return traj
 
 
 def solve_profile(
@@ -196,44 +375,33 @@ def solve_profile(
     r0 = r0_scale * eta ** ((params.m - 1.0) / 2.0)
     if r0 >= r_max:
         raise ValueError(f"r0 = {r0!r} must be below r_max = {r_max!r}")
-    v0, dv0 = series_start(params, r0)
-    cap = BLOWUP_CAP * eta
-
-    def hit_cap(r, y):
-        return y[0] - cap
-
-    hit_cap.terminal = True
-    hit_cap.direction = 1
-
-    sol = solve_ivp(
-        _rhs(params.n, params.m, params.alpha, params.beta),
-        (r0, r_max),
-        (v0, dv0),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=(hit_cap,),
+    traj = _dopri5(
+        _vpp(params.n, params.m, params.alpha, params.beta),
+        r0,
+        series_start(params, r0),
+        r_max,
+        rtol,
+        atol,
+        cap=BLOWUP_CAP * eta,
     )
 
-    if sol.status == 1:
-        status = ProfileStatus("BlowUp", float(sol.t_events[0][0]))
-    elif sol.status == 0:
+    steps = traj.t
+    r_end = steps[-1]
+    if traj.status == 1:
+        status = ProfileStatus("BlowUp", float(r_end))
+    elif traj.status == 0:
         status = ProfileStatus("Global", float(r_max))
     else:
         # controller stall: blow-up if v was still climbing, else a stall
-        rising = sol.y[1, -1] > 0.0 and sol.y[0, -1] > eta
+        rising = traj.y[1, -1] > 0.0 and traj.y[0, -1] > eta
         kind = "BlowUp" if rising else "StepFailure"
-        status = ProfileStatus(kind, float(sol.t[-1]))
+        status = ProfileStatus(kind, float(r_end))
 
-    r_end = sol.t[-1] if sol.status != 1 else float(sol.t_events[0][0])
-    steps = sol.t[sol.t <= r_end]
     decades = max(np.log10(r_end / r0), 1e-9)
     n_refine = max(int(np.ceil(decades * points_per_decade)), 2)
     refine = np.geomspace(r0, r_end, n_refine)
     grid = np.union1d(steps, refine)
-    vals = sol.sol(grid)
-    v, dv = vals[0], vals[1]
+    v, dv = traj(grid)
 
     # defensive: truncate anything past a positivity loss
     bad = np.flatnonzero(v <= 0.0)
@@ -385,14 +553,31 @@ def write_profile_json(profile: RadialProfile, path) -> None:
 
 
 def load_profile(csv_path, json_path) -> RadialProfile:
-    """Rebuild a profile from its CSV and sidecar, bit-for-bit."""
+    """Rebuild a profile from its CSV and sidecar, bit-for-bit.
+
+    Raises ValueError when the CSV header is not r,v,dv, the row count is
+    not the sidecar's grid_points, or the step indices do not start at 0,
+    increase strictly and stay on the grid."""
     with open(json_path) as fh:
         doc = json.load(fh)
     pd = doc["params"]
     params = SolitonParams(
         n=int(pd["n"]), m=pd["m"], alpha=pd["alpha"], beta=pd["beta"], eta=pd["eta"], rho=pd["rho"]
     )
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    with open(csv_path) as fh:
+        header = fh.readline().strip()
+        if header != PROFILE_CSV_HEADER:
+            raise ValueError(f"CSV header is {header!r}, expected {PROFILE_CSV_HEADER!r}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if len(data) != doc["grid_points"]:
+        raise ValueError(f"CSV has {len(data)} rows but grid_points is {doc['grid_points']}")
+    steps = np.asarray(doc["step_indices"], dtype=int)
+    if steps.size == 0 or steps[0] != 0:
+        raise ValueError("step_indices must start at 0")
+    if np.any(np.diff(steps) <= 0):
+        raise ValueError("step_indices must be strictly increasing")
+    if steps[-1] >= len(data):
+        raise ValueError("step_indices fall outside the grid")
     return RadialProfile(
         params,
         data[:, 0],
@@ -401,5 +586,5 @@ def load_profile(csv_path, json_path) -> RadialProfile:
         ProfileStatus(doc["status"]["kind"], doc["status"]["radius"]),
         doc["rtol"],
         doc["atol"],
-        np.asarray(doc["step_indices"], dtype=int),
+        steps,
     )

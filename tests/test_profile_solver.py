@@ -1,13 +1,19 @@
 """Solver behavior: series start, statuses, blow-up detection, residual
-checks (including fault injection), serialization round-trips."""
+checks (including fault injection), serialization round-trips, and the
+integration kernel against scipy's integrators."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import yamabelab as yl
 from conftest import perturb_profile
+from yamabelab import profile_solver as ps
 
 
 def test_series_start_matches_equation_coefficient():
@@ -178,3 +184,185 @@ def test_negative_curvature_regime_stays_global(negcurv_profile):
     assert negcurv_profile.status.kind == "Global"
     # alpha < 0 forces growth: v increases from eta
     assert negcurv_profile.v[-1] > negcurv_profile.params.eta
+
+
+def _scipy_solve(profile, r_end, method, rtol, **options):
+    """solve_ivp on the profile equation from the series start of profile,
+    with its own right-hand side as an independent reference."""
+    p = profile.params
+    n, m, alpha, beta = p.n, p.m, p.alpha, p.beta
+
+    def rhs(r, y):
+        v, dv = y
+        if v <= 0.0:
+            return [dv, np.nan]
+        vpp = (
+            -(m - 1.0) * dv * dv / v
+            - (n - 1) * dv / r
+            - (alpha * v + beta * r * dv) * v ** (1.0 - m) / (n - 1)
+        )
+        return [dv, vpp]
+
+    y0 = yl.series_start(p, profile.r0)
+    return solve_ivp(
+        rhs, (profile.r0, r_end), y0, method=method, rtol=rtol, atol=profile.atol, **options
+    )
+
+
+def _check_against_scipy(n, beta, k, log_eta, r_max):
+    p = yl.make_params(n=n, m=yl.soliton_exponent(n), beta=beta, rho=k * beta, eta=10.0**log_eta)
+    prof = yl.solve_profile(p, r_max=r_max, rtol=1e-9)
+    assert prof.status.kind == "Global"
+
+    radii = np.array([0.1, 1.0, 10.0])
+    v_ref, dv_ref = _scipy_solve(prof, 10.0, "DOP853", 1e-13, t_eval=radii).y
+    v, dv = prof.value_at(radii, derivative=True)
+    assert np.all(np.abs(v - v_ref) <= 1e-6 * v_ref)
+    assert np.all(np.abs(dv - dv_ref) <= 1e-6 * np.abs(dv_ref))
+
+    # same method and controller: the accepted steps match scipy's RK45
+    rk45 = _scipy_solve(prof, r_max, "RK45", prof.rtol)
+    steps = len(prof.step_indices) - 1
+    assert abs(steps - (len(rk45.t) - 1)) <= 0.02 * steps
+
+
+_cone = dict(
+    n=st.integers(min_value=3, max_value=8),
+    beta=st.floats(min_value=0.5, max_value=2.0),
+    k=st.floats(min_value=-1.5, max_value=2.0),
+    log_eta=st.floats(min_value=-2.0, max_value=2.0),
+)
+
+
+@given(**_cone)
+@settings(max_examples=15, deadline=None)
+def test_kernel_matches_scipy(n, beta, k, log_eta):
+    _check_against_scipy(n, beta, k, log_eta, r_max=100.0)
+
+
+@pytest.mark.slow
+@given(**_cone, log_r_max=st.floats(min_value=1.0, max_value=5.0))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_scipy_wide(n, beta, k, log_eta, log_r_max):
+    _check_against_scipy(n, beta, k, log_eta, r_max=10.0**log_r_max)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(-1.0, -1.0), (-4.0, -1.0), (-1.0, 0.0)], ids=["case2", "case1", "case3"]
+)
+def test_blowup_radius_matches_scipy_event(alpha, beta):
+    p = yl.make_params(n=3, m=0.2, beta=beta, eta=1.0, alpha=alpha)
+    prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
+    cap = ps.BLOWUP_CAP * p.eta
+
+    def hit_cap(r, y):
+        return y[0] - cap
+
+    hit_cap.terminal = True
+    hit_cap.direction = 1
+    ref = _scipy_solve(prof, 100.0, "RK45", 1e-9, events=hit_cap)
+    assert prof.status.kind == "BlowUp" and ref.status == 1
+    assert prof.status.radius == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0.0)
+
+
+def test_stall_while_rising_is_blowup(monkeypatch):
+    # without the cap the run goes on until the step size underflows
+    monkeypatch.setattr(ps, "BLOWUP_CAP", math.inf)
+    p = yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=-1.0)
+    prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
+    assert prof.status.kind == "BlowUp"
+    assert prof.v[-1] > 1e12 and prof.dv[-1] > 0.0
+    assert prof.status.radius == prof.r[-1] <= math.sqrt(15.0)
+
+
+def test_stall_at_touchdown_is_step_failure_and_rejects_nonpositive_stages(monkeypatch):
+    # alpha > 0 > beta drives v down to zero at a finite radius, where
+    # every trial step reaches v <= 0 until the step size underflows
+    trial_v = []
+    real_vpp = ps._vpp
+
+    def recording_vpp(*args):
+        f = real_vpp(*args)
+
+        def g(r, v, dv):
+            trial_v.append(v)
+            return f(r, v, dv)
+
+        return g
+
+    monkeypatch.setattr(ps, "_vpp", recording_vpp)
+    p = yl.make_params(n=3, m=0.2, alpha=1.0, beta=-2.5, eta=1.0)
+    prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
+    assert prof.status.kind == "StepFailure"
+    assert prof.status.radius == prof.r[-1] < 100.0
+    assert prof.dv[-1] < 0.0
+    ref = _scipy_solve(prof, 100.0, "RK45", 1e-9)
+    assert ref.status == -1
+    assert prof.status.radius == pytest.approx(ref.t[-1], rel=1e-12, abs=0.0)
+    trial_v = np.array(trial_v)
+    assert np.any(trial_v <= 0.0)
+    # no rejected stage leaks into the stored profile
+    assert np.all(np.isfinite(prof.v)) and np.all(prof.v > 0.0)
+
+
+def test_positivity_truncation_gives_step_failure(monkeypatch):
+    real = ps._dopri5
+
+    def lowered(*args, **kwargs):
+        # drop every interpolant by v(1), so the dense output of the
+        # decreasing shrinking profile reaches zero at r = 1
+        traj = real(*args, **kwargs)
+        return traj._replace(y=traj.y - [[traj(np.array([1.0]))[0, 0]], [0.0]])
+
+    monkeypatch.setattr(ps, "_dopri5", lowered)
+    p = yl.make_params(n=3, m=yl.soliton_exponent(3), beta=1.0, rho=1.0, eta=1.0)
+    prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
+    assert prof.status.kind == "StepFailure"
+    assert prof.status.radius == prof.r[-1] < 1.0
+    assert np.all(prof.v > 0.0)
+    assert prof.step_indices[-1] < len(prof.r)
+
+
+def _corrupt_header(csv, doc):
+    lines = csv.read_text().splitlines(keepends=True)
+    csv.write_text("r,dv,v\n" + "".join(lines[1:]))
+
+
+def _drop_row(csv, doc):
+    lines = csv.read_text().splitlines(keepends=True)
+    csv.write_text("".join(lines[:-1]))
+
+
+def _skip_first_step(csv, doc):
+    doc["step_indices"][0] = 1
+
+
+def _repeat_step(csv, doc):
+    doc["step_indices"][2] = doc["step_indices"][1]
+
+
+def _step_past_grid(csv, doc):
+    doc["step_indices"][-1] = doc["grid_points"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_header, "CSV header"),
+        (_drop_row, "grid_points"),
+        (_skip_first_step, "start at 0"),
+        (_repeat_step, "strictly increasing"),
+        (_step_past_grid, "outside the grid"),
+    ],
+)
+def test_load_profile_rejects_malformed_input(tmp_path, corrupt, message):
+    p = yl.make_params(n=3, m=0.2, beta=1.0, rho=1.0, eta=1.0)
+    prof = yl.solve_profile(p, r_max=10.0, rtol=1e-9)
+    csv, sidecar = tmp_path / "profile.csv", tmp_path / "profile.json"
+    yl.write_profile_csv(prof, csv)
+    yl.write_profile_json(prof, sidecar)
+    doc = json.loads(sidecar.read_text())
+    corrupt(csv, doc)
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        yl.load_profile(csv, sidecar)
