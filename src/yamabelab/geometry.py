@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core_params import SolitonParams, validate
-from .profile_solver import RadialProfile
+from .profile_solver import RadialProfile, _vpp_array
 
 __all__ = [
     "GeometryCurves",
@@ -43,7 +43,6 @@ __all__ = [
     "SelfSimilarSpec",
     "compute_geometry",
     "scalar_curvature",
-    "sectional_curvatures",
     "consistency_check_w",
     "w_log_dynamics",
     "log_handoff",
@@ -54,6 +53,10 @@ __all__ = [
 ]
 
 GEOMETRY_CSV_HEADER = "r,v,w,R,K0,K1,psi_s"
+
+# e^100 ~ 1e43 keeps g e^(I - I_a) far below overflow, in blocks long
+# enough that their Python steps cost little next to the array work
+_K0_BLOCK_SPAN = 100.0
 
 
 @dataclass(frozen=True)
@@ -97,15 +100,9 @@ def scalar_curvature(profile: RadialProfile) -> np.ndarray:
 def _k0_trajectory(profile: RadialProfile) -> np.ndarray:
     # K0 = -R_r/(2 beta r v^(1-m)); R_r = (1-m) beta (q'), and substituting
     # v'' from the equation cancels beta, leaving a formula finite at r -> 0.
-    p = profile.params
-    n, m = p.n, p.m
     r, v, dv = profile.r, profile.v, profile.dv
-    one_m = 1.0 - m
-    vpp = (
-        -(m - 1.0) * dv * dv / v
-        - (n - 1) * dv / r
-        - (p.alpha * v + p.beta * r * dv) * v**one_m / (n - 1)
-    )
+    one_m = 1.0 - profile.params.m
+    vpp = _vpp_array(profile.params, r, v, dv)
     lv = dv / v
     return -one_m * (lv / r + vpp / v - lv * lv) / (2.0 * v**one_m)
 
@@ -127,32 +124,41 @@ def _k0_quadrature(profile: RadialProfile, R: np.ndarray) -> np.ndarray:
     Q = v^(1+m) R (R - rho)/(n-1),
     I(r) = beta/(n-1) int_0^r tau v^(1-m) dtau.
 
-    The shifted exponent keeps every factor <= 1 for beta > 0, so nothing
-    overflows even when I(r) grows like r^2.  Trapezoid segments; the first
-    segment uses the analytic r^n/n stub."""
+    Trapezoid segments; the first segment uses the analytic r^n/n stub.
+    With g = r^(n-1) Q, J e^I is the cumulative trapezoid sum of g e^I, but
+    I is monotone with the sign of beta and reaches the thousands on
+    expanding tails, far past exp's overflow at 709.  So the grid is cut into
+    blocks over which I moves less than _K0_BLOCK_SPAN; within a block the
+    sum is taken of g e^(I - I_a), I_a the value at the block's first point
+    a, and J = e^(I_a - I) times that sum.  Every factor stays within
+    e^(+-span) for either sign of beta.  Each block's first point is one
+    step of the recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2)
+    + dr g_k/2 from the previous block, which is the same quadrature."""
     p = profile.params
     n, m, beta, rho = p.n, p.m, p.beta, p.rho
     r, v = profile.r, profile.v
     Q = v ** (1.0 + m) * R * (R - rho) / (n - 1)
     g = r ** (n - 1) * Q
     tau_x = r * v ** (1.0 - m)
-    dI = (beta / (n - 1)) * 0.5 * np.diff(r) * (tau_x[:-1] + tau_x[1:])
+    half_dr = 0.5 * np.diff(r)
+    dI = (beta / (n - 1)) * half_dr * (tau_x[:-1] + tau_x[1:])
+    level = np.floor(np.cumsum(dI) / _K0_BLOCK_SPAN)
+    starts = np.flatnonzero(np.diff(level, prepend=0.0)) + 1
+    bounds = np.concatenate(([0], starts, [len(r)]))
 
     J = np.empty_like(r)
-    J[0] = r[0] ** n * Q[0] / n
-    dr = np.diff(r)
-    for k in range(1, len(r)):
-        shift = math.exp(-dI[k - 1])
-        J[k] = shift * (J[k - 1] + 0.5 * dr[k - 1] * g[k - 1]) + 0.5 * dr[k - 1] * g[k]
+    J_a = r[0] ** n * Q[0] / n
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if a > 0:  # one step of the recurrence carries J across the seam
+            k = a - 1
+            J_a = math.exp(-dI[k]) * (J[k] + half_dr[k] * g[k]) + half_dr[k] * g[a]
+        E = np.concatenate(([0.0], np.cumsum(dI[a : b - 1])))
+        ge = g[a:b] * np.exp(E)
+        S = np.concatenate(([J_a], half_dr[a : b - 1] * (ge[:-1] + ge[1:])))
+        J[a:b] = np.cumsum(S) * np.exp(-E)
     # K0 = -R_r/(2 beta r v^(1-m)); the v^(2m) from the integrating factor
     # combines with v^(1-m) into v^(1+m)
     return J / (2.0 * beta * r**n * v ** (1.0 + m))
-
-
-def sectional_curvatures(profile: RadialProfile) -> tuple[np.ndarray, np.ndarray]:
-    """(K0, K1) on the grid; see compute_geometry for the recorded cross-check."""
-    curves = compute_geometry(profile)
-    return curves.K0, curves.K1
 
 
 def compute_geometry(profile: RadialProfile) -> GeometryCurves:

@@ -175,6 +175,16 @@ def _vpp(n: int, m: float, alpha: float, beta: float):
     return f
 
 
+def _vpp_array(params: SolitonParams, r: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """v'' of the profile equation on arrays of (r, v, v')."""
+    n, m = params.n, params.m
+    return (
+        -(m - 1.0) * dv * dv / v
+        - (n - 1) * dv / r
+        - (params.alpha * v + params.beta * r * dv) * v ** (1.0 - m) / (n - 1)
+    )
+
+
 # Dormand & Prince (1980) 5(4) pair with Shampine's quartic dense output and
 # the step controller of scipy.integrate.RK45 (Hairer, Norsett & Wanner,
 # Solving ODEs I, II.4-II.6).
@@ -494,11 +504,7 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     flat = span < 1e-9
     if np.any(flat):
         vpp_data = np.where(flat, _quadratic_first_derivative(rs, dvs), vpp_data)
-    vpp_ode = (
-        -(m - 1.0) * dvs * dvs / vs
-        - (n - 1) * dvs / rs
-        - (alpha * vs + beta * rs * dvs) * vs ** (1.0 - m) / (n - 1)
-    )
+    vpp_ode = _vpp_array(p, rs, vs, dvs)
     floor = 1e-3 * p.eta * max(1.0, abs(alpha) + abs(beta))
     den = np.abs(alpha * vs) + np.abs(beta * rs * dvs) + floor
     max_ode = float(np.max(np.abs(vpp_data - vpp_ode) / den))

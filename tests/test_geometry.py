@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import yamabelab as yl
+from yamabelab import geometry
 from conftest import perturb_profile
 
 
@@ -72,10 +73,66 @@ def test_geometry_requires_soliton_setup():
     assert R.shape == prof0.r.shape
 
 
-def test_sectional_curvatures_wrapper(shrink3_profile, shrink3_geometry):
-    K0, K1 = yl.sectional_curvatures(shrink3_profile)
-    assert np.array_equal(K0, shrink3_geometry.K0)
-    assert np.array_equal(K1, shrink3_geometry.K1)
+def test_compute_geometry_sectional_curvatures(shrink3_profile, shrink3_geometry):
+    curves = yl.compute_geometry(shrink3_profile)
+    assert np.array_equal(curves.K0, shrink3_geometry.K0)
+    assert np.array_equal(curves.K1, shrink3_geometry.K1)
+
+
+def _exponent_steps(profile):
+    """Trapezoid segments dI of I(r) = beta/(n-1) int_0^r tau v^(1-m) dtau."""
+    p = profile.params
+    tau_x = profile.r * profile.v ** (1.0 - p.m)
+    return (p.beta / (p.n - 1)) * 0.5 * np.diff(profile.r) * (tau_x[:-1] + tau_x[1:])
+
+
+def _k0_quadrature_sequential(profile, R):
+    """Oracle: the source-integral K0 as the plain one-point-at-a-time
+    recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2) + dr g_k/2."""
+    p = profile.params
+    n, m = p.n, p.m
+    r, v = profile.r, profile.v
+    Q = v ** (1.0 + m) * R * (R - p.rho) / (n - 1)
+    g = r ** (n - 1) * Q
+    dI = _exponent_steps(profile)
+    dr = np.diff(r)
+    J = np.empty_like(r)
+    J[0] = r[0] ** n * Q[0] / n
+    for k in range(1, len(r)):
+        J[k] = math.exp(-dI[k - 1]) * (J[k - 1] + 0.5 * dr[k - 1] * g[k - 1]) + 0.5 * dr[k - 1] * g[k]
+    return J / (2.0 * p.beta * r**n * v ** (1.0 + m))
+
+
+@pytest.fixture(scope="module")
+def wide_expand_profile(expand_params):
+    return yl.solve_profile(expand_params, r_max=1e5, rtol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def negative_beta_profile():
+    p = yl.make_params(n=5, m=yl.soliton_exponent(5), beta=-0.5, rho=-1.0, eta=1.0)
+    return yl.solve_profile(p, r_max=1e4, rtol=1e-9)
+
+
+@pytest.mark.parametrize("span", [None, 1.0], ids=["default-span", "span-1"])
+@pytest.mark.parametrize(
+    "fixture",
+    ["shrink3_profile", "steady_profile", "wide_expand_profile", "negative_beta_profile"],
+)
+def test_k0_quadrature_matches_sequential_recurrence(fixture, span, request, monkeypatch):
+    profile = request.getfixturevalue(fixture)
+    if span is not None:  # many short blocks: every block seam is exercised
+        monkeypatch.setattr(geometry, "_K0_BLOCK_SPAN", span)
+    I_end = float(np.sum(_exponent_steps(profile)))
+    if fixture == "wide_expand_profile":
+        assert I_end > 709.0  # e^I alone would overflow
+    if fixture == "negative_beta_profile":
+        assert I_end < 0.0
+    R = yl.scalar_curvature(profile)
+    ref = _k0_quadrature_sequential(profile, R)
+    with np.errstate(over="raise", invalid="raise"):
+        got = geometry._k0_quadrature(profile, R)
+    assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
 
 
 def test_consistency_check_w(shrink3_profile):
