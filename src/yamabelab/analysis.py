@@ -15,7 +15,7 @@ function of (params, numerics), so identical inputs give identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core_params import (
     predictions,
     validate,
 )
-from .geometry import GeometryCurves, compute_geometry
+from .geometry import GeometryCurves, _psi_s_and_R, _w_tilde, compute_geometry
 from .profile_solver import RadialProfile, _dopri5, _vpp, solve_profile
 
 __all__ = [
@@ -91,14 +91,13 @@ def estimate_limits(curves: GeometryCurves, profile: RadialProfile) -> dict:
     if r[-1] < 100.0:
         raise ValueError("limits need a profile reaching r >= 100")
     tail = r >= r[-1] / 10.0
-    q = r * profile.dv / profile.v
 
     quantities = {
         "w": curves.w,
         "R": curves.R,
         "K0": curves.K0,
         "K1": curves.K1,
-        "rvp_over_v": q,
+        "rvp_over_v": profile.q,
     }
     safe_log = np.log(np.maximum(r, np.e))  # w/log r only meaningful at large r
     quantities["w_over_logr"] = curves.w / safe_log
@@ -141,7 +140,7 @@ def invariant_battery(profile: RadialProfile, curves: GeometryCurves | None) -> 
     p = profile.params
     n, m, alpha, beta = p.n, p.m, p.alpha, p.beta
     r, v, dv = profile.r, profile.v, profile.dv
-    q = r * dv / v
+    q = profile.q
     sup = lambda a: max(float(np.max(np.abs(a))), 1e-300)
     records = []
 
@@ -165,7 +164,7 @@ def invariant_battery(profile: RadialProfile, curves: GeometryCurves | None) -> 
     else:
         records.append(_record("v-plus-krv-positive", False))
 
-    w = r * r * v ** (1.0 - m)
+    w = profile.w
     if alpha > 0.0 and alpha >= n * beta:
         bound = 2.0 * n * (n - 1) / (alpha * (1.0 - m))
         margin, loc = _worst(w / bound - 1.0, r)
@@ -196,7 +195,7 @@ def invariant_battery(profile: RadialProfile, curves: GeometryCurves | None) -> 
             records.append(_record("rvp-range", True, hi, r[int(np.argmax(q))]))
         else:
             records.append(_record("rvp-range", True, lo, r[int(np.argmin(q))]))
-        psi = 1.0 + 0.5 * (1.0 - m) * q
+        psi = _psi_s_and_R(p, q)[0]
         margin_hi = float(np.max(psi)) - 1.0
         margin_lo = -float(np.min(psi))
         if margin_hi >= margin_lo:
@@ -301,8 +300,7 @@ def w_equation_defect(
     if traj.status != 0:
         raise RuntimeError(f"window re-integration stalled at r = {traj.t[-1]!r}")
     v, dv = traj(r)
-    wt = r * r * v**one_m
-    ws = wt * (2.0 + one_m * r * dv / v)
+    wt, ws = _w_tilde(m, r, v, dv)
     h = s[1] - s[0]
     wss = (ws[2:] - ws[:-2]) / (2.0 * h)
     wm, wsm = wt[1:-1], ws[1:-1]
@@ -363,7 +361,7 @@ def verify(
         "R": (pred.R_limit, sup(curves.R)),
         "K0": (pred.K0_limit, sup(curves.K0)),
         "K1": (pred.K1_limit, sup(curves.K1)),
-        "rvp_over_v": (pred.rvp_over_v_limit, sup(profile.r * profile.dv / profile.v)),
+        "rvp_over_v": (pred.rvp_over_v_limit, sup(profile.q)),
         "w_over_logr": (pred.w_over_logr_limit, sup(curves.w)),
     }
     verdicts = {}
@@ -402,54 +400,6 @@ def verify(
 
 def report_to_json(report: AsymptoticReport) -> str:
     """Stable-ordered JSON document for a report."""
-    p = report.params
-    doc = {
-        "params": {
-            "n": p.n,
-            "m": p.m,
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "rho": p.rho,
-            "eta": p.eta,
-        },
-        "variant": report.variant,
-        "validity": report.validity,
-        "observed": {
-            name: {
-                "value": est.value,
-                "tail_width": est.tail_width,
-                "converged": est.converged,
-            }
-            for name, est in report.observed.items()
-        },
-        "predicted": {
-            "w_limit": report.predicted.w_limit,
-            "w_over_logr_limit": report.predicted.w_over_logr_limit,
-            "r2v2k_limit_exists": report.predicted.r2v2k_limit_exists,
-            "rvp_over_v_limit": report.predicted.rvp_over_v_limit,
-            "R_at_zero": report.predicted.R_at_zero,
-            "R_limit": report.predicted.R_limit,
-            "K_at_zero": report.predicted.K_at_zero,
-            "K0_limit": report.predicted.K0_limit,
-            "K1_limit": report.predicted.K1_limit,
-            "R_upper": report.predicted.R_upper,
-            "w_upper": report.predicted.w_upper,
-        },
-        "verdicts": {
-            name: {"verdict": v.verdict, "rel_err": v.rel_err}
-            for name, v in report.verdicts.items()
-        },
-        "invariants": [
-            {
-                "name": rec.name,
-                "applicable": rec.applicable,
-                "margin": rec.margin,
-                "location": rec.location,
-                "threshold": rec.threshold,
-                "ok": rec.ok,
-            }
-            for rec in report.invariant_log
-        ],
-        "overall": report.overall,
-    }
+    doc = asdict(report)
+    doc["invariants"] = doc.pop("invariant_log")
     return json.dumps(doc, sort_keys=True, indent=1)

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -25,11 +26,12 @@ from .analysis import report_to_json, verify
 from .core_params import blowup_certificate, classify, make_params, soliton_exponent
 from .geometry import (
     SelfSimilarSpec,
+    _scaling_alpha,
+    _self_similar_u,
     compute_geometry,
-    self_similar_eval,
     write_geometry_csv,
 )
-from .profile_solver import solve_profile, write_profile_csv, write_profile_json
+from .profile_solver import _write_csv, solve_profile, write_profile_csv, write_profile_json
 
 __all__ = ["main", "run"]
 
@@ -200,15 +202,8 @@ def _cmd_geometry(args) -> int:
         write_geometry_csv(curves, out / "geometry.csv")
     if "json" in formats:
         doc = {
-            "params": {
-                "n": params.n,
-                "m": params.m,
-                "alpha": params.alpha,
-                "beta": params.beta,
-                "rho": params.rho,
-                "eta": params.eta,
-            },
-            "status": {"kind": profile.status.kind, "radius": profile.status.radius},
+            "params": asdict(params),
+            "status": asdict(profile.status),
             "grid_points": len(curves.r),
             "k0_agreement": curves.k0_agreement,
             "rtol": profile.rtol,
@@ -236,26 +231,32 @@ def _cmd_verify(args) -> int:
     return 0 if report.overall == "Pass" else 1
 
 
+def _certify(params, num: dict):
+    """Certificate, solver status, and whether a detected blow-up radius
+    keeps within the certified bound (None without a blow-up or a bound)."""
+    cert = blowup_certificate(params)
+    status = solve_profile(params, **num).status
+    within = None
+    if status.kind == "BlowUp" and cert.radius_bound is not None:
+        within = status.radius <= cert.radius_bound * (1.0 + 1e-6)
+    return cert, status, within
+
+
 def _cmd_certify_blowup(args) -> int:
     values = _merge(args)
     params = _build_params(values)
     num = _numerics(values)
-    try:
-        cert = blowup_certificate(params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    profile = solve_profile(params, **num)
-    if profile.status.kind != "BlowUp":
+    cert, status, within = _certify(params, num)
+    if status.kind != "BlowUp":
         print(
             f"{cert.case_tag}: no blow-up detected before r = {num['r_max']:.6g} "
-            f"({profile.status.kind})"
+            f"({status.kind})"
         )
         return 1
-    r_star = profile.status.radius
-    if cert.radius_bound is None:
+    r_star = status.radius
+    if within is None:
         print(f"{cert.case_tag}: detected r* = {r_star:.6g} (no certified bound)")
         return 0
-    within = r_star <= cert.radius_bound * (1.0 + 1e-6)
     print(
         f"{cert.case_tag}: C1 = {cert.C1:.6g}, bound = {cert.radius_bound:.6g}, "
         f"detected r* = {r_star:.6g} "
@@ -276,12 +277,7 @@ def _cmd_selfsim(args) -> int:
     n = _to_int(values, "n")
     m = _to_float(values, "m")
     beta = _to_float(values, "beta")
-    one_m = 1.0 - m
-    alpha = {
-        "Forward": (2.0 * beta - 1.0) / one_m,
-        "Backward": (2.0 * beta + 1.0) / one_m,
-        "Eternal": 2.0 * beta / one_m,
-    }[kind]
+    alpha = _scaling_alpha(kind, m, beta)
     if values.get("alpha") is not None or values.get("rho") is not None:
         raise UsageError("selfsim derives alpha from the kind; do not pass alpha or rho")
     try:
@@ -305,11 +301,8 @@ def _cmd_selfsim(args) -> int:
         return 1
     xs = np.linspace(0.0, args.x_max, args.samples)
     t = args.t
-    with open(out / "selfsim.csv", "w") as fh:
-        fh.write("x,t,u\n")
-        for x in xs:
-            u = self_similar_eval(spec, profile, float(x), t)
-            fh.write(f"{_fmt(float(x))},{_fmt(t)},{_fmt(float(u))}\n")
+    u = _self_similar_u(spec, profile, np.abs(xs), t)
+    _write_csv(out / "selfsim.csv", "x,t,u", (xs, np.full_like(xs, t), u))
     print(f"{kind} solution at t = {t:.6g}: {len(xs)} samples -> {out}")
     return 0
 
@@ -357,25 +350,16 @@ def _sweep_point(task: tuple) -> dict:
         row["validity"] = cls.validity
 
         if params.alpha < 0.0 and params.beta <= 0.0:
-            cert = blowup_certificate(params)
-            profile = solve_profile(
-                params,
-                r_max=num["r_max"],
-                rtol=num["rtol"],
-                atol=num["atol"],
-                r0_scale=num["r0_scale"],
-            )
-            row["status"] = profile.status.kind
-            if profile.status.kind == "BlowUp":
-                row["blowup_radius"] = _fmt(profile.status.radius)
-                if cert.radius_bound is not None:
-                    row["blowup_bound"] = _fmt(cert.radius_bound)
-                    within = profile.status.radius <= cert.radius_bound * (1.0 + 1e-6)
-                    row["overall"] = "Certified" if within else "Fail"
-                else:
+            cert, status, within = _certify(params, num)
+            row["status"] = status.kind
+            row["overall"] = "Fail"
+            if status.kind == "BlowUp":
+                row["blowup_radius"] = _fmt(status.radius)
+                if within is None:
                     row["overall"] = "Detected"
-            else:
-                row["overall"] = "Fail"
+                else:
+                    row["blowup_bound"] = _fmt(cert.radius_bound)
+                    row["overall"] = "Certified" if within else "Fail"
             return row
 
         report = verify(params, r_max=num["r_max"], rtol=num["rtol"], atol=num["atol"])

@@ -4,6 +4,7 @@ For soliton runs (m = (n-2)/(n+2), rho present) the metric v^(4/(n+2)) dx^2
 has, along the radial profile,
 
     q     = r v'/v,
+    w     = r^2 v^(1-m),
     psi_s = 1 + (1-m)/2 * q                (radial derivative of psi = w^(1/2)
                                             with respect to the arclength-like
                                             coordinate s~),
@@ -11,19 +12,28 @@ has, along the radial profile,
     K1    = (1 - psi_s^2)/w                (tangent 2-planes),
     K0    = -R_r / (2 beta r v^(1-m))      (radial 2-planes).
 
-K1 is evaluated in the algebraically identical factored form
--(1-m) q (1 + (1-m) q / 4)/w, which avoids the 1-(1+x)^2 cancellation near
-the origin.  K0's numerator R_r is taken along the trajectory (the v'' needed
-is substituted from the profile equation, which cancels beta), and a second,
-independent evaluation of R_r through its source-integral representation is
-recorded as a cross-check.
+Each formula has one home.  q and w are the properties RadialProfile.q and
+RadialProfile.w, which hold for any m.  psi_s and R come from _psi_s_and_R,
+shared by compute_geometry, consistency_check_w and the invariant battery.
+K1 is evaluated in compute_geometry in the algebraically identical factored
+form -(1-m) q (1 + (1-m) q / 4)/w, which avoids the 1-(1+x)^2 cancellation
+near the origin.  K0's numerator R_r is taken along the trajectory in
+_k0_trajectory (the v'' needed is substituted from the profile equation,
+profile_solver._vpp_array, which cancels beta), and a second, independent
+evaluation of R_r through its source-integral representation, _k0_quadrature,
+is recorded as a cross-check.
 
-The scale-invariant profile w = r^2 v^(1-m), as a function of s = log r,
-obeys an autonomous second-order equation; w_log_dynamics integrates it for
-long-range continuation where direct r-integration would waste steps.
+As a function of s = log r, w~(s) = w(e^s) obeys an autonomous second-order
+equation; w_log_dynamics integrates it for long-range continuation where
+direct r-integration would waste steps.  Its state (w~, w~_s) is built from
+(r, v, v') by _w_tilde, for log_handoff and analysis.w_equation_defect alike.
 
 Self-similar solutions of u_t = (n-1)/m * Laplacian(u^m) are evaluated from
-the profile by the Forward/Backward/Eternal scalings.
+the profile by the Forward/Backward/Eternal scalings.  The alpha each kind
+forces is _scaling_alpha (SelfSimilarSpec.check and the selfsim command);
+the time scaling itself, u = amplitude * v(radius factor * |x|), is
+_self_similar_u, which self_similar_eval, pde_residual and the selfsim
+command call, the latter two with whole arrays of radii.
 """
 
 from __future__ import annotations
@@ -35,14 +45,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core_params import SolitonParams, validate
-from .profile_solver import RadialProfile, _vpp_array
+from .profile_solver import RadialProfile, _vpp_array, _w, _write_csv
 
 __all__ = [
     "GeometryCurves",
     "LogDynamics",
     "SelfSimilarSpec",
     "compute_geometry",
-    "scalar_curvature",
     "consistency_check_w",
     "w_log_dynamics",
     "log_handoff",
@@ -85,16 +94,13 @@ def _require_soliton(params: SolitonParams, what: str) -> None:
         raise ValueError(f"{what} requires soliton parameters (rho present)")
 
 
-def scalar_curvature(profile: RadialProfile) -> np.ndarray:
-    """R on the grid, R = (1-m)(alpha + beta r v'/v) = rho + 2 beta psi_s.
+def _psi_s_and_R(params: SolitonParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi_s = 1 + (1-m) q/2 and R = (1-m)(alpha + beta q) from q = r v'/v.
 
-    The second arrangement is used so the stored identity with psi_s holds
-    bitwise.  The r -> 0 limit is alpha (1-m) = 2 beta + rho."""
-    p = profile.params
-    _require_soliton(p, "scalar curvature")
-    q = profile.r * profile.dv / profile.v
-    psi_s = 1.0 + 0.5 * (1.0 - p.m) * q
-    return p.rho + 2.0 * p.beta * psi_s
+    R is arranged as rho + 2 beta psi_s so that identity holds bitwise.
+    The r -> 0 limit of R is alpha (1-m) = 2 beta + rho."""
+    psi_s = 1.0 + 0.5 * (1.0 - params.m) * q
+    return psi_s, params.rho + 2.0 * params.beta * psi_s
 
 
 def _k0_trajectory(profile: RadialProfile) -> np.ndarray:
@@ -167,13 +173,10 @@ def compute_geometry(profile: RadialProfile) -> GeometryCurves:
     _require_soliton(p, "geometry")
     if p.beta == 0.0:
         raise ValueError("sectional curvature needs beta != 0")
-    r, v, dv = profile.r, profile.v, profile.dv
-    m = p.m
-    one_m = 1.0 - m
-    q = r * dv / v
-    psi_s = 1.0 + 0.5 * one_m * q
-    w = r * r * v**one_m
-    R = p.rho + 2.0 * p.beta * psi_s
+    r = profile.r
+    one_m = 1.0 - p.m
+    q, w = profile.q, profile.w
+    psi_s, R = _psi_s_and_R(p, q)
     # factored (1 - psi_s^2)/w, exact in the small-q regime
     K1 = -one_m * q * (1.0 + 0.25 * one_m * q) / w
     K0 = _k0_trajectory(profile)
@@ -189,7 +192,7 @@ def compute_geometry(profile: RadialProfile) -> GeometryCurves:
     return GeometryCurves(
         params=p,
         r=r,
-        v=v,
+        v=profile.v,
         w=w,
         R=R,
         K0=K0,
@@ -209,12 +212,8 @@ def consistency_check_w(profile: RadialProfile) -> float:
     _require_soliton(p, "w consistency check")
     if p.beta == 0.0:
         raise ValueError("w consistency check needs beta != 0")
-    r, v = profile.r, profile.v
-    one_m = 1.0 - p.m
-    w = r * r * v**one_m
-    q = r * profile.dv / v
-    psi_s = 1.0 + 0.5 * one_m * q
-    R = p.rho + 2.0 * p.beta * psi_s
+    r, v, w = profile.r, profile.v, profile.w
+    psi_s, R = _psi_s_and_R(p, profile.q)
 
     def central(x, y):
         hl = x[1:-1] - x[:-2]
@@ -223,7 +222,7 @@ def consistency_check_w(profile: RadialProfile) -> float:
             hl * hr * (hl + hr)
         )
 
-    a1 = 2.0 * r * v**one_m * psi_s
+    a1 = 2.0 * r * v ** (1.0 - p.m) * psi_s
     d1 = np.max(np.abs(central(r, w) - a1[1:-1])) / np.max(np.abs(a1))
     s = np.log(r)
     a2 = (w / p.beta) * (R - p.rho)
@@ -242,6 +241,12 @@ class LogDynamics:
     status: str  # Completed | Stopped
 
 
+def _w_tilde(m: float, r, v, dv):
+    """(w~, w~_s) = (w, w (2 + (1-m) r v'/v)) at scalar or array (r, v, v')."""
+    wt = _w(m, r, v)
+    return wt, wt * (2.0 + (1.0 - m) * r * dv / v)
+
+
 def log_handoff(profile: RadialProfile, r_h: float) -> tuple[float, tuple[float, float]]:
     """Initial data (s0, (w~, w~_s)) for w_log_dynamics taken from a profile."""
     idx = int(np.searchsorted(profile.r, r_h))
@@ -249,10 +254,7 @@ def log_handoff(profile: RadialProfile, r_h: float) -> tuple[float, tuple[float,
     r = float(profile.r[idx])
     v = float(profile.v[idx])
     dv = float(profile.dv[idx])
-    one_m = 1.0 - profile.params.m
-    wt = r * r * v**one_m
-    wts = wt * (2.0 + one_m * r * dv / v)
-    return math.log(r), (wt, wts)
+    return math.log(r), _w_tilde(profile.params.m, r, v, dv)
 
 
 def w_log_dynamics(
@@ -366,16 +368,8 @@ class SelfSimilarSpec:
     T: float | None = None
 
     def check(self) -> None:
-        m, alpha, beta = self.params.m, self.params.alpha, self.params.beta
-        one_m = 1.0 - m
-        want = {
-            "Forward": (2.0 * beta - 1.0) / one_m,
-            "Backward": (2.0 * beta + 1.0) / one_m,
-            "Eternal": 2.0 * beta / one_m,
-        }
-        if self.kind not in want:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        target = want[self.kind]
+        alpha = self.params.alpha
+        target = _scaling_alpha(self.kind, self.params.m, self.params.beta)
         if abs(alpha - target) > 1e-9 * max(1.0, abs(target)):
             raise ValueError(
                 f"{self.kind} scaling requires alpha = {target!r}, got {alpha!r}"
@@ -387,13 +381,22 @@ class SelfSimilarSpec:
                 raise ValueError("Backward scaling requires a positive horizon T")
 
 
-def self_similar_eval(spec: SelfSimilarSpec, profile: RadialProfile, x, t: float):
-    """u(x, t) by radial interpolation of the profile; x is a scalar radius
-    or a coordinate vector.  Scaled radii beyond the stored grid raise."""
-    spec.check()
+def _scaling_alpha(kind: str, m: float, beta: float) -> float:
+    """The alpha that the kind's time scaling requires of the profile."""
+    one_m = 1.0 - m
+    if kind == "Forward":
+        return (2.0 * beta - 1.0) / one_m
+    if kind == "Backward":
+        return (2.0 * beta + 1.0) / one_m
+    if kind == "Eternal":
+        return 2.0 * beta / one_m
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def _self_similar_u(spec: SelfSimilarSpec, profile: RadialProfile, radius, t: float):
+    """u(x, t) at |x| = radius, a nonnegative scalar or array, for a checked
+    spec: the kind's amplitude times v at the scaled radius."""
     alpha, beta = spec.params.alpha, spec.params.beta
-    xr = np.asarray(x, dtype=float)
-    radius = float(np.sqrt(np.sum(xr * xr))) if xr.ndim else abs(float(xr))
     if spec.kind == "Forward":
         if not (t > 0.0):
             raise ValueError("Forward scaling needs t > 0")
@@ -406,6 +409,15 @@ def self_similar_eval(spec: SelfSimilarSpec, profile: RadialProfile, x, t: float
     return math.exp(-alpha * t) * profile.value_at(radius * math.exp(-beta * t))
 
 
+def self_similar_eval(spec: SelfSimilarSpec, profile: RadialProfile, x, t: float):
+    """u(x, t) by radial interpolation of the profile; x is a scalar radius
+    or a coordinate vector.  Scaled radii beyond the stored grid raise."""
+    spec.check()
+    xr = np.asarray(x, dtype=float)
+    radius = float(np.sqrt(np.sum(xr * xr))) if xr.ndim else abs(float(xr))
+    return _self_similar_u(spec, profile, radius, t)
+
+
 def pde_residual(
     spec: SelfSimilarSpec,
     profile: RadialProfile,
@@ -416,38 +428,31 @@ def pde_residual(
 ) -> float:
     """Normalized defect of u_t = (n-1)/m * Laplacian(u^m) on an (r, t)
     lattice, by central differences in both variables; radial Laplacian
-    f'' + (n-1)/r f'.  Sup-norm normalized; returns 0 for an identically
-    flat lattice."""
+    f'' + (n-1)/r f'.  Each time level is evaluated a whole row of radii
+    at a time.  Sup-norm normalized; returns 0 for an identically flat
+    lattice."""
     spec.check()
     n, m = spec.params.n, spec.params.m
     coef = (n - 1) / m
+    r = np.asarray(r_points, dtype=float)
     res = []
     scale = []
     for t in np.asarray(t_points, dtype=float):
-        for r in np.asarray(r_points, dtype=float):
-            u_c = self_similar_eval(spec, profile, r, t)
-            u_tp = self_similar_eval(spec, profile, r, t + h_t)
-            u_tm = self_similar_eval(spec, profile, r, t - h_t)
-            u_rp = self_similar_eval(spec, profile, r + h_r, t)
-            u_rm = self_similar_eval(spec, profile, r - h_r, t)
-            ut = (u_tp - u_tm) / (2.0 * h_t)
-            f_c, f_p, f_m = u_c**m, u_rp**m, u_rm**m
-            lap = (f_p - 2.0 * f_c + f_m) / h_r**2 + (n - 1) / r * (f_p - f_m) / (
-                2.0 * h_r
-            )
-            res.append(ut - coef * lap)
-            scale.append(abs(ut) + abs(coef * lap))
+        u_tp = _self_similar_u(spec, profile, r, t + h_t)
+        u_tm = _self_similar_u(spec, profile, r, t - h_t)
+        ut = (u_tp - u_tm) / (2.0 * h_t)
+        f_c = _self_similar_u(spec, profile, r, t) ** m
+        f_p = _self_similar_u(spec, profile, r + h_r, t) ** m
+        # the profile is even in r, so a stencil reaching past the origin reflects
+        f_m = _self_similar_u(spec, profile, np.abs(r - h_r), t) ** m
+        lap = (f_p - 2.0 * f_c + f_m) / h_r**2 + (n - 1) / r * (f_p - f_m) / (2.0 * h_r)
+        res.append(ut - coef * lap)
+        scale.append(np.abs(ut) + np.abs(coef * lap))
     top = float(np.max(np.abs(res)))
     bottom = float(np.max(scale))
     return top / bottom if bottom > 0.0 else 0.0
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_geometry_csv(curves: GeometryCurves, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(GEOMETRY_CSV_HEADER + "\n")
-        for row in zip(curves.r, curves.v, curves.w, curves.R, curves.K0, curves.K1, curves.psi_s):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    c = curves
+    _write_csv(path, GEOMETRY_CSV_HEADER, (c.r, c.v, c.w, c.R, c.K0, c.K1, c.psi_s))

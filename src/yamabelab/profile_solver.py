@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -113,6 +113,16 @@ class RadialProfile:
     def r0(self) -> float:
         return float(self.r[0])
 
+    @property
+    def q(self) -> np.ndarray:
+        """q = r v'/v on the grid."""
+        return self.r * self.dv / self.v
+
+    @property
+    def w(self) -> np.ndarray:
+        """The scale-invariant profile w = r^2 v^(1-m) on the grid."""
+        return _w(self.params.m, self.r, self.v)
+
     def value_at(self, radius, derivative: bool = False):
         """v at arbitrary radii: series below r0, Hermite interpolation on
         the grid.  Radii beyond the last grid point raise (no extrapolation).
@@ -137,6 +147,11 @@ class RadialProfile:
         if out.ndim == 0:
             return float(out), float(dout)
         return out, dout
+
+
+def _w(m: float, r, v):
+    """w = r^2 v^(1-m) at scalar or array (r, v)."""
+    return r * r * v ** (1.0 - m)
 
 
 def second_derivative_at_origin(params: SolitonParams) -> float:
@@ -525,29 +540,25 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     return ResidualReport(max_ode, max_integral, len(r))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_csv(path, header: str, columns) -> None:
+    """Equal-length columns under a header line; 17 significant digits, so
+    every float reads back bit-for-bit.  Rows of Python floats through one
+    %-template format about twice as fast as np.savetxt or per-value
+    f-strings."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % r for r in zip(*(c.tolist() for c in columns)))
 
 
 def write_profile_csv(profile: RadialProfile, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(PROFILE_CSV_HEADER + "\n")
-        for r, v, dv in zip(profile.r, profile.v, profile.dv):
-            fh.write(f"{_fmt(r)},{_fmt(v)},{_fmt(dv)}\n")
+    _write_csv(path, PROFILE_CSV_HEADER, (profile.r, profile.v, profile.dv))
 
 
 def write_profile_json(profile: RadialProfile, path) -> None:
-    p = profile.params
     doc = {
-        "params": {
-            "n": p.n,
-            "m": p.m,
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "rho": p.rho,
-            "eta": p.eta,
-        },
-        "status": {"kind": profile.status.kind, "radius": profile.status.radius},
+        "params": asdict(profile.params),
+        "status": asdict(profile.status),
         "rtol": profile.rtol,
         "atol": profile.atol,
         "grid_points": len(profile.r),

@@ -174,7 +174,7 @@ def test_c5_expanding_limits(expand_profile, expand_geometry):
 # --- criterion 6: negative curvature regime --------------------------------
 
 def test_c6_negative_scalar_curvature(negcurv_profile):
-    R = yl.scalar_curvature(negcurv_profile)
+    R = yl.compute_geometry(negcurv_profile).R
     ok = bool(np.all(R < 0.0))
     assert _check("C6 R < 0 at every grid point", ok, f"max R = {np.max(R):.3e}")
 

@@ -61,16 +61,11 @@ def test_geometry_requires_soliton_setup():
     prof = yl.solve_profile(general, r_max=10.0, rtol=1e-9)
     with pytest.raises(ValueError, match="soliton parameters"):
         yl.compute_geometry(prof)
-    with pytest.raises(ValueError, match="soliton parameters"):
-        yl.scalar_curvature(prof)
 
     zero_beta = yl.make_params(n=3, m=0.2, beta=0.0, rho=1.0, eta=1.0)
     prof0 = yl.solve_profile(zero_beta, r_max=10.0, rtol=1e-9)
     with pytest.raises(ValueError, match="beta != 0"):
         yl.compute_geometry(prof0)
-    # scalar curvature itself survives beta = 0
-    R = yl.scalar_curvature(prof0)
-    assert R.shape == prof0.r.shape
 
 
 def test_compute_geometry_sectional_curvatures(shrink3_profile, shrink3_geometry):
@@ -128,7 +123,7 @@ def test_k0_quadrature_matches_sequential_recurrence(fixture, span, request, mon
         assert I_end > 709.0  # e^I alone would overflow
     if fixture == "negative_beta_profile":
         assert I_end < 0.0
-    R = yl.scalar_curvature(profile)
+    R = yl.compute_geometry(profile).R
     ref = _k0_quadrature_sequential(profile, R)
     with np.errstate(over="raise", invalid="raise"):
         got = geometry._k0_quadrature(profile, R)
@@ -228,6 +223,51 @@ def test_pde_residual_small_on_forward_solution(expand_profile):
     assert res < 1e-4
 
 
+def _pde_residual_pointwise(spec, profile, r_points, t_points, h_r, h_t):
+    """Oracle: the same stencil as five scalar self_similar_eval calls per
+    lattice point."""
+    n, m = spec.params.n, spec.params.m
+    coef = (n - 1) / m
+    res = []
+    scale = []
+    for t in np.asarray(t_points, dtype=float):
+        for r in np.asarray(r_points, dtype=float):
+            u_c = yl.self_similar_eval(spec, profile, r, t)
+            u_tp = yl.self_similar_eval(spec, profile, r, t + h_t)
+            u_tm = yl.self_similar_eval(spec, profile, r, t - h_t)
+            u_rp = yl.self_similar_eval(spec, profile, r + h_r, t)
+            u_rm = yl.self_similar_eval(spec, profile, r - h_r, t)
+            ut = (u_tp - u_tm) / (2.0 * h_t)
+            f_c, f_p, f_m = u_c**m, u_rp**m, u_rm**m
+            lap = (f_p - 2.0 * f_c + f_m) / h_r**2 + (n - 1) / r * (f_p - f_m) / (
+                2.0 * h_r
+            )
+            res.append(ut - coef * lap)
+            scale.append(abs(ut) + abs(coef * lap))
+    top = float(np.max(np.abs(res)))
+    bottom = float(np.max(scale))
+    return top / bottom if bottom > 0.0 else 0.0
+
+
+@pytest.mark.parametrize(
+    "kind, fixture",
+    [("Forward", "expand_profile"), ("Eternal", "steady_profile"), ("Backward", "shrink3_profile")],
+)
+def test_pde_residual_matches_pointwise_loop(kind, fixture, request):
+    # the row-wise u^m goes through numpy's pow, which differs from libm's in
+    # the last ulp on a few inputs; at h = 2e-3 the residual nears roundoff
+    profile = request.getfixturevalue(fixture)
+    spec = yl.SelfSimilarSpec(kind=kind, params=profile.params, T=2.0 if kind == "Backward" else None)
+    r_pts = np.linspace(0.5, 3.0, 6)
+    t_pts = np.linspace(0.8, 1.2, 3)
+    for h in (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3):
+        got = yl.pde_residual(spec, profile, r_pts, t_pts, h, h)
+        ref = _pde_residual_pointwise(spec, profile, r_pts, t_pts, h, h)
+        assert abs(got - ref) <= 2e-8
+        if h >= 4e-3:
+            assert abs(got - ref) <= 1e-6 * ref
+
+
 def test_pde_residual_zero_on_constant():
     p = yl.make_params(n=3, m=0.2, beta=0.0, eta=1.0, alpha=0.0)
     prof = yl.solve_profile(p, r_max=20.0, rtol=1e-9)
@@ -246,3 +286,22 @@ def test_geometry_csv_export(tmp_path, shrink3_geometry):
     assert data.shape == (len(shrink3_geometry.r), 7)
     assert np.array_equal(data[:, 0], shrink3_geometry.r)
     assert np.array_equal(data[:, 4], shrink3_geometry.K0)
+
+
+def test_csv_byte_format(tmp_path, shrink3_profile, shrink3_geometry):
+    def line(columns, i):
+        return ",".join(f"{c[i]:.17g}" for c in columns)
+
+    prof, g = shrink3_profile, shrink3_geometry
+    for write, obj, header, columns in (
+        (yl.write_profile_csv, prof, "r,v,dv", (prof.r, prof.v, prof.dv)),
+        (yl.write_geometry_csv, g, "r,v,w,R,K0,K1,psi_s", (g.r, g.v, g.w, g.R, g.K0, g.K1, g.psi_s)),
+    ):
+        path = tmp_path / "out.csv"
+        write(obj, path)
+        lines = path.read_text().split("\n")
+        assert lines[-1] == ""  # newline-terminated
+        assert len(lines) == len(prof.r) + 2
+        assert lines[0] == header
+        assert lines[1] == line(columns, 0)
+        assert lines[-2] == line(columns, -1)
