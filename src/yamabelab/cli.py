@@ -12,17 +12,16 @@ failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import report_to_json, verify
+from .analysis import STRICT_SLACK, report_to_json, verify
 from .core_params import blowup_certificate, classify, make_params, soliton_exponent
 from .geometry import (
     SelfSimilarSpec,
@@ -31,7 +30,7 @@ from .geometry import (
     compute_geometry,
     write_geometry_csv,
 )
-from .profile_solver import _write_csv, solve_profile, write_profile_csv, write_profile_json
+from .profile_solver import _write_csv, _write_sidecar, solve_profile, write_profile_csv, write_profile_json
 
 __all__ = ["main", "run"]
 
@@ -101,14 +100,15 @@ def _to_float(values: dict, key: str, default=None):
     return out
 
 
-def _to_int(values: dict, key: str):
-    raw = values.get(key)
-    if raw is None:
-        return None
-    f = float(raw)
-    if f != int(f):
+def _integer(key: str, raw, f: float) -> int:
+    if not (math.isfinite(f) and f == int(f)):
         raise UsageError(f"{key}: expected an integer, got {raw!r}")
     return int(f)
+
+
+def _to_int(values: dict, key: str):
+    f = _to_float(values, key)
+    return None if f is None else _integer(key, values[key], f)
 
 
 def _build_params(values: dict, require=("n", "m", "beta", "eta")):
@@ -201,17 +201,7 @@ def _cmd_geometry(args) -> int:
     if "csv" in formats:
         write_geometry_csv(curves, out / "geometry.csv")
     if "json" in formats:
-        doc = {
-            "params": asdict(params),
-            "status": asdict(profile.status),
-            "grid_points": len(curves.r),
-            "k0_agreement": curves.k0_agreement,
-            "rtol": profile.rtol,
-            "atol": profile.atol,
-        }
-        with open(out / "geometry.json", "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_sidecar(profile, out / "geometry.json", k0_agreement=curves.k0_agreement)
     print(
         f"geometry on {len(curves.r)} points, K0 cross-check {curves.k0_agreement:.3g} -> {out}"
     )
@@ -238,7 +228,7 @@ def _certify(params, num: dict):
     status = solve_profile(params, **num).status
     within = None
     if status.kind == "BlowUp" and cert.radius_bound is not None:
-        within = status.radius <= cert.radius_bound * (1.0 + 1e-6)
+        within = status.radius <= cert.radius_bound * (1.0 + STRICT_SLACK)
     return cert, status, within
 
 
@@ -316,10 +306,7 @@ def _parse_grid_value(key: str, raw) -> list:
     except ValueError:
         raise UsageError(f"{key}: expected numbers, got {raw!r}") from None
     if key == "n":
-        for v in vals:
-            if v != int(v):
-                raise UsageError(f"n: expected integers, got {raw!r}")
-        return [int(v) for v in vals]
+        return [_integer(key, raw, v) for v in vals]
     return vals
 
 

@@ -164,6 +164,10 @@ def validate(params: SolitonParams) -> ValidationResult:
     """Check every structural invariant; reports violations, never raises."""
     bad: list[str] = []
     n, m = params.n, params.m
+    for name in ("m", "alpha", "beta", "eta", "rho"):
+        value = getattr(params, name)
+        if value is not None and not math.isfinite(value):
+            bad.append(f"finite: {name} must be finite, got {value!r}")
     if not (isinstance(n, int) and n >= 3):
         bad.append(f"dimension: n must be an integer >= 3, got {n!r}")
     else:

@@ -25,8 +25,11 @@ is recorded as a cross-check.
 
 As a function of s = log r, w~(s) = w(e^s) obeys an autonomous second-order
 equation; w_log_dynamics integrates it for long-range continuation where
-direct r-integration would waste steps.  Its state (w~, w~_s) is built from
-(r, v, v') by _w_tilde, for log_handoff and analysis.w_equation_defect alike.
+direct r-integration would waste steps.  It runs W = log w~ (_log_wpp) on
+profile_solver._dopri5, stopped by one terminal event when w~ collapses or
+W_s runs away.  analysis.w_equation_defect writes the w~ form again, in
+array arithmetic, as _vpp_array does for _vpp.  The state (w~, w~_s) is
+built from (r, v, v') by _w_tilde, for log_handoff and the defect alike.
 
 Self-similar solutions of u_t = (n-1)/m * Laplacian(u^m) are evaluated from
 the profile by the Forward/Backward/Eternal scalings.  The alpha each kind
@@ -42,10 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core_params import SolitonParams, validate
-from .profile_solver import RadialProfile, _vpp_array, _w, _write_csv
+from .profile_solver import RadialProfile, _dopri5, _vpp_array, _w, _write_csv
 
 __all__ = [
     "GeometryCurves",
@@ -66,6 +68,10 @@ GEOMETRY_CSV_HEADER = "r,v,w,R,K0,K1,psi_s"
 # e^100 ~ 1e43 keeps g e^(I - I_a) far below overflow, in blocks long
 # enough that their Python steps cost little next to the array work
 _K0_BLOCK_SPAN = 100.0
+
+# log-radius continuation: tolerances on (W, W_s) and samples per unit of s
+_LOG_RTOL, _LOG_ATOL = 1e-10, 1e-12
+_LOG_SAMPLES_PER_UNIT = 40
 
 
 @dataclass(frozen=True)
@@ -257,13 +263,28 @@ def log_handoff(profile: RadialProfile, r_h: float) -> tuple[float, tuple[float,
     return math.log(r), _w_tilde(profile.params.m, r, v, dv)
 
 
+def _log_wpp(n: int, m: float, alpha: float, beta: float):
+    """W'' of the log-radius equation in W = log w~, as a function of
+    (s, W, W_s)."""
+    one_m = 1.0 - m
+    c = one_m * alpha - 2.0 * beta
+
+    def f(s, W, Ws):
+        d = Ws - 2.0
+        return -m * (d * d) / one_m - (n - 2) * d - math.exp(W) * (c + beta * Ws) / (n - 1)
+
+    return f
+
+
+def _log_stop(W, Ws):
+    # rises through zero when w~ falls below e^-60 or |W_s| passes 1e3
+    return max(-60.0 - W, abs(Ws) - 1e3)
+
+
 def w_log_dynamics(
     params: SolitonParams,
     s_range: tuple[float, float],
     w_init: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    samples_per_unit: int = 40,
 ) -> LogDynamics:
     """Integrate the autonomous log-radius equation
 
@@ -282,54 +303,27 @@ def w_log_dynamics(
     wt0, wts0 = w_init
     if not (wt0 > 0.0):
         raise ValueError(f"w~ must be positive at handoff, got {wt0!r}")
-    n, m = params.n, params.m
-    alpha, beta = params.alpha, params.beta
-    one_m = 1.0 - m
     s0, s1 = s_range
-
-    def rhs(s, y):
-        W, Ws = y
-        e = math.exp(W)
-        Wss = (
-            -m * (Ws - 2.0) ** 2 / one_m
-            - (n - 2) * (Ws - 2.0)
-            - e * (one_m * alpha - 2.0 * beta + beta * Ws) / (n - 1)
-        )
-        return [Ws, Wss]
-
-    def collapse(s, y):
-        return y[0] + 60.0  # w~ below e^-60
-
-    collapse.terminal = True
-    collapse.direction = -1
-
-    def runaway(s, y):
-        return abs(y[1]) - 1e3
-
-    runaway.terminal = True
-    runaway.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (s0, s1),
+    traj = _dopri5(
+        _log_wpp(params.n, params.m, params.alpha, params.beta),
+        s0,
         (math.log(wt0), wts0 / wt0),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=(collapse, runaway),
+        s1,
+        _LOG_RTOL,
+        _LOG_ATOL,
+        _log_stop,
     )
-    s_end = sol.t[-1]
-    count = max(int(math.ceil((s_end - s0) * samples_per_unit)), 2)
+    s_end = traj.t[-1]
+    count = max(int(math.ceil((s_end - s0) * _LOG_SAMPLES_PER_UNIT)), 2)
     s = np.linspace(s0, s_end, count)
-    W, Ws = sol.sol(s)
+    W, Ws = traj(s)
     wt = np.exp(W)
     return LogDynamics(
         s=s,
         w_tilde=wt,
         w_tilde_s=wt * Ws,
         R=params.rho + params.beta * Ws,
-        status="Completed" if sol.status == 0 else "Stopped",
+        status="Completed" if traj.status == 0 else "Stopped",
     )
 
 

@@ -11,10 +11,12 @@ Shampine's quartic dense output that runs on plain floats and keeps the
 controller of scipy's RK45: initial step selection at error order 4, RMS
 error norm with scale atol + max(|y|, |y_new|) * rtol, safety factor 0.9,
 step factors clamped to [0.2, 10] (at most 1 right after a rejection), and a
-minimum step of 10 ulp(r).  The stored grid is the union of the accepted
-steps and a log-uniform refinement filled from the dense output, so that
-downstream quadratures resolve the identity checks.  Runs end in one of three
-statuses:
+minimum step of 10 ulp(r).  It is the package's only ODE stepper: it runs
+any y'' = f(t, y, y') up to one terminal event g(y, y') rising through zero,
+here the cap v - 1e12*eta and in geometry.w_log_dynamics a stop of the
+log-radius equation.  The stored grid is the union of the accepted steps and
+a log-uniform refinement filled from the dense output, so that downstream
+quadratures resolve the identity checks.  Runs end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -52,7 +54,7 @@ __all__ = [
 
 BLOWUP_CAP = 1e12          # v > cap * eta counts as blow-up
 DEFAULT_R0_SCALE = 1e-6
-DEFAULT_POINTS_PER_DECADE = 1100  # refinement density; keeps trapezoid defects near 1e-7
+POINTS_PER_DECADE = 1100  # refinement density; keeps trapezoid defects near 1e-7
 
 PROFILE_CSV_HEADER = "r,v,dv"
 
@@ -248,10 +250,10 @@ class _Trajectory(NamedTuple):
 
     t[i] and y[:, i] = (v, v') are the accepted radii and states; step i
     starts at t[i], has size h[i] and quartic coefficients q[:, i] (2 x 4).
-    After a cap crossing, t[-1] and y[:, -1] are the crossing, which lies
+    After an event, t[-1] and y[:, -1] are the event's root, which lies
     inside the last step."""
 
-    status: int  # 0 reached r_end, 1 crossed the cap, -1 step size underflow
+    status: int  # 0 reached r_end, 1 the event fired, -1 step size underflow
     t: np.ndarray
     y: np.ndarray
     h: np.ndarray
@@ -264,17 +266,19 @@ class _Trajectory(NamedTuple):
         return _quartic(self.t[seg], self.h[seg], self.y[:, seg], self.q[:, seg], r)
 
 
-def _dopri5(f, r0, y0, r_end, rtol, atol, cap=math.inf) -> _Trajectory:
+def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajectory:
     """Integrate v'' = f(r, v, v') from (v, v')(r0) = y0 towards r_end.
 
     Scalar Dormand-Prince 5(4) with scipy RK45's initial step selection,
     controller and error norm, so it accepts the same steps.  Stops early
-    when v crosses cap upwards (root of that step's quartic by brentq) or
-    when the step size falls below 10 ulp(r)."""
+    when the terminal event(v, v') goes from <= 0 to >= 0 across an accepted
+    step (its root on that step's quartic by brentq) or when the step size
+    falls below 10 ulp(r)."""
     rtol = max(rtol, 100 * _EPS)
     t = r0
     v, dv = y0
     fv = f(t, v, dv)
+    g = event(v, dv)
 
     # initial step, error estimator order 4
     sv = atol + abs(v) * rtol
@@ -349,18 +353,19 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, cap=math.inf) -> _Trajectory:
         dvs.append(dv_new)
         hs.append(h)
         ks.extend((k1v, k2v, k3v, k4v, k5v, k6v, dv_new, k1d, k2d, k3d, k4d, k5d, k6d, f_new))
-        if v <= cap <= v_new:
+        g_new = event(v_new, dv_new)
+        if g <= 0.0 <= g_new:
             status = 1
         elif t_new >= r_end:
             status = 0
-        t, v, dv, fv = t_new, v_new, dv_new, f_new
+        t, v, dv, fv, g = t_new, v_new, dv_new, f_new, g_new
 
     q = (np.frombuffer(ks).reshape(-1, 2, 7) @ _P).transpose(1, 0, 2)
     traj = _Trajectory(status, np.frombuffer(ts), np.array((vs, dvs)), np.frombuffer(hs), q)
     if status == 1:
         t_old, h, y_old = traj.t[-2], traj.h[-1], traj.y[:, -2]
         root = brentq(
-            lambda r: _quartic(t_old, h, y_old[0], q[0, -1], r) - cap,
+            lambda r: event(*_quartic(t_old, h, y_old, q[:, -1], r)),
             t_old,
             traj.t[-1],
             xtol=4 * _EPS,
@@ -377,12 +382,11 @@ def solve_profile(
     rtol: float = 1e-9,
     atol: float | None = None,
     r0_scale: float = DEFAULT_R0_SCALE,
-    points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
 ) -> RadialProfile:
     """Integrate the profile equation from the series start to r_max.
 
     The returned grid unions the accepted adaptive steps with a log-uniform
-    refinement (points_per_decade) filled from dense output, so later
+    refinement (POINTS_PER_DECADE) filled from dense output, so later
     geometry evaluations and quadratures work on stored points only.
     The solver reports whatever trajectory the initial data generates;
     it makes no uniqueness claim.
@@ -400,6 +404,7 @@ def solve_profile(
     r0 = r0_scale * eta ** ((params.m - 1.0) / 2.0)
     if r0 >= r_max:
         raise ValueError(f"r0 = {r0!r} must be below r_max = {r_max!r}")
+    cap = BLOWUP_CAP * eta
     traj = _dopri5(
         _vpp(params.n, params.m, params.alpha, params.beta),
         r0,
@@ -407,7 +412,7 @@ def solve_profile(
         r_max,
         rtol,
         atol,
-        cap=BLOWUP_CAP * eta,
+        lambda v, dv: v - cap,
     )
 
     steps = traj.t
@@ -423,7 +428,7 @@ def solve_profile(
         status = ProfileStatus(kind, float(r_end))
 
     decades = max(np.log10(r_end / r0), 1e-9)
-    n_refine = max(int(np.ceil(decades * points_per_decade)), 2)
+    n_refine = max(int(np.ceil(decades * POINTS_PER_DECADE)), 2)
     refine = np.geomspace(r0, r_end, n_refine)
     grid = np.union1d(steps, refine)
     v, dv = traj(grid)
@@ -555,18 +560,23 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
     _write_csv(path, PROFILE_CSV_HEADER, (profile.r, profile.v, profile.dv))
 
 
-def write_profile_json(profile: RadialProfile, path) -> None:
+def _write_sidecar(profile: RadialProfile, path, **fields) -> None:
+    """JSON sidecar: the profile's params, status, rtol, atol, grid_points."""
     doc = {
         "params": asdict(profile.params),
         "status": asdict(profile.status),
         "rtol": profile.rtol,
         "atol": profile.atol,
         "grid_points": len(profile.r),
-        "step_indices": profile.step_indices.tolist(),
+        **fields,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def write_profile_json(profile: RadialProfile, path) -> None:
+    _write_sidecar(profile, path, step_indices=profile.step_indices.tolist())
 
 
 def load_profile(csv_path, json_path) -> RadialProfile:

@@ -85,6 +85,13 @@ def test_geometry_csv_roundtrip_reproduces(tmp_path):
         recomputed = getattr(curves, name)
         scale = np.max(np.abs(stored))
         assert np.max(np.abs(stored - recomputed)) <= 1e-12 * scale
+    # the two sidecars of one run agree on the fields they share
+    profile = json.loads((tmp_path / "profile.json").read_text())
+    geometry = json.loads((tmp_path / "geometry.json").read_text())
+    shared = {"params", "status", "rtol", "atol", "grid_points"}
+    assert set(profile) == shared | {"step_indices"}
+    assert set(geometry) == shared | {"k0_agreement"}
+    assert all(profile[key] == geometry[key] for key in shared)
 
 
 def test_verify_config_file(tmp_path, capsys):
@@ -171,13 +178,30 @@ def test_selfsim_forward(tmp_path, capsys):
                 "--beta", "1", "--eta", "1", "--alpha", "5"]) == 2
 
 
-def test_missing_and_malformed_parameters(capsys):
+def test_missing_and_malformed_parameters(tmp_path, capsys):
     assert run(["solve", "--n", "3", "--m", "0.2", "--beta", "1"]) == 2
     assert "eta" in capsys.readouterr().err
     # list values only make sense for sweep
     assert run(["solve", *SOLVE_FLAGS[:-2], "--eta", "1,2"]) == 2
     assert run(["solve", *SOLVE_FLAGS, "--r-max", "-5"]) == 2
     assert run(["nonsense"]) == 2
+    capsys.readouterr()
+    # non-finite values: a typed error naming the key, never a traceback
+    for bad_n in ("inf", "nan", "abc"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n = {bad_n}\nm = 0.2\nbeta = 1\nrho = 1\neta = 1\n")
+        assert run(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: n: ")
+        assert run(["sweep", "--n", bad_n, "--m", "0.2", "--beta", "1", "--rho", "1",
+                    "--eta", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: n: ")
+    for value in ("nan", "inf"):
+        assert run(["solve", *SOLVE_FLAGS[:4], "--beta", value, *SOLVE_FLAGS[6:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid parameters: ") and "finite: beta" in err
+    assert run(["verify", *SOLVE_FLAGS[:6], "--rho", "nan", *SOLVE_FLAGS[8:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid parameters: ") and "finite: rho" in err
 
 
 def test_sweep_grid(tmp_path, capsys):

@@ -77,6 +77,14 @@ def test_validate_flags_each_violation():
     )
     assert not bad_sm.ok and any("soliton-exponent" in v for v in bad_sm.violations)
 
+    for name in ("m", "alpha", "beta", "eta", "rho"):
+        for value in (math.nan, math.inf, -math.inf):
+            fields = dict(n=3, m=0.2, alpha=1.25, beta=1.0, eta=1.0, rho=-1.0)
+            fields[name] = value
+            bad = yl.validate(yl.SolitonParams(**fields))
+            assert not bad.ok
+            assert f"finite: {name} must be finite, got {value!r}" in bad.violations
+
 
 def test_classify_regimes():
     covered = yl.classify(yl.make_params(n=3, m=0.2, beta=2.0, rho=1.0, eta=1.0))

@@ -161,6 +161,87 @@ def test_log_continuation_matches_direct_tail(shrink3_profile, shrink3_geometry)
     assert dyn.R[-1] == pytest.approx(shrink3_geometry.R[-1], rel=1e-4)
 
 
+def _solve_ivp_w_log_dynamics(params, s_range, w_init):
+    """The continuation as it ran on scipy's solve_ivp(RK45), with two
+    terminal events, before it moved onto the package's own kernel."""
+    from scipy.integrate import solve_ivp
+
+    n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
+    one_m = 1.0 - m
+
+    def rhs(s, y):
+        W, Ws = y
+        e = math.exp(W)
+        Wss = (
+            -m * (Ws - 2.0) ** 2 / one_m
+            - (n - 2) * (Ws - 2.0)
+            - e * (one_m * alpha - 2.0 * beta + beta * Ws) / (n - 1)
+        )
+        return [Ws, Wss]
+
+    def collapse(s, y):
+        return y[0] + 60.0
+
+    collapse.terminal = True
+    collapse.direction = -1
+
+    def runaway(s, y):
+        return abs(y[1]) - 1e3
+
+    runaway.terminal = True
+    runaway.direction = 1
+
+    s0, s1 = s_range
+    wt0, wts0 = w_init
+    sol = solve_ivp(
+        rhs, (s0, s1), (math.log(wt0), wts0 / wt0), method="RK45", rtol=1e-10,
+        atol=1e-12, dense_output=True, events=(collapse, runaway),
+    )
+    count = max(int(math.ceil((sol.t[-1] - s0) * 40)), 2)
+    s = np.linspace(s0, sol.t[-1], count)
+    W, Ws = sol.sol(s)
+    wt = np.exp(W)
+    status = "Completed" if sol.status == 0 else "Stopped"
+    return geometry.LogDynamics(s, wt, wt * Ws, params.rho + params.beta * Ws, status)
+
+
+# Stopped runs from s = 0 with beta = rho = 1: n, (w~, w~_s), stop abscissa
+_LOG_STOPS = {
+    "runaway": (5, (50.0, -400.0), 0.5235),  # |w~_s / w~| passes 1e3
+    "collapse": (3, (math.exp(-59.9), -3.0 * math.exp(-59.9)), 0.0331),  # w~ hits e^-60
+}
+
+
+@pytest.mark.parametrize("name", ["shrink3", "steady", "expand", "runaway", "collapse"])
+def test_w_log_dynamics_matches_solve_ivp(request, name):
+    if name in _LOG_STOPS:
+        n, w_init, s_stop = _LOG_STOPS[name]
+        params = yl.make_params(n=n, m=yl.soliton_exponent(n), beta=1.0, rho=1.0, eta=1.0)
+        s_range = (0.0, 5.0)
+    else:
+        profile = request.getfixturevalue(f"{name}_profile")
+        s0, w_init = yl.log_handoff(profile, 10.0)
+        params, s_stop = profile.params, None
+        s_range = (s0, 30.0 if name == "steady" else math.log(1e4))
+    dyn = yl.w_log_dynamics(params, s_range, w_init)
+    ref = _solve_ivp_w_log_dynamics(params, s_range, w_init)
+    assert dyn.status == ref.status == ("Completed" if s_stop is None else "Stopped")
+    assert len(dyn.s) == len(ref.s)
+    if s_stop is not None:
+        assert ref.s[-1] == pytest.approx(s_stop, abs=1e-4)
+    assert dyn.s[-1] == pytest.approx(ref.s[-1], rel=1e-12, abs=0.0)
+    assert np.max(np.abs(dyn.w_tilde / ref.w_tilde - 1.0)) <= 1e-12
+
+    def sup_rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    # 100 x the continuation's rtol
+    assert sup_rel(dyn.w_tilde_s, ref.w_tilde_s) <= 1e-8
+    assert sup_rel(dyn.R, ref.R) <= 1e-8
+    if name == "collapse":
+        assert math.log(dyn.w_tilde[-1]) == pytest.approx(-60.0, abs=1e-9)
+
+
 def test_log_dynamics_guards(steady_params):
     with pytest.raises(ValueError, match="positive at handoff"):
         yl.w_log_dynamics(steady_params, (0.0, 1.0), (-1.0, 0.0))
