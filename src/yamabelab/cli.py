@@ -30,7 +30,8 @@ from .geometry import (
     compute_geometry,
     write_geometry_csv,
 )
-from .profile_solver import _write_csv, _write_sidecar, solve_profile, write_profile_csv, write_profile_json
+from .profile_solver import DEFAULT_R0_SCALE, _write_csv, _write_sidecar, solve_profile
+from .profile_solver import write_profile_csv, write_profile_json
 
 __all__ = ["main", "run"]
 
@@ -137,7 +138,7 @@ def _numerics(values: dict) -> dict:
         "r_max": _to_float(values, "r_max", 1e4),
         "rtol": _to_float(values, "rtol", 1e-9),
         "atol": _to_float(values, "atol"),
-        "r0_scale": _to_float(values, "r0_scale", 1e-6),
+        "r0_scale": _to_float(values, "r0_scale", DEFAULT_R0_SCALE),
     }
     if not (out["r_max"] > 0.0):
         raise UsageError(f"r_max must be positive, got {out['r_max']!r}")

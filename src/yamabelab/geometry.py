@@ -14,7 +14,7 @@ has, along the radial profile,
 
 Each formula has one home.  q and w are the properties RadialProfile.q and
 RadialProfile.w, which hold for any m.  psi_s and R come from _psi_s_and_R,
-shared by compute_geometry, consistency_check_w and the invariant battery.
+shared by compute_geometry and the invariant battery.
 K1 is evaluated in compute_geometry in the algebraically identical factored
 form -(1-m) q (1 + (1-m) q / 4)/w, which avoids the 1-(1+x)^2 cancellation
 near the origin.  K0's numerator R_r is taken along the trajectory in
@@ -54,7 +54,6 @@ __all__ = [
     "LogDynamics",
     "SelfSimilarSpec",
     "compute_geometry",
-    "consistency_check_w",
     "w_log_dynamics",
     "log_handoff",
     "extrapolate_origin",
@@ -210,32 +209,6 @@ def compute_geometry(profile: RadialProfile) -> GeometryCurves:
     )
 
 
-def consistency_check_w(profile: RadialProfile) -> float:
-    """Worse of two finite-difference defects of the stored w curve:
-    w'(r) against 2 r v^(1-m) psi_s, and w_s (log-radius derivative)
-    against (w/beta)(R - rho).  Sup-norm normalized."""
-    p = profile.params
-    _require_soliton(p, "w consistency check")
-    if p.beta == 0.0:
-        raise ValueError("w consistency check needs beta != 0")
-    r, v, w = profile.r, profile.v, profile.w
-    psi_s, R = _psi_s_and_R(p, profile.q)
-
-    def central(x, y):
-        hl = x[1:-1] - x[:-2]
-        hr = x[2:] - x[1:-1]
-        return (y[2:] * hl**2 - y[:-2] * hr**2 + y[1:-1] * (hr**2 - hl**2)) / (
-            hl * hr * (hl + hr)
-        )
-
-    a1 = 2.0 * r * v ** (1.0 - p.m) * psi_s
-    d1 = np.max(np.abs(central(r, w) - a1[1:-1])) / np.max(np.abs(a1))
-    s = np.log(r)
-    a2 = (w / p.beta) * (R - p.rho)
-    d2 = np.max(np.abs(central(s, w) - a2[1:-1])) / np.max(np.abs(a2))
-    return float(max(d1, d2))
-
-
 @dataclass(frozen=True)
 class LogDynamics:
     """Continuation of w (called w~ in log-radius form) along s = log r."""
@@ -294,7 +267,8 @@ def w_log_dynamics(
     from (w~, w~_s) at s_range[0] to s_range[1].  Internally the state is
     W = log w~ (positivity is structural and the stiff quadratic terms are
     tamed); the equation requires soliton parameters.  Integration stops
-    with status Stopped if w~ collapses toward 0 or w~_s diverges.
+    with status Stopped if w~ collapses toward 0, w~_s diverges or the
+    kernel's step budget runs out.
     """
     _require_soliton(params, "log-radius dynamics")
     check = validate(params)

@@ -21,9 +21,11 @@ quadratures resolve the identity checks.  Runs end in one of three statuses:
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
                         underflowed while v was still rising,
-    StepFailure(r_fail) the controller stalled without blow-up indicators.
+    StepFailure(r_fail) the controller stalled without blow-up indicators,
+                        or the run used up STEP_BUDGET accepted steps.
 
-Profiles are immutable; solving is a pure function of (params, numerics).
+Between grid points value_at reads the cubic Hermite through (v, v').  Profiles
+are immutable; solving is a pure function of (params, numerics).
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from .core_params import SolitonParams, validate
 
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 BLOWUP_CAP = 1e12          # v > cap * eta counts as blow-up
+STEP_BUDGET = 10**6        # accepted steps before a _dopri5 run gives up
 DEFAULT_R0_SCALE = 1e-6
 POINTS_PER_DECADE = 1100  # refinement density; keeps trapezoid defects near 1e-7
 
@@ -109,7 +110,6 @@ class RadialProfile:
         self.atol = float(atol)
         self.step_indices = np.asarray(step_indices, dtype=int)
         self.step_indices.setflags(write=False)
-        self._spline: CubicHermiteSpline | None = None
 
     @property
     def r0(self) -> float:
@@ -126,26 +126,35 @@ class RadialProfile:
         return _w(self.params.m, self.r, self.v)
 
     def value_at(self, radius, derivative: bool = False):
-        """v at arbitrary radii: series below r0, Hermite interpolation on
-        the grid.  Radii beyond the last grid point raise (no extrapolation).
-        With derivative=True returns the pair (v, v')."""
+        """v at arbitrary radii: series below r0, the cubic Hermite through
+        the stored (v, v') on the grid.  Negative, non-finite and past-the-grid
+        radii raise (no extrapolation).  With derivative=True returns (v, v')."""
         radius = np.asarray(radius, dtype=float)
+        if not np.all(np.isfinite(radius)):
+            raise ValueError("radius must be finite")
         if np.any(radius > self.r[-1] * (1.0 + 1e-12)):
-            raise ValueError(
-                f"radius beyond profile grid end {self.r[-1]!r}; no extrapolation"
-            )
+            raise ValueError(f"radius beyond profile grid end {self.r[-1]!r}; no extrapolation")
         if np.any(radius < 0.0):
             raise ValueError("radius must be nonnegative")
-        if self._spline is None:
-            self._spline = CubicHermiteSpline(self.r, self.v, self.dv)
-        p = self.params
-        v2 = second_derivative_at_origin(p)
-        small = radius < self.r[0]
-        clipped = np.clip(radius, self.r[0], self.r[-1])
-        out = np.where(small, p.eta + 0.5 * v2 * radius**2, self._spline(clipped))
+        r, v, dv = self.r, self.v, self.dv
+        x = np.clip(radius, r[0], r[-1])
+        # the coefficients and power sums of scipy's CubicHermiteSpline, in
+        # its order of operations, on the queried intervals only
+        i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, len(r) - 2)
+        h = r[i + 1] - r[i]
+        slope = (v[i + 1] - v[i]) / h
+        t = (dv[i] + dv[i + 1] - 2 * slope) / h
+        c3 = t / h
+        c2 = (slope - dv[i]) / h - t
+        s = x - r[i]
+        s2 = s * s
+        v2 = second_derivative_at_origin(self.params)
+        small = radius < r[0]
+        hermite = v[i] + dv[i] * s + c2 * s2 + c3 * (s2 * s)
+        out = np.where(small, self.params.eta + 0.5 * v2 * radius**2, hermite)
         if not derivative:
             return float(out) if out.ndim == 0 else out
-        dout = np.where(small, v2 * radius, self._spline(clipped, 1))
+        dout = np.where(small, v2 * radius, dv[i] + c2 * s * 2 + c3 * s2 * 3)
         if out.ndim == 0:
             return float(out), float(dout)
         return out, dout
@@ -253,7 +262,7 @@ class _Trajectory(NamedTuple):
     After an event, t[-1] and y[:, -1] are the event's root, which lies
     inside the last step."""
 
-    status: int  # 0 reached r_end, 1 the event fired, -1 step size underflow
+    status: int  # 0 reached r_end, 1 event fired, -1 step underflow, -2 over budget
     t: np.ndarray
     y: np.ndarray
     h: np.ndarray
@@ -266,14 +275,28 @@ class _Trajectory(NamedTuple):
         return _quartic(self.t[seg], self.h[seg], self.y[:, seg], self.q[:, seg], r)
 
 
+def _bracketed_root(fun, a: float, b: float) -> float:
+    """The end with the smaller |fun| of a bracket [a, b], fun(a) <= 0 <= fun(b),
+    bisected below 4 eps (1 + |b|), brentq's width at xtol = rtol = 4 eps."""
+    fa, fb = fun(a), fun(b)
+    while fa != 0.0 and fb != 0.0 and b - a > 4 * _EPS * (1.0 + abs(b)):
+        mid = a + 0.5 * (b - a)
+        fm = fun(mid)
+        if fm < 0.0:
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+    return a if abs(fa) < abs(fb) else b
+
+
 def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajectory:
     """Integrate v'' = f(r, v, v') from (v, v')(r0) = y0 towards r_end.
 
     Scalar Dormand-Prince 5(4) with scipy RK45's initial step selection,
     controller and error norm, so it accepts the same steps.  Stops early
     when the terminal event(v, v') goes from <= 0 to >= 0 across an accepted
-    step (its root on that step's quartic by brentq) or when the step size
-    falls below 10 ulp(r)."""
+    step (its root on that step's quartic by _bracketed_root), when the step
+    size falls below 10 ulp(r), or after STEP_BUDGET accepted steps."""
     rtol = max(rtol, 100 * _EPS)
     t = r0
     v, dv = y0
@@ -358,18 +381,16 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
             status = 1
         elif t_new >= r_end:
             status = 0
+        elif len(hs) >= STEP_BUDGET:
+            status = -2
         t, v, dv, fv, g = t_new, v_new, dv_new, f_new, g_new
 
     q = (np.frombuffer(ks).reshape(-1, 2, 7) @ _P).transpose(1, 0, 2)
     traj = _Trajectory(status, np.frombuffer(ts), np.array((vs, dvs)), np.frombuffer(hs), q)
     if status == 1:
         t_old, h, y_old = traj.t[-2], traj.h[-1], traj.y[:, -2]
-        root = brentq(
-            lambda r: event(*_quartic(t_old, h, y_old, q[:, -1], r)),
-            t_old,
-            traj.t[-1],
-            xtol=4 * _EPS,
-            rtol=4 * _EPS,
+        root = _bracketed_root(
+            lambda r: event(*_quartic(t_old, h, y_old, q[:, -1], r)), t_old, traj.t[-1]
         )
         traj.t[-1] = root
         traj.y[:, -1] = _quartic(t_old, h, y_old, q[:, -1], root)
@@ -417,15 +438,15 @@ def solve_profile(
 
     steps = traj.t
     r_end = steps[-1]
-    if traj.status == 1:
+    rising = traj.y[1, -1] > 0.0 and traj.y[0, -1] > eta
+    if traj.status == 1 or (traj.status == -1 and rising):
+        # the cap, or a controller stall while v was still climbing
         status = ProfileStatus("BlowUp", float(r_end))
     elif traj.status == 0:
         status = ProfileStatus("Global", float(r_max))
     else:
-        # controller stall: blow-up if v was still climbing, else a stall
-        rising = traj.y[1, -1] > 0.0 and traj.y[0, -1] > eta
-        kind = "BlowUp" if rising else "StepFailure"
-        status = ProfileStatus(kind, float(r_end))
+        # a stall without blow-up indicators, or the step budget used up
+        status = ProfileStatus("StepFailure", float(r_end))
 
     decades = max(np.log10(r_end / r0), 1e-9)
     n_refine = max(int(np.ceil(decades * POINTS_PER_DECADE)), 2)

@@ -8,7 +8,6 @@ import pytest
 
 import yamabelab as yl
 from yamabelab import geometry
-from conftest import perturb_profile
 
 
 def test_scalar_curvature_identity(shrink3_profile, shrink3_geometry):
@@ -128,14 +127,6 @@ def test_k0_quadrature_matches_sequential_recurrence(fixture, span, request, mon
     with np.errstate(over="raise", invalid="raise"):
         got = geometry._k0_quadrature(profile, R)
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
-
-
-def test_consistency_check_w(shrink3_profile):
-    assert yl.consistency_check_w(shrink3_profile) < 1e-4
-    # corrupting one sample must trip the finite-difference cross-check
-    si = shrink3_profile.step_indices
-    bad = perturb_profile(shrink3_profile, int(si[len(si) // 4]), 1.0 + 1e-4)
-    assert yl.consistency_check_w(bad) > 10.0 * yl.consistency_check_w(shrink3_profile)
 
 
 def test_w_equation_defect_converges(shrink3_profile):

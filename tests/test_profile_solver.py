@@ -1,6 +1,7 @@
-"""Solver behavior: series start, statuses, blow-up detection, residual
-checks (including fault injection), serialization round-trips, and the
-integration kernel against scipy's integrators."""
+"""Solver behavior: series start, statuses, blow-up detection, the step
+budget, residual checks (including fault injection), serialization
+round-trips, and the integration kernel, the Hermite evaluation and the
+event root against scipy's integrators, spline and brentq."""
 
 import json
 import math
@@ -121,6 +122,36 @@ def test_value_at_series_and_interpolation(shrink3_profile):
         prof.value_at(prof.r[-1] * 1.5)
     with pytest.raises(ValueError, match="nonnegative"):
         prof.value_at(-1.0)
+    for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
+        for derivative in (False, True):
+            with pytest.raises(ValueError, match="finite"):
+                prof.value_at(bad, derivative=derivative)
+
+
+def _ulps(got, ref):
+    """|got - ref| in units of the spacing of floats at ref."""
+    return np.abs(np.asarray(got) - ref) / np.spacing(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["shrink3", "shrink5", "expand", "negcurv"])
+def test_value_at_matches_scipy_spline(request, name):
+    from scipy.interpolate import CubicHermiteSpline
+
+    prof = request.getfixturevalue(f"{name}_profile")
+    spline = CubicHermiteSpline(prof.r, prof.v, prof.dv)
+    rng = np.random.default_rng(7)
+    radii = np.concatenate((
+        np.exp(rng.uniform(math.log(prof.r0), math.log(prof.r[-1]), 2000)),
+        prof.r[::7],
+        [prof.r0, prof.r[-1]],
+    ))
+    v, dv = prof.value_at(radii, derivative=True)
+    worst = max(np.max(_ulps(v, spline(radii))), np.max(_ulps(dv, spline(radii, 1))))
+    for x in radii[::97]:
+        vx, dvx = prof.value_at(x, derivative=True)
+        assert prof.value_at(x) == vx
+        worst = max(worst, _ulps(vx, spline(x)), _ulps(dvx, spline(x, 1)))
+    assert worst <= 4.0
 
 
 def test_profile_constructor_guards():
@@ -212,7 +243,11 @@ def _scipy_solve(profile, r_end, method, rtol, **options):
 def _check_against_scipy(n, beta, k, log_eta, r_max):
     p = yl.make_params(n=n, m=yl.soliton_exponent(n), beta=beta, rho=k * beta, eta=10.0**log_eta)
     prof = yl.solve_profile(p, r_max=r_max, rtol=1e-9)
-    assert prof.status.kind == "Global"
+    steps = len(prof.step_indices) - 1
+    # steep expanding points (k near -1.5) need more than STEP_BUDGET steps
+    # to r_max = 1e5; those runs must stop exactly at the budget
+    if prof.status.kind != "Global":
+        assert prof.status.kind == "StepFailure" and steps == ps.STEP_BUDGET
 
     radii = np.array([0.1, 1.0, 10.0])
     v_ref, dv_ref = _scipy_solve(prof, 10.0, "DOP853", 1e-13, t_eval=radii).y
@@ -221,8 +256,7 @@ def _check_against_scipy(n, beta, k, log_eta, r_max):
     assert np.all(np.abs(dv - dv_ref) <= 1e-6 * np.abs(dv_ref))
 
     # same method and controller: the accepted steps match scipy's RK45
-    rk45 = _scipy_solve(prof, r_max, "RK45", prof.rtol)
-    steps = len(prof.step_indices) - 1
+    rk45 = _scipy_solve(prof, prof.status.radius, "RK45", prof.rtol)
     assert abs(steps - (len(rk45.t) - 1)) <= 0.02 * steps
 
 
@@ -263,6 +297,55 @@ def test_blowup_radius_matches_scipy_event(alpha, beta):
     ref = _scipy_solve(prof, 100.0, "RK45", 1e-9, events=hit_cap)
     assert prof.status.kind == "BlowUp" and ref.status == 1
     assert prof.status.radius == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0.0)
+
+
+def _step_quartics(traj, every):
+    """(t_old, t_new, v on the step) for every so-many steps of a run."""
+    for k in range(0, len(traj.h), every):
+        t0, h, y0, q = traj.t[k], traj.h[k], traj.y[:, k], traj.q[:, k]
+        yield t0, t0 + h, lambda r: ps._quartic(t0, h, y0, q, r)[0]
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, rho", [(-4.0, -1.0, None), (None, 1.0, 1.0), (None, 1.0, -1.0)],
+    ids=["blowup", "shrink3", "expand"],
+)
+def test_bracketed_root_matches_brentq(alpha, beta, rho):
+    from scipy.optimize import brentq
+
+    p = yl.make_params(n=3, m=0.2, beta=beta, rho=rho, alpha=alpha, eta=1.0)
+    r0 = 1e-6
+    traj = ps._dopri5(
+        ps._vpp(p.n, p.m, p.alpha, p.beta), r0, yl.series_start(p, r0), 100.0, 1e-9, 1e-30,
+        lambda v, dv: v - ps.BLOWUP_CAP,
+    )
+    checked = 0
+    for a, b, v_of in _step_quartics(traj, max(len(traj.h) // 40, 1)):
+        # a level the quartic crosses inside the step, as a rising event;
+        # skip steps where 4 eps absolute is not 1e-12 relative or v is
+        # flat to roundoff, where neither root is determined that closely
+        if a < 1e-2 or abs(v_of(b) - v_of(a)) < 1e-8 * abs(v_of(a)):
+            continue
+        sign = 1.0 if v_of(b) > v_of(a) else -1.0
+        level = v_of(a + 0.37 * (b - a))
+        event = lambda r: sign * (v_of(r) - level)
+        got = ps._bracketed_root(event, a, b)
+        ref = brentq(event, a, b, xtol=4 * ps._EPS, rtol=4 * ps._EPS)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        checked += 1
+    assert checked >= 20
+
+
+def test_step_budget_ends_in_step_failure(monkeypatch):
+    # alpha < 0 < beta stiffens as v grows: 1.58 M steps to r = 40
+    monkeypatch.setattr(ps, "STEP_BUDGET", 50_000)
+    p = yl.make_params(n=3, m=0.2, beta=1.0, alpha=-4.0, eta=1.0)
+    prof = yl.solve_profile(p, r_max=40.0, rtol=1e-9)
+    assert prof.status.kind == "StepFailure"
+    assert prof.status.radius == prof.r[-1] < 40.0
+    assert len(prof.step_indices) == 50_001
+    # v is still rising, so a stall here would have counted as blow-up
+    assert prof.dv[-1] > 0.0 and prof.v[-1] > p.eta
 
 
 def test_stall_while_rising_is_blowup(monkeypatch):
