@@ -2,92 +2,12 @@
 fast-diffusion flow: profile integration, curvature reconstruction,
 asymptotic verification, and blow-up certification."""
 
-from .analysis import (
-    AsymptoticReport,
-    InvariantRecord,
-    LimitEstimate,
-    estimate_limits,
-    invariant_battery,
-    report_to_json,
-    verify,
-    w_equation_defect,
-)
-from .core_params import (
-    BlowupCertificate,
-    SolitonClass,
-    SolitonParams,
-    TheoreticalPredictions,
-    ValidationResult,
-    blowup_certificate,
-    classify,
-    make_params,
-    predictions,
-    soliton_exponent,
-    validate,
-)
-from .geometry import (
-    GeometryCurves,
-    LogDynamics,
-    SelfSimilarSpec,
-    compute_geometry,
-    extrapolate_origin,
-    log_handoff,
-    pde_residual,
-    self_similar_eval,
-    w_log_dynamics,
-    write_geometry_csv,
-)
-from .profile_solver import (
-    ProfileStatus,
-    RadialProfile,
-    ResidualReport,
-    load_profile,
-    residuals,
-    series_start,
-    solve_profile,
-    write_profile_csv,
-    write_profile_json,
-)
+from . import analysis, core_params, geometry, profile_solver
+from .analysis import *
+from .core_params import *
+from .geometry import *
+from .profile_solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AsymptoticReport",
-    "BlowupCertificate",
-    "GeometryCurves",
-    "InvariantRecord",
-    "LimitEstimate",
-    "LogDynamics",
-    "ProfileStatus",
-    "RadialProfile",
-    "ResidualReport",
-    "SelfSimilarSpec",
-    "SolitonClass",
-    "SolitonParams",
-    "TheoreticalPredictions",
-    "ValidationResult",
-    "blowup_certificate",
-    "classify",
-    "compute_geometry",
-    "estimate_limits",
-    "extrapolate_origin",
-    "invariant_battery",
-    "load_profile",
-    "log_handoff",
-    "make_params",
-    "pde_residual",
-    "predictions",
-    "report_to_json",
-    "residuals",
-    "self_similar_eval",
-    "series_start",
-    "solve_profile",
-    "soliton_exponent",
-    "validate",
-    "verify",
-    "w_equation_defect",
-    "w_log_dynamics",
-    "write_geometry_csv",
-    "write_profile_csv",
-    "write_profile_json",
-]
+__all__ = [*analysis.__all__, *core_params.__all__, *geometry.__all__, *profile_solver.__all__]

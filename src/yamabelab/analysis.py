@@ -25,7 +25,6 @@ from .core_params import (
     blowup_certificate,
     classify,
     predictions,
-    validate,
 )
 from .geometry import GeometryCurves, _psi_s_and_R, _w_tilde, compute_geometry
 from .profile_solver import RadialProfile, _dopri5, _vpp, solve_profile
@@ -336,9 +335,6 @@ def verify(
 
     Refuses the certified blow-up regime (alpha < 0, beta <= 0); that path
     goes through the certificate plus blow-up detection instead."""
-    check = validate(params)
-    if not check.ok:
-        raise ValueError("invalid parameters: " + "; ".join(check.violations))
     if params.alpha < 0.0 and params.beta <= 0.0:
         raise ValueError(
             "no global solution exists for alpha < 0, beta <= 0; use the blow-up certificate path"

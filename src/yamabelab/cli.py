@@ -31,7 +31,7 @@ from .geometry import (
     write_geometry_csv,
 )
 from .profile_solver import DEFAULT_R0_SCALE, _write_csv, _write_sidecar, solve_profile
-from .profile_solver import write_profile_csv, write_profile_json
+from .profile_solver import _check_numerics, write_profile_csv, write_profile_json
 
 __all__ = ["main", "run"]
 
@@ -140,12 +140,7 @@ def _numerics(values: dict) -> dict:
         "atol": _to_float(values, "atol"),
         "r0_scale": _to_float(values, "r0_scale", DEFAULT_R0_SCALE),
     }
-    if not (out["r_max"] > 0.0):
-        raise UsageError(f"r_max must be positive, got {out['r_max']!r}")
-    if not (out["rtol"] > 0.0):
-        raise UsageError(f"rtol must be positive, got {out['rtol']!r}")
-    if out["atol"] is not None and not (out["atol"] > 0.0):
-        raise UsageError(f"atol must be positive, got {out['atol']!r}")
+    _check_numerics(**out)
     return out
 
 

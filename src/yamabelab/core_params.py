@@ -11,7 +11,9 @@ with integer dimension n >= 3 and exponent 0 < m <= (n-2)/n.  The soliton
 case is m = (n-2)/(n+2) together with the constant rho defined through
 alpha*(1-m) = 2*beta + rho; the sign of rho selects shrinking (rho > 0),
 steady (rho = 0) or expanding (rho < 0).  Runs with general m carry no rho
-and no curvature interpretation.
+and no curvature interpretation.  SolitonParams checks all of this when it
+is built and raises ValueError("invalid parameters: ...") naming each rule
+broken, so every parameter set in the package is valid.
 
 All containers here are frozen; they can be shared between threads and
 processes freely.
@@ -27,10 +29,8 @@ __all__ = [
     "SolitonClass",
     "TheoreticalPredictions",
     "BlowupCertificate",
-    "ValidationResult",
     "soliton_exponent",
     "make_params",
-    "validate",
     "classify",
     "predictions",
     "blowup_certificate",
@@ -46,9 +46,13 @@ def soliton_exponent(n: int) -> float:
     return (n - 2) / (n + 2)
 
 
+def _valid_dimension(n) -> bool:
+    return isinstance(n, int) and n >= 3
+
+
 @dataclass(frozen=True)
 class SolitonParams:
-    """Immutable parameter tuple for one profile run.
+    """Immutable parameter tuple for one profile run, valid by construction.
 
     rho is None for general-exponent runs; k = beta/alpha is defined only
     when alpha is nonzero.
@@ -61,22 +65,43 @@ class SolitonParams:
     eta: float
     rho: float | None = None
 
+    def __post_init__(self) -> None:
+        bad = _violations(self)
+        if bad:
+            raise ValueError("invalid parameters: " + "; ".join(bad))
+
     @property
     def k(self) -> float | None:
         return self.beta / self.alpha if self.alpha != 0.0 else None
-
-    @property
-    def is_soliton(self) -> bool:
-        return self.rho is not None
 
     def with_eta(self, eta: float) -> "SolitonParams":
         return replace(self, eta=eta)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    violations: tuple[str, ...] = ()
+def _violations(params: SolitonParams) -> list[str]:
+    """Every broken hypothesis of the module docstring, one tagged line each."""
+    bad: list[str] = []
+    n, m = params.n, params.m
+    for name in ("m", "alpha", "beta", "eta", "rho"):
+        value = getattr(params, name)
+        if value is not None and not math.isfinite(value):
+            bad.append(f"finite: {name} must be finite, got {value!r}")
+    if not _valid_dimension(n):
+        bad.append(f"dimension: n must be an integer >= 3, got {n!r}")
+    elif not (0.0 < m <= (n - 2) / n):
+        bad.append(f"exponent-range: need 0 < m <= (n-2)/n = {(n - 2) / n!r}, got m = {m!r}")
+    if not (params.eta > 0.0):
+        bad.append(f"eta-positive: need eta > 0, got {params.eta!r}")
+    if params.rho is None or not _valid_dimension(n):
+        return bad
+    lhs, rhs = params.alpha * (1.0 - m), 2.0 * params.beta + params.rho
+    if abs(m - soliton_exponent(n)) > _CONSISTENCY_TOL:
+        bad.append(f"soliton-exponent: rho given but m = {m!r} is not the soliton exponent "
+                   f"(n-2)/(n+2) = {soliton_exponent(n)!r}")
+    elif abs(lhs - rhs) > _CONSISTENCY_TOL * max(abs(lhs), abs(rhs), 1.0):
+        bad.append(f"soliton-consistency: inconsistent pair: alpha*(1-m) = {lhs!r} "
+                   f"but 2*beta+rho = {rhs!r}")
+    return bad
 
 
 @dataclass(frozen=True)
@@ -135,60 +160,18 @@ def make_params(
 ) -> SolitonParams:
     """Build a parameter set, deriving alpha or rho from the other.
 
-    Exactly one of rho/alpha may be omitted.  When both are supplied they
-    must satisfy alpha*(1-m) = 2*beta + rho.  With general m (not the
-    soliton exponent) rho must be absent and alpha supplied.
+    Exactly one of rho/alpha may be omitted.  With alpha alone, rho is
+    derived at the soliton exponent only; SolitonParams checks the rest,
+    including that a given pair satisfies alpha*(1-m) = 2*beta + rho.
     """
     if alpha is None and rho is None:
         raise ValueError("one of rho or alpha must be supplied")
-    is_soliton_m = abs(m - soliton_exponent(n)) <= _CONSISTENCY_TOL
-    if rho is not None and not is_soliton_m:
-        raise ValueError(
-            f"rho requires the soliton exponent m = (n-2)/(n+2) = {soliton_exponent(n)!r}; got m = {m!r}"
-        )
     if alpha is None:
-        alpha = (2.0 * beta + rho) / (1.0 - m)
-    elif rho is None and is_soliton_m:
+        # m = 1 is outside the exponent range; leave alpha for the check to flag
+        alpha = (2.0 * beta + rho) / (1.0 - m) if m != 1.0 else math.nan
+    elif rho is None and _valid_dimension(n) and abs(m - soliton_exponent(n)) <= _CONSISTENCY_TOL:
         rho = alpha * (1.0 - m) - 2.0 * beta
-    elif rho is not None:
-        want = (2.0 * beta + rho) / (1.0 - m)
-        scale = max(abs(alpha), abs(want), 1.0)
-        if abs(alpha - want) > _CONSISTENCY_TOL * scale:
-            raise ValueError(
-                f"inconsistent pair: alpha = {alpha!r} but (2*beta+rho)/(1-m) = {want!r}"
-            )
     return SolitonParams(n=n, m=m, alpha=float(alpha), beta=float(beta), eta=float(eta), rho=rho)
-
-
-def validate(params: SolitonParams) -> ValidationResult:
-    """Check every structural invariant; reports violations, never raises."""
-    bad: list[str] = []
-    n, m = params.n, params.m
-    for name in ("m", "alpha", "beta", "eta", "rho"):
-        value = getattr(params, name)
-        if value is not None and not math.isfinite(value):
-            bad.append(f"finite: {name} must be finite, got {value!r}")
-    if not (isinstance(n, int) and n >= 3):
-        bad.append(f"dimension: n must be an integer >= 3, got {n!r}")
-    else:
-        if not (0.0 < m <= (n - 2) / n):
-            bad.append(f"exponent-range: need 0 < m <= (n-2)/n = {(n - 2) / n!r}, got m = {m!r}")
-    if not (params.eta > 0.0):
-        bad.append(f"eta-positive: need eta > 0, got {params.eta!r}")
-    if params.rho is not None and isinstance(n, int) and n >= 3:
-        if abs(m - soliton_exponent(n)) > _CONSISTENCY_TOL:
-            bad.append(
-                f"soliton-exponent: rho given but m = {m!r} is not (n-2)/(n+2) = {soliton_exponent(n)!r}"
-            )
-        else:
-            lhs = params.alpha * (1.0 - m)
-            rhs = 2.0 * params.beta + params.rho
-            scale = max(abs(lhs), abs(rhs), 1.0)
-            if abs(lhs - rhs) > _CONSISTENCY_TOL * scale:
-                bad.append(
-                    f"soliton-consistency: alpha*(1-m) = {lhs!r} but 2*beta+rho = {rhs!r}"
-                )
-    return ValidationResult(ok=not bad, violations=tuple(bad))
 
 
 def classify(params: SolitonParams) -> SolitonClass:
@@ -226,9 +209,6 @@ def predictions(params: SolitonParams, strict: bool = False) -> TheoreticalPredi
     rejected.  The default fills every formula whose inputs are defined,
     which is what the verification battery compares against.
     """
-    result = validate(params)
-    if not result.ok:
-        raise ValueError("invalid parameters: " + "; ".join(result.violations))
     cls = classify(params)
     if cls.variant == "NonSoliton":
         raise ValueError("predictions need a soliton parameter set (rho present)")

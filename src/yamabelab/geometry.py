@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_params import SolitonParams, validate
+from .core_params import SolitonParams
 from .profile_solver import RadialProfile, _dopri5, _vpp_array, _w, _write_csv
 
 __all__ = [
@@ -89,7 +89,6 @@ class GeometryCurves:
     K0: np.ndarray
     K1: np.ndarray
     psi_s: np.ndarray
-    s_tilde: np.ndarray
     k0_quadrature: np.ndarray
     k0_agreement: float
 
@@ -178,7 +177,6 @@ def compute_geometry(profile: RadialProfile) -> GeometryCurves:
     _require_soliton(p, "geometry")
     if p.beta == 0.0:
         raise ValueError("sectional curvature needs beta != 0")
-    r = profile.r
     one_m = 1.0 - p.m
     q, w = profile.q, profile.w
     psi_s, R = _psi_s_and_R(p, q)
@@ -189,21 +187,15 @@ def compute_geometry(profile: RadialProfile) -> GeometryCurves:
     scale = max(float(np.max(np.abs(K0))), float(np.max(np.abs(K0_quad))), 1e-300)
     agreement = float(np.max(np.abs(K0 - K0_quad)) / scale)
 
-    s = np.log(r)
-    psi = np.sqrt(w)
-    seg = 0.5 * np.diff(s) * (psi[:-1] + psi[1:])
-    s_tilde = psi[0] + np.concatenate(([0.0], np.cumsum(seg)))
-
     return GeometryCurves(
         params=p,
-        r=r,
+        r=profile.r,
         v=profile.v,
         w=w,
         R=R,
         K0=K0,
         K1=K1,
         psi_s=psi_s,
-        s_tilde=s_tilde,
         k0_quadrature=K0_quad,
         k0_agreement=agreement,
     )
@@ -271,9 +263,6 @@ def w_log_dynamics(
     kernel's step budget runs out.
     """
     _require_soliton(params, "log-radius dynamics")
-    check = validate(params)
-    if not check.ok:
-        raise ValueError("invalid parameters: " + "; ".join(check.violations))
     wt0, wts0 = w_init
     if not (wt0 > 0.0):
         raise ValueError(f"w~ must be positive at handoff, got {wt0!r}")

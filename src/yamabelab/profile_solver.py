@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_params import SolitonParams, validate
+from .core_params import SolitonParams
 
 __all__ = [
     "ProfileStatus",
@@ -397,6 +397,14 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
     return traj
 
 
+def _check_numerics(r_max, rtol, atol, r0_scale) -> None:
+    """Reject a numeric setting that is not finite and positive (atol may
+    be None, which selects the default)."""
+    for name, value in (("r_max", r_max), ("rtol", rtol), ("atol", atol), ("r0_scale", r0_scale)):
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def solve_profile(
     params: SolitonParams,
     r_max: float,
@@ -412,11 +420,7 @@ def solve_profile(
     The solver reports whatever trajectory the initial data generates;
     it makes no uniqueness claim.
     """
-    check = validate(params)
-    if not check.ok:
-        raise ValueError("invalid parameters: " + "; ".join(check.violations))
-    if not (r_max > 0.0):
-        raise ValueError(f"r_max must be positive, got {r_max!r}")
+    _check_numerics(r_max, rtol, atol, r0_scale)
     eta = params.eta
     if atol is None:
         # far below any attainable profile scale (deep tails reach ~1e-13 eta),

@@ -1,7 +1,8 @@
-"""The public API is exactly the modules' public names; a wrapper added to
-one list but not the other, or a removed name left exported, fails here.
-The runtime needs numpy only: importing the package loads no scipy module,
-and every CLI command and the public functions no command calls run in an
+"""The public API is the union of the four modules' __all__ lists, each name
+defined, and its size is pinned: a name added to or dropped from a module's
+public list fails here until the count is updated on purpose.  The runtime
+needs numpy only: importing the package loads no scipy module, and every
+CLI command and the public functions no command calls run in an
 interpreter where scipy cannot be imported at all, so a lazy import inside
 a function fails here too."""
 
@@ -28,7 +29,7 @@ def test_public_api_is_union_of_module_exports():
     assert set(yl.__all__) == union
     for name in yl.__all__:
         assert getattr(yl, name) is not None
-    assert len(yl.__all__) == 38
+    assert len(yl.__all__) == 36
 
 
 def test_import_does_not_load_scipy():

@@ -240,6 +240,19 @@ def test_sweep_captures_per_point_errors(tmp_path):
     assert by_beta["1"]["error"] == ""
 
 
+def test_sweep_row_with_invalid_eta_carries_error(tmp_path):
+    # the invalid point fails at construction; the valid row is unaffected
+    code = run(["sweep", "--n", "3", "--m", "0.2", "--beta", "-1",
+                "--alpha", "-1", "--eta=-1,1", "--r-max", "50"])
+    assert code == 1
+    rows = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+    by_eta = {row["eta"]: row for row in rows}
+    assert by_eta["-1"]["status"] == "Error"
+    assert by_eta["-1"]["error"].startswith("ValueError: invalid parameters: eta-positive")
+    assert by_eta["1"]["error"] == ""
+    assert by_eta["1"]["overall"] == "Certified"
+
+
 def test_sweep_requires_grid_keys():
     assert run(["sweep", "--n", "3", "--m", "0.2", "--beta", "1"]) == 2
     assert run(["sweep", "--n", "3", "--m", "0.2", "--beta", "1", "--eta", "1"]) == 2

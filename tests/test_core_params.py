@@ -1,4 +1,4 @@
-"""Parameter construction, validation, classification, predictions,
+"""Parameter construction and its checks, classification, predictions,
 certificates; property tests for the algebraic relations between them."""
 
 import math
@@ -37,7 +37,6 @@ def test_make_params_derives_rho():
 def test_make_params_general_exponent_has_no_rho():
     p = yl.make_params(n=3, m=0.15, beta=1.0, eta=1.0, alpha=2.0)
     assert p.rho is None
-    assert not p.is_soliton
 
 
 def test_make_params_rejects_bad_combinations():
@@ -54,36 +53,45 @@ def test_make_params_accepts_consistent_pair():
     assert p.alpha == 1.25 and p.rho == -1.0
 
 
+def _violations_of(**fields) -> str:
+    with pytest.raises(ValueError, match="^invalid parameters: ") as info:
+        yl.SolitonParams(**fields)
+    return str(info.value)
+
+
 def test_validate_flags_each_violation():
-    ok = yl.validate(yl.make_params(n=3, m=0.2, beta=1.0, rho=1.0, eta=1.0))
-    assert ok.ok and ok.violations == ()
+    # a valid set constructs; each broken hypothesis raises with its tag
+    yl.SolitonParams(n=3, m=0.2, alpha=1.25, beta=1.0, eta=1.0, rho=-1.0)
 
-    bad_n = yl.validate(yl.SolitonParams(n=2, m=0.2, alpha=1.0, beta=0.0, eta=1.0))
-    assert not bad_n.ok and any("dimension" in v for v in bad_n.violations)
-
-    bad_m = yl.validate(yl.SolitonParams(n=3, m=0.5, alpha=1.0, beta=0.0, eta=1.0))
-    assert not bad_m.ok and any("exponent-range" in v for v in bad_m.violations)
-
-    bad_eta = yl.validate(yl.SolitonParams(n=3, m=0.2, alpha=1.0, beta=0.0, eta=0.0))
-    assert not bad_eta.ok and any("eta-positive" in v for v in bad_eta.violations)
-
-    bad_rel = yl.validate(
-        yl.SolitonParams(n=3, m=0.2, alpha=1.0, beta=1.0, eta=1.0, rho=1.0)
+    assert "dimension: " in _violations_of(n=2, m=0.2, alpha=1.0, beta=0.0, eta=1.0)
+    assert "exponent-range: " in _violations_of(n=3, m=0.5, alpha=1.0, beta=0.0, eta=1.0)
+    assert "eta-positive: " in _violations_of(n=3, m=0.2, alpha=1.0, beta=0.0, eta=0.0)
+    assert "soliton-consistency: " in _violations_of(
+        n=3, m=0.2, alpha=1.0, beta=1.0, eta=1.0, rho=1.0
     )
-    assert not bad_rel.ok and any("soliton-consistency" in v for v in bad_rel.violations)
-
-    bad_sm = yl.validate(
-        yl.SolitonParams(n=3, m=0.15, alpha=1.0, beta=1.0, eta=1.0, rho=1.0)
+    assert "soliton-exponent: " in _violations_of(
+        n=3, m=0.15, alpha=1.0, beta=1.0, eta=1.0, rho=1.0
     )
-    assert not bad_sm.ok and any("soliton-exponent" in v for v in bad_sm.violations)
 
     for name in ("m", "alpha", "beta", "eta", "rho"):
         for value in (math.nan, math.inf, -math.inf):
             fields = dict(n=3, m=0.2, alpha=1.25, beta=1.0, eta=1.0, rho=-1.0)
             fields[name] = value
-            bad = yl.validate(yl.SolitonParams(**fields))
-            assert not bad.ok
-            assert f"finite: {name} must be finite, got {value!r}" in bad.violations
+            assert f"finite: {name} must be finite, got {value!r}" in _violations_of(**fields)
+
+
+def test_every_construction_path_checks():
+    # a negative eta in the blow-up regime would give a complex radius bound
+    with pytest.raises(ValueError, match="invalid parameters: eta-positive"):
+        yl.make_params(n=3, m=0.2, alpha=-1.0, beta=-1.0, eta=-1.0)
+    p = yl.make_params(n=3, m=0.2, alpha=-1.0, beta=-1.0, eta=1.0)
+    with pytest.raises(ValueError, match="invalid parameters: eta-positive"):
+        p.with_eta(-1.0)
+    with pytest.raises(ValueError, match="invalid parameters: dimension"):
+        yl.make_params(n=2, m=0.2, alpha=1.0, beta=1.0, eta=1.0)
+    # m = 1 would divide by zero while deriving alpha
+    with pytest.raises(ValueError, match="invalid parameters: .*exponent-range"):
+        yl.make_params(n=3, m=1.0, beta=1.0, rho=1.0, eta=1.0)
 
 
 def test_classify_regimes():
@@ -183,7 +191,6 @@ def test_derived_alpha_satisfies_relation(n, beta, rho, eta):
     p = yl.make_params(n=n, m=m, beta=beta, rho=rho, eta=eta)
     scale = max(abs(p.alpha), abs(beta), abs(rho), 1.0)
     assert abs(p.alpha * (1.0 - m) - 2.0 * beta - rho) <= 1e-12 * scale
-    assert yl.validate(p).ok
 
 
 @given(n=dims, rho=st.floats(min_value=1e-3, max_value=10.0, allow_nan=False))

@@ -173,9 +173,22 @@ def test_solve_profile_input_validation():
         yl.solve_profile(p, r_max=-1.0)
     with pytest.raises(ValueError, match="below r_max"):
         yl.solve_profile(p, r_max=1e-9)
-    bad = yl.SolitonParams(n=2, m=0.2, alpha=1.0, beta=0.0, eta=1.0)
-    with pytest.raises(ValueError, match="invalid parameters"):
-        yl.solve_profile(bad, r_max=10.0)
+    # unchecked, atol < 0 ends in a wrong Global, rtol < 0 runs silently at
+    # 100 eps, rtol = nan raises IndexError and r_max = inf ends in StepFailure
+    for numerics, name in (
+        ({"atol": -1.0}, "atol"),
+        ({"rtol": -1.0}, "rtol"),
+        ({"rtol": math.nan}, "rtol"),
+        ({"r_max": math.inf}, "r_max"),
+        ({"r0_scale": 0.0}, "r0_scale"),
+    ):
+        kwargs = {"r_max": 1e3, **numerics}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            yl.solve_profile(p, **kwargs)
+    with pytest.raises(ValueError, match="rtol must be positive and finite"):
+        yl.verify(p, rtol=-1.0)
+    with pytest.raises(ValueError, match="invalid parameters: dimension"):
+        yl.SolitonParams(n=2, m=0.2, alpha=1.0, beta=0.0, eta=1.0)
 
 
 def test_profile_arrays_are_readonly(shrink3_profile):
@@ -428,6 +441,14 @@ def _step_past_grid(csv, doc):
     doc["step_indices"][-1] = doc["grid_points"]
 
 
+def _negative_eta(csv, doc):
+    doc["params"]["eta"] = -1.0
+
+
+def _dimension_two(csv, doc):
+    doc["params"]["n"] = 2
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -436,6 +457,8 @@ def _step_past_grid(csv, doc):
         (_skip_first_step, "start at 0"),
         (_repeat_step, "strictly increasing"),
         (_step_past_grid, "outside the grid"),
+        (_negative_eta, "invalid parameters: eta-positive"),
+        (_dimension_two, "invalid parameters: dimension"),
     ],
 )
 def test_load_profile_rejects_malformed_input(tmp_path, corrupt, message):
