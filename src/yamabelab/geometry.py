@@ -231,12 +231,12 @@ def log_handoff(profile: RadialProfile, r_h: float) -> tuple[float, tuple[float,
 def _log_wpp(n: int, m: float, alpha: float, beta: float):
     """W'' of the log-radius equation in W = log w~, as a function of
     (s, W, W_s)."""
-    one_m = 1.0 - m
+    exp, neg_m, one_m, n1, n2 = math.exp, -m, 1.0 - m, float(n - 1), float(n - 2)
     c = one_m * alpha - 2.0 * beta
 
     def f(s, W, Ws):
         d = Ws - 2.0
-        return -m * (d * d) / one_m - (n - 2) * d - math.exp(W) * (c + beta * Ws) / (n - 1)
+        return neg_m * (d * d) / one_m - n2 * d - exp(W) * (c + beta * Ws) / n1
 
     return f
 
@@ -339,8 +339,11 @@ class SelfSimilarSpec:
 
 
 def _scaling_alpha(kind: str, m: float, beta: float) -> float:
-    """The alpha that the kind's time scaling requires of the profile."""
-    one_m = 1.0 - m
+    """The alpha that the kind's time scaling requires of the profile.
+
+    m = 1 lies outside the exponent range: the alpha is NaN there, as in
+    make_params, and SolitonParams flags both."""
+    one_m = 1.0 - m if m != 1.0 else math.nan
     if kind == "Forward":
         return (2.0 * beta - 1.0) / one_m
     if kind == "Backward":

@@ -14,9 +14,14 @@ step factors clamped to [0.2, 10] (at most 1 right after a rejection), and a
 minimum step of 10 ulp(r).  It is the package's only ODE stepper: it runs
 any y'' = f(t, y, y') up to one terminal event g(y, y') rising through zero,
 here the cap v - 1e12*eta and in geometry.w_log_dynamics a stop of the
-log-radius equation.  The stored grid is the union of the accepted steps and
-a log-uniform refinement filled from the dense output, so that downstream
-quadratures resolve the identity checks.  Runs end in one of three statuses:
+log-radius equation.  Its step loop is kept bit-stable: the same IEEE
+operations in the same order as RK45's tableau, with the constants bound to
+locals once per call and no min, max, abs or len call per step, so making a
+step cheaper never moves a result (test_kernel_bits_are_pinned in
+tests/test_profile_solver.py holds it to the bit).  The stored grid is the
+union of the accepted steps and a log-uniform refinement filled from the
+dense output, so that downstream quadratures resolve the identity checks.
+Runs end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -185,18 +190,15 @@ def series_start(params: SolitonParams, r0: float) -> tuple[float, float]:
 
 def _vpp(n: int, m: float, alpha: float, beta: float):
     """v'' of the profile equation as a function of (r, v, v')."""
-    one_m = 1.0 - m
+    # one_m is also -(m - 1.0) to the bit; n - 1 is exact as a float
+    nan, one_m, n1 = math.nan, 1.0 - m, float(n - 1)
 
     def f(r, v, dv):
         if v <= 0.0:
             # NaN makes the error norm NaN, so the trial step is rejected
             # instead of taking a complex power
-            return math.nan
-        return (
-            -(m - 1.0) * dv * dv / v
-            - (n - 1) * dv / r
-            - (alpha * v + beta * r * dv) * v**one_m / (n - 1)
-        )
+            return nan
+        return one_m * dv * dv / v - n1 * dv / r - (alpha * v + beta * r * dv) * v**one_m / n1
 
     return f
 
@@ -296,7 +298,11 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
     controller and error norm, so it accepts the same steps.  Stops early
     when the terminal event(v, v') goes from <= 0 to >= 0 across an accepted
     step (its root on that step's quartic by _bracketed_root), when the step
-    size falls below 10 ulp(r), or after STEP_BUDGET accepted steps."""
+    size falls below 10 ulp(r), or after STEP_BUDGET accepted steps.
+
+    The step loop does RK45's floating-point operations in RK45's order.
+    abs, min, max and _rms are written out inline and give the builtins'
+    values, NaN included; STEP_BUDGET is read once per call."""
     rtol = max(rtol, 100 * _EPS)
     t = r0
     v, dv = y0
@@ -319,71 +325,90 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
         h1 = (0.01 / max(d1, d2)) ** -_ERR_EXPONENT
     h_abs = min(100 * h0, h1, r_end - t)
 
+    sqrt, ulp, sqrt2, budget = math.sqrt, math.ulp, _SQRT2, STEP_BUDGET
+    safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXPONENT
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     ts, vs, dvs = array("d", [t]), array("d", [v]), array("d", [dv])
     hs, ks = array("d"), array("d")
-    status = None
-    while status is None:
-        min_step = 10 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
+    t_append, v_append, dv_append, h_append = ts.append, vs.append, dvs.append, hs.append
+    k_extend = ks.extend
+    steps = 0
+    av, adv = abs(v), abs(dv)
+    while True:
+        min_step = 10 * ulp(t)
+        if min_step > h_abs:
+            h_abs = min_step
         rejected = False
         while h_abs >= min_step:
-            t_new = min(t + h_abs, r_end)
+            t_new = t + h_abs
+            if r_end < t_new:
+                t_new = r_end
             h = t_new - t
             h_abs = h
-            k1v, k1d = dv, fv
-            k2v = dv + h * (_A21 * k1d)
-            k2d = f(t + _C2 * h, v + h * (_A21 * k1v), k2v)
-            k3v = dv + h * (_A31 * k1d + _A32 * k2d)
-            k3d = f(t + _C3 * h, v + h * (_A31 * k1v + _A32 * k2v), k3v)
-            k4v = dv + h * (_A41 * k1d + _A42 * k2d + _A43 * k3d)
-            k4d = f(t + _C4 * h, v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v), k4v)
-            k5v = dv + h * (_A51 * k1d + _A52 * k2d + _A53 * k3d + _A54 * k4d)
-            k5d = f(
-                t + _C5 * h,
-                v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v),
-                k5v,
-            )
-            k6v = dv + h * (_A61 * k1d + _A62 * k2d + _A63 * k3d + _A64 * k4d + _A65 * k5d)
+            # stage 1 is (dv, fv)
+            k2v = dv + h * (a21 * fv)
+            k2d = f(t + c2 * h, v + h * (a21 * dv), k2v)
+            k3v = dv + h * (a31 * fv + a32 * k2d)
+            k3d = f(t + c3 * h, v + h * (a31 * dv + a32 * k2v), k3v)
+            k4v = dv + h * (a41 * fv + a42 * k2d + a43 * k3d)
+            k4d = f(t + c4 * h, v + h * (a41 * dv + a42 * k2v + a43 * k3v), k4v)
+            k5v = dv + h * (a51 * fv + a52 * k2d + a53 * k3d + a54 * k4d)
+            k5d = f(t + c5 * h, v + h * (a51 * dv + a52 * k2v + a53 * k3v + a54 * k4v), k5v)
+            k6v = dv + h * (a61 * fv + a62 * k2d + a63 * k3d + a64 * k4d + a65 * k5d)
             k6d = f(
-                t + h,
-                v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v),
-                k6v,
+                t + h, v + h * (a61 * dv + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v), k6v
             )
-            v_new = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-            dv_new = dv + h * (_B1 * k1d + _B3 * k3d + _B4 * k4d + _B5 * k5d + _B6 * k6d)
+            v_new = v + h * (b1 * dv + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
+            dv_new = dv + h * (b1 * fv + b3 * k3d + b4 * k4d + b5 * k5d + b6 * k6d)
             f_new = f(t + h, v_new, dv_new)
-            ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * dv_new)
-            ed = h * (_E1 * k1d + _E3 * k3d + _E4 * k4d + _E5 * k5d + _E6 * k6d + _E7 * f_new)
-            err = _rms(
-                ev / (atol + max(abs(v), abs(v_new)) * rtol),
-                ed / (atol + max(abs(dv), abs(dv_new)) * rtol),
-            )
+            ev = h * (e1 * dv + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * dv_new)
+            ed = h * (e1 * fv + e3 * k3d + e4 * k4d + e5 * k5d + e6 * k6d + e7 * f_new)
+            # the scales use max(|y|, |y_new|), which is |y| when y_new is NaN
+            av_new = -v_new if v_new < 0.0 else v_new
+            adv_new = -dv_new if dv_new < 0.0 else dv_new
+            ev /= atol + (av_new if av_new > av else av) * rtol
+            ed /= atol + (adv_new if adv_new > adv else adv) * rtol
+            err = sqrt(ev * ev + ed * ed) / sqrt2
             if err < 1.0:
                 if err == 0.0:
-                    factor = _MAX_FACTOR
+                    factor = max_factor
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * err**_ERR_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
+                    factor = safety * err**exponent
+                    if factor > max_factor:
+                        factor = max_factor
+                if rejected and factor > 1.0:
+                    factor = 1.0
+                h_abs *= factor
                 break
-            # a NaN error norm (a stage with v <= 0) shrinks by _MIN_FACTOR
-            h_abs *= max(_MIN_FACTOR, _SAFETY * err**_ERR_EXPONENT)
+            # a NaN error norm (a stage with v <= 0) shrinks by min_factor
+            factor = safety * err**exponent
+            h_abs *= factor if factor > min_factor else min_factor
             rejected = True
         else:
             status = -1
             break
-        ts.append(t_new)
-        vs.append(v_new)
-        dvs.append(dv_new)
-        hs.append(h)
-        ks.extend((k1v, k2v, k3v, k4v, k5v, k6v, dv_new, k1d, k2d, k3d, k4d, k5d, k6d, f_new))
+        t_append(t_new)
+        v_append(v_new)
+        dv_append(dv_new)
+        h_append(h)
+        k_extend((dv, k2v, k3v, k4v, k5v, k6v, dv_new, fv, k2d, k3d, k4d, k5d, k6d, f_new))
+        steps += 1
         g_new = event(v_new, dv_new)
         if g <= 0.0 <= g_new:
             status = 1
-        elif t_new >= r_end:
+            break
+        if t_new >= r_end:
             status = 0
-        elif len(hs) >= STEP_BUDGET:
+            break
+        if steps >= budget:
             status = -2
-        t, v, dv, fv, g = t_new, v_new, dv_new, f_new, g_new
+            break
+        t, v, dv, fv, g, av, adv = t_new, v_new, dv_new, f_new, g_new, av_new, adv_new
 
     q = (np.frombuffer(ks).reshape(-1, 2, 7) @ _P).transpose(1, 0, 2)
     traj = _Trajectory(status, np.frombuffer(ts), np.array((vs, dvs)), np.frombuffer(hs), q)

@@ -1,7 +1,8 @@
 """Solver behavior: series start, statuses, blow-up detection, the step
 budget, residual checks (including fault injection), serialization
-round-trips, and the integration kernel, the Hermite evaluation and the
-event root against scipy's integrators, spline and brentq."""
+round-trips, the integration kernel, the Hermite evaluation and the event
+root against scipy's integrators, spline and brentq, and the kernel's step
+points pinned to the bit."""
 
 import json
 import math
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import yamabelab as yl
-from conftest import perturb_profile
+from conftest import R_MAX, RTOL, _params, perturb_profile
+from yamabelab import geometry
 from yamabelab import profile_solver as ps
 
 
@@ -347,6 +349,139 @@ def test_bracketed_root_matches_brentq(alpha, beta, rho):
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
         checked += 1
     assert checked >= 20
+
+
+# One public call per case; each runs _dopri5 once.  The conftest profiles,
+# the touch-down stall, a Case-2 blow-up and a log-radius continuation.
+_KERNEL_RUNS = {
+    "shrink3": lambda: yl.solve_profile(_params(3, 1.0, 1.0), r_max=R_MAX, rtol=RTOL),
+    "shrink5": lambda: yl.solve_profile(_params(5, 1.0, 1.0), r_max=R_MAX, rtol=RTOL),
+    "steady": lambda: yl.solve_profile(_params(3, 1.0, 0.0), r_max=R_MAX, rtol=RTOL),
+    "expand": lambda: yl.solve_profile(_params(3, 1.0, -1.0), r_max=R_MAX, rtol=RTOL),
+    "negcurv": lambda: yl.solve_profile(
+        yl.make_params(n=3, m=0.2, beta=1.0, rho=-3.0, alpha=-1.25, eta=1.0), r_max=30.0, rtol=RTOL
+    ),
+    "touchdown": lambda: yl.solve_profile(
+        yl.make_params(n=3, m=0.2, alpha=1.0, beta=-2.5, eta=1.0), r_max=100.0, rtol=RTOL
+    ),
+    "blowup": lambda: yl.solve_profile(
+        yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=-1.0), r_max=100.0, rtol=RTOL
+    ),
+    "log_dynamics": lambda: yl.w_log_dynamics(
+        _params(5, 1.0, 1.0), (math.log(10.0), math.log(1e6)), (1.0, 0.0)
+    ),
+}
+
+# (accepted steps, status, {i: float.hex of (t, v, v') at step point i}, the
+# same of the end point: r_end, the stall radius or the event root)
+_KERNEL_PINS = {
+    "shrink3": (
+        702,
+        0,
+        {
+            1: ("0x1.4407bf11f4e9fp-19", "0x1.fffffffffbfeap-1", "-0x1.9509aed66cc2bp-20"),
+            351: ("0x1.629507b97299dp+6", "0x1.0319067172aa7p-15", "-0x1.e66a4a6df5836p-21"),
+            701: ("0x1.36b598156b1a5p+13", "0x1.0ccd9c9d638abp-32", "-0x1.1514faf14ee51p-44"),
+        },
+        ("0x1.3880000000000p+13", "0x1.08f737101d8abp-32", "-0x1.0f916e322836fp-44"),
+    ),
+    "shrink5": (
+        878,
+        0,
+        {
+            1: ("0x1.4407bf11f3e40p-19", "0x1.fffffffffe516p-1", "-0x1.543b556c71a16p-21"),
+            439: ("0x1.cb05fe44ee200p+6", "0x1.42b54dc79469cp-18", "-0x1.3bde1976019a4p-23"),
+            877: ("0x1.375f61883ad0dp+13", "0x1.b91768b3b1662p-41", "-0x1.3d51698ad0ad3p-52"),
+        },
+        ("0x1.3880000000000p+13", "0x1.b38bfd684de10p-41", "-0x1.3832e8c8f15ddp-52"),
+    ),
+    "steady": (
+        862,
+        0,
+        {
+            1: ("0x1.4407bf11f451bp-19", "0x1.fffffffffd547p-1", "-0x1.0e06748ef3a6dp-20"),
+            431: ("0x1.7589ff14f6893p+7", "0x1.b9bdcf1052b20p-15", "-0x1.5d29d569d340fp-21"),
+            861: ("0x1.382c3d55a259fp+13", "0x1.39e69582830c0p-28", "-0x1.3281e42209548p-40"),
+        },
+        ("0x1.3880000000000p+13", "0x1.391e5ddc0826fp-28", "-0x1.316cd5184e505p-40"),
+    ),
+    "expand": (
+        10861,
+        0,
+        {
+            1: ("0x1.4407bf11f3b9ep-19", "0x1.fffffffffeaa4p-1", "-0x1.0e06748ef4218p-21"),
+            5431: ("0x1.9d1a6ffcd2b72p+11", "0x1.0092aa4dfadafp-13", "-0x1.8d6bfa89508f8p-25"),
+            10860: ("0x1.387aa4720ccebp+13", "0x1.0139281f573e9p-15", "-0x1.0765ecad9b01cp-28"),
+        },
+        ("0x1.3880000000000p+13", "0x1.0133a509a6cf4p-15", "-0x1.075bc3d519268p-28"),
+    ),
+    "negcurv": (
+        1850,
+        0,
+        {
+            1: ("0x1.4407bf11f289bp-19", "0x1.0000000000aaep+0", "0x1.0e06748ef5166p-21"),
+            925: ("0x1.4543b565d54a8p+4", "0x1.47658fd0ac8c7p+4", "0x1.41ec67ff444dcp+0"),
+            1849: ("0x1.dfe1305a7bc9ep+4", "0x1.0a21b3f2204dep+5", "0x1.62df1566bba6dp+0"),
+        },
+        ("0x1.e000000000000p+4", "0x1.0a370f1c382adp+5", "0x1.62e4c93915f36p+0"),
+    ),
+    "touchdown": (
+        1077,
+        -1,
+        {
+            1: ("0x1.4407bf11f22e8p-19", "0x1.fffffffffeee9p-1", "-0x1.b00a5417ef002p-22"),
+            539: ("0x1.b04652690c13ap+2", "0x1.c327ce6ffc164p-52", "-0x1.dffc675642f5ep-43"),
+            1076: ("0x1.b0dceb6f11c05p+2", "0x1.5addda153b2dcp-240", "-0x1.102cf2cadb4a3p-195"),
+        },
+        ("0x1.b0dceb6f11c31p+2", "0x1.937a595550af8p-242", "-0x1.93ceb63cc8aecp-197"),
+    ),
+    "blowup": (
+        1075,
+        1,
+        {
+            1: ("0x1.4407bf11f1d77p-19", "0x1.000000000088bp+0", "0x1.b00a5417ef6ffp-22"),
+            538: ("0x1.86c004251c964p+1", "0x1.5dc6340c03351p+18", "0x1.c419dceb11053p+33"),
+            1074: ("0x1.86c0fbb49a01cp+1", "0x1.c542b558afa6dp+39", "0x1.39cb1437d5d5fp+72"),
+        },
+        ("0x1.86c0fbb49c799p+1", "0x1.d1a8b10c299fap+39", "0x1.4969844678a0fp+72"),
+    ),
+    "log_dynamics": (
+        332,
+        0,
+        {
+            1: ("0x1.26be6297b2b4fp+1", "0x1.d871454eed0e4p-27", "0x1.205ad3be503f4p-12"),
+            166: ("0x1.7e66849596b73p+2", "0x1.3faa618ac590ap+1", "0x1.48700fddcf5d6p-7"),
+            331: ("0x1.b7db534060246p+3", "0x1.3e116da53275bp+1", "-0x1.369464a0585a1p-23"),
+        },
+        ("0x1.ba18a998fffa0p+3", "0x1.3e116d8e67c12p+1", "-0x1.52f13c68a1db0p-23"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_KERNEL_RUNS))
+def test_kernel_bits_are_pinned(monkeypatch, case):
+    """The step loop is bit-stable: any change to its arithmetic or its
+    order moves these states.  Step points come from plain float arithmetic
+    only (the dense fill goes through a numpy matmul, so it is not pinned
+    here); the end point after an event is the root on the last quartic."""
+    trajs = []
+
+    def recording(kernel):
+        def run(*args):
+            trajs.append(kernel(*args))
+            return trajs[-1]
+
+        return run
+
+    monkeypatch.setattr(ps, "_dopri5", recording(ps._dopri5))
+    monkeypatch.setattr(geometry, "_dopri5", recording(geometry._dopri5))
+    _KERNEL_RUNS[case]()
+    (traj,) = trajs
+    steps, status, points, end = _KERNEL_PINS[case]
+    assert (len(traj.h), traj.status) == (steps, status)
+    got = {i: tuple(float(x).hex() for x in (traj.t[i], *traj.y[:, i])) for i in points}
+    assert got == points
+    assert tuple(float(x).hex() for x in (traj.t[-1], *traj.y[:, -1])) == end
 
 
 def test_step_budget_ends_in_step_failure(monkeypatch):
