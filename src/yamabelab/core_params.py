@@ -83,16 +83,25 @@ def _violations(params: SolitonParams) -> list[str]:
     bad: list[str] = []
     n, m = params.n, params.m
     for name in ("m", "alpha", "beta", "eta", "rho"):
+        # at m = 1, alpha*(1-m) = 2*beta + rho fixes no alpha: make_params and
+        # the self-similar scalings derive NaN, and exponent-range names why
+        if name == "alpha" and m == 1.0:
+            continue
         value = getattr(params, name)
         if value is not None and not math.isfinite(value):
             bad.append(f"finite: {name} must be finite, got {value!r}")
+    in_range = False
     if not _valid_dimension(n):
         bad.append(f"dimension: n must be an integer >= 3, got {n!r}")
     elif not (0.0 < m <= (n - 2) / n):
         bad.append(f"exponent-range: need 0 < m <= (n-2)/n = {(n - 2) / n!r}, got m = {m!r}")
+    else:
+        in_range = True
     if not (params.eta > 0.0):
         bad.append(f"eta-positive: need eta > 0, got {params.eta!r}")
-    if params.rho is None or not _valid_dimension(n):
+    # the soliton exponent lies in the range, so outside it the soliton
+    # rules would only repeat exponent-range
+    if params.rho is None or not in_range:
         return bad
     lhs, rhs = params.alpha * (1.0 - m), 2.0 * params.beta + params.rho
     if abs(m - soliton_exponent(n)) > _CONSISTENCY_TOL:

@@ -21,7 +21,10 @@ near the origin.  K0's numerator R_r is taken along the trajectory in
 _k0_trajectory (the v'' needed is substituted from the profile equation,
 profile_solver._vpp_array, which cancels beta), and a second, independent
 evaluation of R_r through its source-integral representation, _k0_quadrature,
-is recorded as a cross-check.
+is recorded as a cross-check.  Its end-corrected trapezoids take their slopes
+in closed form and borrow R_r from the first route only in the O(h^2)
+correction, so the routes agree to about 1e-9 yet stay independent at
+leading order.
 
 As a function of s = log r, w~(s) = w(e^s) obeys an autonomous second-order
 equation; w_log_dynamics integrates it for long-range continuation where
@@ -47,7 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_params import SolitonParams
-from .profile_solver import RadialProfile, _dopri5, _vpp_array, _w, _write_csv
+from .profile_solver import (
+    RadialProfile,
+    _dopri5,
+    _hermite_trapezoid,
+    _vpp_array,
+    _w,
+    _write_csv,
+)
 
 __all__ = [
     "GeometryCurves",
@@ -117,7 +127,7 @@ def _k0_trajectory(profile: RadialProfile) -> np.ndarray:
     return -one_m * (lv / r + vpp / v - lv * lv) / (2.0 * v**one_m)
 
 
-def _k0_quadrature(profile: RadialProfile, R: np.ndarray) -> np.ndarray:
+def _k0_quadrature(profile: RadialProfile, R: np.ndarray, K0: np.ndarray) -> np.ndarray:
     """K0 via the source-integral representation of R_r.
 
     R satisfies the elliptic equation (n-1) Lap_g R + beta r R_r
@@ -134,41 +144,55 @@ def _k0_quadrature(profile: RadialProfile, R: np.ndarray) -> np.ndarray:
     Q = v^(1+m) R (R - rho)/(n-1),
     I(r) = beta/(n-1) int_0^r tau v^(1-m) dtau.
 
-    Trapezoid segments; the first segment uses the analytic r^n/n stub.
-    With g = r^(n-1) Q, J e^I is the cumulative trapezoid sum of g e^I, but
-    I is monotone with the sign of beta and reaches the thousands on
-    expanding tails, far past exp's overflow at 709.  So the grid is cut into
-    blocks over which I moves less than _K0_BLOCK_SPAN; within a block the
-    sum is taken of g e^(I - I_a), I_a the value at the block's first point
-    a, and J = e^(I_a - I) times that sum.  Every factor stays within
-    e^(+-span) for either sign of beta.  Each block's first point is one
-    step of the recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2)
-    + dr g_k/2 from the previous block, which is the same quadrature."""
+    Both integrals are end-corrected trapezoids (profile_solver's
+    _hermite_trapezoid, O(h^4)); the first segment of J uses the analytic
+    r^n/n stub.  The slopes come in closed form: tau' = v^(1-m) + (1-m) tau
+    v'/v for tau = r v^(1-m), and with g = r^(n-1) Q, G = g e^I has
+    G' = (g' + g I') e^I, I' = beta/(n-1) tau, where g' needs R_r.  R_r is
+    the trajectory route's -2 beta tau K0 (K0 as _k0_trajectory gives it);
+    it enters only through the O(h^2) correction, so the two routes stay
+    independent at leading order.
+
+    J e^I is the cumulative sum of the segments of g e^I, but I is monotone
+    with the sign of beta and reaches the thousands on expanding tails, far
+    past exp's overflow at 709.  So the grid is cut into blocks over which I
+    moves less than _K0_BLOCK_SPAN; within a block the sum is taken of
+    g e^(I - I_a), I_a the value at the block's first point a, and J =
+    e^(I_a - I) times that sum.  Every factor stays within e^(+-span) for
+    either sign of beta.  Each block's first point is one step of the
+    recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2 + dr^2 gd_(k-1)/12)
+    + dr g_k/2 - dr^2 gd_k/12 from the previous block, gd = G' e^(-I),
+    which is the same quadrature."""
     p = profile.params
     n, m, beta, rho = p.n, p.m, p.beta, p.rho
-    r, v = profile.r, profile.v
-    Q = v ** (1.0 + m) * R * (R - rho) / (n - 1)
-    g = r ** (n - 1) * Q
-    tau_x = r * v ** (1.0 - m)
-    half_dr = 0.5 * np.diff(r)
-    dI = (beta / (n - 1)) * half_dr * (tau_x[:-1] + tau_x[1:])
+    r, v, dv = profile.r, profile.v, profile.dv
+    c = beta / (n - 1)
+    lv = dv / v
+    P = r ** (n - 1) * v ** (1.0 + m) / (n - 1)
+    g = P * R * (R - rho)
+    vp = v ** (1.0 - m)
+    tau = r * vp
+    R_r = -2.0 * beta * tau * K0
+    gd = g * ((n - 1) / r + (1.0 + m) * lv + c * tau) + P * R_r * (2.0 * R - rho)  # G' e^(-I)
+    dr = np.diff(r)
+    dI = c * _hermite_trapezoid(dr, tau, vp + (1.0 - m) * tau * lv)
     level = np.floor(np.cumsum(dI) / _K0_BLOCK_SPAN)
     starts = np.flatnonzero(np.diff(level, prepend=0.0)) + 1
     bounds = np.concatenate(([0], starts, [len(r)]))
 
     J = np.empty_like(r)
-    J_a = r[0] ** n * Q[0] / n
+    J_a = r[0] * g[0] / n
     for a, b in zip(bounds[:-1], bounds[1:]):
         if a > 0:  # one step of the recurrence carries J across the seam
             k = a - 1
-            J_a = math.exp(-dI[k]) * (J[k] + half_dr[k] * g[k]) + half_dr[k] * g[a]
-        E = np.concatenate(([0.0], np.cumsum(dI[a : b - 1])))
-        ge = g[a:b] * np.exp(E)
-        S = np.concatenate(([J_a], half_dr[a : b - 1] * (ge[:-1] + ge[1:])))
-        J[a:b] = np.cumsum(S) * np.exp(-E)
+            h, h2 = 0.5 * dr[k], dr[k] * dr[k] / 12.0
+            J_a = math.exp(-dI[k]) * (J[k] + h * g[k] + h2 * gd[k]) + h * g[a] - h2 * gd[a]
+        eE = np.exp(np.concatenate(([0.0], np.cumsum(dI[a : b - 1]))))
+        S = _hermite_trapezoid(dr[a : b - 1], g[a:b] * eE, gd[a:b] * eE)
+        J[a:b] = np.cumsum(np.concatenate(([J_a], S))) / eE
     # K0 = -R_r/(2 beta r v^(1-m)); the v^(2m) from the integrating factor
-    # combines with v^(1-m) into v^(1+m)
-    return J / (2.0 * beta * r**n * v ** (1.0 + m))
+    # combines with v^(1-m) into v^(1+m), and r^n v^(1+m) = (n-1) r P
+    return J / (2.0 * beta * (n - 1) * r * P)
 
 
 def compute_geometry(profile: RadialProfile) -> GeometryCurves:
@@ -183,7 +207,7 @@ def compute_geometry(profile: RadialProfile) -> GeometryCurves:
     # factored (1 - psi_s^2)/w, exact in the small-q regime
     K1 = -one_m * q * (1.0 + 0.25 * one_m * q) / w
     K0 = _k0_trajectory(profile)
-    K0_quad = _k0_quadrature(profile, R)
+    K0_quad = _k0_quadrature(profile, R, K0)
     scale = max(float(np.max(np.abs(K0))), float(np.max(np.abs(K0_quad))), 1e-300)
     agreement = float(np.max(np.abs(K0 - K0_quad)) / scale)
 

@@ -20,8 +20,9 @@ locals once per call and no min, max, abs or len call per step, so making a
 step cheaper never moves a result (test_kernel_bits_are_pinned in
 tests/test_profile_solver.py holds it to the bit).  The stored grid is the
 union of the accepted steps and a log-uniform refinement filled from the
-dense output, so that downstream quadratures resolve the identity checks.
-Runs end in one of three statuses:
+dense output; the identity checks integrate over it with end-corrected
+trapezoids (_hermite_trapezoid, O(h^4)), so POINTS_PER_DECADE is set by
+interpolation, not by the quadratures.  Runs end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -29,8 +30,9 @@ Runs end in one of three statuses:
     StepFailure(r_fail) the controller stalled without blow-up indicators,
                         or the run used up STEP_BUDGET accepted steps.
 
-Between grid points value_at reads the cubic Hermite through (v, v').  Profiles
-are immutable; solving is a pure function of (params, numerics).
+Between grid points value_at reads v from the cubic Hermite through (v, v')
+and v' from the one through (v', v''), v'' from the equation.  Profiles are
+immutable; solving is a pure function of (params, numerics).
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ __all__ = [
 BLOWUP_CAP = 1e12          # v > cap * eta counts as blow-up
 STEP_BUDGET = 10**6        # accepted steps before a _dopri5 run gives up
 DEFAULT_R0_SCALE = 1e-6
-POINTS_PER_DECADE = 1100  # refinement density; keeps trapezoid defects near 1e-7
+# refinement density of the stored grid.  The end-corrected trapezoids hold
+# the integral defect and the K0 gap near 1e-9 at any density from 200 to
+# 1,100; value_at between knots sets the floor: the step-halving order of
+# pde_residual on the expanding reference run falls below 2 at 367 and 200
+POINTS_PER_DECADE = 550
 
 PROFILE_CSV_HEADER = "r,v,dv"
 
@@ -132,8 +138,10 @@ class RadialProfile:
 
     def value_at(self, radius, derivative: bool = False):
         """v at arbitrary radii: series below r0, the cubic Hermite through
-        the stored (v, v') on the grid.  Negative, non-finite and past-the-grid
-        radii raise (no extrapolation).  With derivative=True returns (v, v')."""
+        the stored (v, v') on the grid.  With derivative=True returns (v, v'),
+        v' from the cubic Hermite through (v', v''), v'' from the equation at
+        the knots, so v' never divides differences of v by the knot spacing.
+        Negative, non-finite and past-the-grid radii raise (no extrapolation)."""
         radius = np.asarray(radius, dtype=float)
         if not np.all(np.isfinite(radius)):
             raise ValueError("radius must be finite")
@@ -141,28 +149,35 @@ class RadialProfile:
             raise ValueError(f"radius beyond profile grid end {self.r[-1]!r}; no extrapolation")
         if np.any(radius < 0.0):
             raise ValueError("radius must be nonnegative")
-        r, v, dv = self.r, self.v, self.dv
+        p, r, v, dv = self.params, self.r, self.v, self.dv
         x = np.clip(radius, r[0], r[-1])
-        # the coefficients and power sums of scipy's CubicHermiteSpline, in
-        # its order of operations, on the queried intervals only
         i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, len(r) - 2)
-        h = r[i + 1] - r[i]
-        slope = (v[i + 1] - v[i]) / h
-        t = (dv[i] + dv[i + 1] - 2 * slope) / h
-        c3 = t / h
-        c2 = (slope - dv[i]) / h - t
+        j = i + 1
+        h = r[j] - r[i]
         s = x - r[i]
-        s2 = s * s
-        v2 = second_derivative_at_origin(self.params)
+        v2 = second_derivative_at_origin(p)
         small = radius < r[0]
-        hermite = v[i] + dv[i] * s + c2 * s2 + c3 * (s2 * s)
-        out = np.where(small, self.params.eta + 0.5 * v2 * radius**2, hermite)
+        hermite = _cubic_hermite(h, s, v[i], v[j], dv[i], dv[j])
+        out = np.where(small, p.eta + 0.5 * v2 * radius**2, hermite)
         if not derivative:
             return float(out) if out.ndim == 0 else out
-        dout = np.where(small, v2 * radius, dv[i] + c2 * s * 2 + c3 * s2 * 3)
+        vpp_i, vpp_j = _vpp_array(p, r[i], v[i], dv[i]), _vpp_array(p, r[j], v[j], dv[j])
+        dout = np.where(small, v2 * radius, _cubic_hermite(h, s, dv[i], dv[j], vpp_i, vpp_j))
         if out.ndim == 0:
             return float(out), float(dout)
         return out, dout
+
+
+def _cubic_hermite(h, s, y0, y1, d0, d1):
+    """The cubic through (y0, d0) and (y1, d1) on an interval of length h, at
+    offset s: scipy CubicHermiteSpline's coefficients and power sums in its
+    order of operations."""
+    slope = (y1 - y0) / h
+    t = (d0 + d1 - 2 * slope) / h
+    c3 = t / h
+    c2 = (slope - d0) / h - t
+    s2 = s * s
+    return y0 + d0 * s + c2 * s2 + c3 * (s2 * s)
 
 
 def _w(m: float, r, v):
@@ -540,6 +555,12 @@ def _quadratic_first_derivative(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     )
 
 
+def _hermite_trapezoid(dr: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Segment integrals dr/2 (f0 + f1) + dr^2/12 (f0' - f1'): the trapezoid
+    with its end correction, exact for cubics, so O(h^4) given exact f'."""
+    return 0.5 * dr * (f[:-1] + f[1:]) + dr * dr / 12.0 * (df[:-1] - df[1:])
+
+
 def residuals(profile: RadialProfile) -> ResidualReport:
     """Pointwise and integral-form defects of a stored profile.
 
@@ -551,9 +572,11 @@ def residuals(profile: RadialProfile) -> ResidualReport:
         (n-1) r^(n-1) v^(m-1) v'  =  -beta r^n v + (n beta - alpha) * I(r),
         I(r) = integral of z^(n-1) v(z) from 0 to r,
 
-    with composite trapezoid over the stored grid and the 0-to-r0 stub
-    integrated analytically from the series start; it is normalized by the
-    largest participating term so total cancellations do not divide by zero.
+    with the end-corrected trapezoid over the stored grid (the slope of the
+    integrand is (n-1) r^(n-2) v + r^(n-1) v', from the stored v') and the
+    0-to-r0 stub integrated analytically from the series start; it is
+    normalized by the largest participating term so total cancellations do
+    not divide by zero.
     """
     p = profile.params
     r, v, dv = profile.r, profile.v, profile.dv
@@ -579,9 +602,11 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     den = np.abs(alpha * vs) + np.abs(beta * rs * dvs) + floor
     max_ode = float(np.max(np.abs(vpp_data - vpp_ode) / den))
 
-    lhs = (n - 1) * r ** (n - 1) * v ** (m - 1.0) * dv
-    integrand = r ** (n - 1) * v
-    segs = 0.5 * np.diff(r) * (integrand[:-1] + integrand[1:])
+    rn1 = r ** (n - 1)
+    lhs = (n - 1) * rn1 * v ** (m - 1.0) * dv
+    integrand = rn1 * v
+    slope = (n - 1) * integrand / r + rn1 * dv
+    segs = _hermite_trapezoid(np.diff(r), integrand, slope)
     v2 = second_derivative_at_origin(p)
     stub = p.eta * r[0] ** n / n + v2 * r[0] ** (n + 2) / (2 * (n + 2))
     integral = stub + np.concatenate(([0.0], np.cumsum(segs)))

@@ -177,11 +177,13 @@ def test_selfsim_forward(tmp_path, capsys):
     assert run(["selfsim", "--kind", "forward", "--n", "3", "--m", "0.2",
                 "--beta", "1", "--eta", "1", "--alpha", "5"]) == 2
     capsys.readouterr()
-    # m = 1 has no scaling alpha: a typed parameter error, not a traceback
+    # m = 1 has no scaling alpha: a typed parameter error, not a traceback,
+    # that names only the cause (not the NaN alpha the user never passed)
     assert run(["selfsim", "--kind", "forward", "--n", "3", "--m", "1",
                 "--beta", "1", "--eta", "1"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: invalid parameters: ") and "exponent-range" in err
+    assert err.startswith("error: invalid parameters: exponent-range: ")
+    assert "alpha" not in err and ";" not in err
 
 
 def test_missing_and_malformed_parameters(tmp_path, capsys):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import yamabelab as yl
+from conftest import R_MAX, RTOL
 from yamabelab import geometry
+from yamabelab import profile_solver as ps
 
 
 def test_scalar_curvature_identity(shrink3_profile, shrink3_geometry):
@@ -74,27 +76,41 @@ def test_compute_geometry_sectional_curvatures(shrink3_profile, shrink3_geometry
 
 
 def _exponent_steps(profile):
-    """Trapezoid segments dI of I(r) = beta/(n-1) int_0^r tau v^(1-m) dtau."""
+    """End-corrected trapezoid segments dI of I(r) = beta/(n-1) int_0^r tau
+    v^(1-m) dtau: dr/2 (f0 + f1) + dr^2/12 (f0' - f1') with f = r v^(1-m)."""
     p = profile.params
-    tau_x = profile.r * profile.v ** (1.0 - p.m)
-    return (p.beta / (p.n - 1)) * 0.5 * np.diff(profile.r) * (tau_x[:-1] + tau_x[1:])
+    r, v, dv = profile.r, profile.v, profile.dv
+    f = r * v ** (1.0 - p.m)
+    df = v ** (1.0 - p.m) + (1.0 - p.m) * r * v ** (-p.m) * dv
+    dr = np.diff(r)
+    return (p.beta / (p.n - 1)) * (
+        0.5 * dr * (f[:-1] + f[1:]) + dr**2 / 12.0 * (df[:-1] - df[1:])
+    )
 
 
 def _k0_quadrature_sequential(profile, R):
     """Oracle: the source-integral K0 as the plain one-point-at-a-time
-    recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2) + dr g_k/2."""
+    recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2 + dr^2 G'_(k-1)/12)
+    + dr g_k/2 - dr^2 G'_k/12, G' = g' + g I' the slope of g e^I over e^I,
+    with R_r = -2 beta r v^(1-m) K0 from the trajectory route."""
     p = profile.params
-    n, m = p.n, p.m
-    r, v = profile.r, profile.v
-    Q = v ** (1.0 + m) * R * (R - p.rho) / (n - 1)
+    n, m, beta, rho = p.n, p.m, p.beta, p.rho
+    r, v, dv = profile.r, profile.v, profile.dv
+    Q = v ** (1.0 + m) * R * (R - rho) / (n - 1)
     g = r ** (n - 1) * Q
+    R_r = -2.0 * beta * r * v ** (1.0 - m) * geometry._k0_trajectory(profile)
+    dQ = ((1.0 + m) * v**m * dv * R * (R - rho) + v ** (1.0 + m) * R_r * (2.0 * R - rho)) / (n - 1)
+    dI_dr = beta / (n - 1) * r * v ** (1.0 - m)
+    dG = (n - 1) * r ** (n - 2) * Q + r ** (n - 1) * dQ + g * dI_dr
     dI = _exponent_steps(profile)
     dr = np.diff(r)
     J = np.empty_like(r)
     J[0] = r[0] ** n * Q[0] / n
     for k in range(1, len(r)):
-        J[k] = math.exp(-dI[k - 1]) * (J[k - 1] + 0.5 * dr[k - 1] * g[k - 1]) + 0.5 * dr[k - 1] * g[k]
-    return J / (2.0 * p.beta * r**n * v ** (1.0 + m))
+        h, h2 = 0.5 * dr[k - 1], dr[k - 1] ** 2 / 12.0
+        carried = J[k - 1] + h * g[k - 1] + h2 * dG[k - 1]
+        J[k] = math.exp(-dI[k - 1]) * carried + h * g[k] - h2 * dG[k]
+    return J / (2.0 * beta * r**n * v ** (1.0 + m))
 
 
 @pytest.fixture(scope="module")
@@ -122,11 +138,27 @@ def test_k0_quadrature_matches_sequential_recurrence(fixture, span, request, mon
         assert I_end > 709.0  # e^I alone would overflow
     if fixture == "negative_beta_profile":
         assert I_end < 0.0
-    R = yl.compute_geometry(profile).R
-    ref = _k0_quadrature_sequential(profile, R)
+    curves = yl.compute_geometry(profile)
+    ref = _k0_quadrature_sequential(profile, curves.R)
     with np.errstate(over="raise", invalid="raise"):
-        got = geometry._k0_quadrature(profile, R)
+        got = geometry._k0_quadrature(profile, curves.R, curves.K0)
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["shrink3", "shrink5", "expand"])
+def test_quadratures_hold_on_half_the_grid(name, request, monkeypatch):
+    # the end-corrected trapezoids are O(h^4) and sit near 1e-9, where the
+    # grid no longer sets them: halving the refinement moves the integral
+    # defect and the K0 gap by less than 2x (plain trapezoids moved them 4x)
+    params = request.getfixturevalue(f"{name}_params")
+
+    def checks(points_per_decade):
+        monkeypatch.setattr(ps, "POINTS_PER_DECADE", points_per_decade)
+        prof = yl.solve_profile(params, r_max=R_MAX, rtol=RTOL)
+        return yl.residuals(prof).max_integral_residual, yl.compute_geometry(prof).k0_agreement
+
+    for fine, coarse in zip(checks(1100), checks(550)):
+        assert max(fine, coarse) < 2.0 * min(fine, coarse)
 
 
 def test_w_equation_defect_converges(shrink3_profile):
@@ -310,7 +342,8 @@ def _pde_residual_pointwise(spec, profile, r_points, t_points, h_r, h_t):
             u_rp = yl.self_similar_eval(spec, profile, r + h_r, t)
             u_rm = yl.self_similar_eval(spec, profile, r - h_r, t)
             ut = (u_tp - u_tm) / (2.0 * h_t)
-            f_c, f_p, f_m = u_c**m, u_rp**m, u_rm**m
+            # u^m through numpy's pow, as pde_residual takes it on whole rows
+            f_c, f_p, f_m = np.power((u_c, u_rp, u_rm), m)
             lap = (f_p - 2.0 * f_c + f_m) / h_r**2 + (n - 1) / r * (f_p - f_m) / (
                 2.0 * h_r
             )
@@ -326,8 +359,9 @@ def _pde_residual_pointwise(spec, profile, r_points, t_points, h_r, h_t):
     [("Forward", "expand_profile"), ("Eternal", "steady_profile"), ("Backward", "shrink3_profile")],
 )
 def test_pde_residual_matches_pointwise_loop(kind, fixture, request):
-    # the row-wise u^m goes through numpy's pow, which differs from libm's in
-    # the last ulp on a few inputs; at h = 2e-3 the residual nears roundoff
+    # both take u^m through numpy's pow (libm's differs in the last ulp on a
+    # few inputs, which 1/h^2 magnifies); at h = 2e-3 the residual nears
+    # roundoff
     profile = request.getfixturevalue(fixture)
     spec = yl.SelfSimilarSpec(kind=kind, params=profile.params, T=2.0 if kind == "Backward" else None)
     r_pts = np.linspace(0.5, 3.0, 6)

@@ -211,6 +211,38 @@ def test_curvature_source_equation_needs_drift_term():
     assert val != 0
 
 
+def test_end_correction_slopes():
+    """The slopes that the end-corrected trapezoids take in closed form: of
+    r^(n-1) v (the integral identity), of tau = r v^(1-m) (the exponent I of
+    the K0 quadrature) and of g e^I, g = r^(n-1) Q, Q = v^(1+m) R (R - rho)/(n-1),
+    I' = beta/(n-1) tau, with v'' from the radial equation.  g' is written
+    through K0 = -(1-m)(v'/(r v) + v''/v - v'^2/v^2)/(2 v^(1-m)), so that
+    R_r = -2 beta r v^(1-m) K0."""
+    v = sp.Function("v", positive=True)(r)
+    I = sp.Function("I")(r)
+    dv = sp.diff(v, r)
+    vpp = _ode_vpp(v, dv, n, m, alpha, beta)
+
+    def slope(expr):
+        d = sp.diff(expr, r).subs(sp.Derivative(v, (r, 2)), vpp)
+        return d.subs(sp.Derivative(I, r), beta / (n - 1) * r * v ** (1 - m))
+
+    f = r ** (n - 1) * v
+    assert sp.simplify(slope(f) - ((n - 1) * f / r + r ** (n - 1) * dv)) == 0
+
+    tau = r * v ** (1 - m)
+    assert sp.simplify(slope(tau) - (v ** (1 - m) + (1 - m) * tau * dv / v)) == 0
+
+    R = (1 - m) * (alpha + beta * r * dv / v)
+    P = r ** (n - 1) * v ** (1 + m) / (n - 1)
+    g = P * R * (R - rho)
+    K0 = -(1 - m) * (dv / (r * v) + vpp / v - (dv / v) ** 2) / (2 * v ** (1 - m))
+    dg = g * ((n - 1) / r + (1 + m) * dv / v) - 2 * beta * P * tau * K0 * (2 * R - rho)
+    assert sp.simplify(slope(g) - dg) == 0
+    G = g * sp.exp(I)
+    assert sp.simplify(slope(G) - (dg + g * beta / (n - 1) * tau) * sp.exp(I)) == 0
+
+
 def test_blowup_certificate_closed_forms():
     """Case constants from the differential inequality argument."""
     # case 2 (alpha <= n beta < 0): C1 = min(|alpha|/n, |beta|)/(n-1)
