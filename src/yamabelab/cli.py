@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -376,6 +375,10 @@ def _cmd_sweep(args) -> int:
     tasks = [(point, num) for point in points]
     workers = min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: concurrent.futures.process loads multiprocessing,
+        # which every other command and --help would pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:

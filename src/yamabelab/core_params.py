@@ -50,12 +50,18 @@ def _valid_dimension(n) -> bool:
     return isinstance(n, int) and n >= 3
 
 
+_FLOAT_FIELDS = ("m", "alpha", "beta", "eta", "rho")
+
+
 @dataclass(frozen=True)
 class SolitonParams:
     """Immutable parameter tuple for one profile run, valid by construction.
 
     rho is None for general-exponent runs; k = beta/alpha is defined only
-    when alpha is nonzero.
+    when alpha is nonzero.  Once the checks pass, m, alpha, beta, eta and
+    rho are stored as Python floats, whatever numeric type they came in as
+    (an int or a numpy scalar), so the integrator's closures and the step
+    loop run on plain float arithmetic.
     """
 
     n: int
@@ -69,6 +75,10 @@ class SolitonParams:
         bad = _violations(self)
         if bad:
             raise ValueError("invalid parameters: " + "; ".join(bad))
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
 
     @property
     def k(self) -> float | None:
@@ -82,7 +92,7 @@ def _violations(params: SolitonParams) -> list[str]:
     """Every broken hypothesis of the module docstring, one tagged line each."""
     bad: list[str] = []
     n, m = params.n, params.m
-    for name in ("m", "alpha", "beta", "eta", "rho"):
+    for name in _FLOAT_FIELDS:
         # at m = 1, alpha*(1-m) = 2*beta + rho fixes no alpha: make_params and
         # the self-similar scalings derive NaN, and exponent-range names why
         if name == "alpha" and m == 1.0:
@@ -180,7 +190,7 @@ def make_params(
         alpha = (2.0 * beta + rho) / (1.0 - m) if m != 1.0 else math.nan
     elif rho is None and _valid_dimension(n) and abs(m - soliton_exponent(n)) <= _CONSISTENCY_TOL:
         rho = alpha * (1.0 - m) - 2.0 * beta
-    return SolitonParams(n=n, m=m, alpha=float(alpha), beta=float(beta), eta=float(eta), rho=rho)
+    return SolitonParams(n=n, m=m, alpha=alpha, beta=beta, eta=eta, rho=rho)
 
 
 def classify(params: SolitonParams) -> SolitonClass:

@@ -7,14 +7,17 @@ The second-order equation is integrated in the explicit form
 with state (v, v'), starting from a fourth-order series at a small radius
 r0 = r0_scale * eta^((m-1)/2) because the origin is a regular singular point
 of the r-form.  The steps come from a scalar Dormand-Prince 5(4) kernel with
-Shampine's quartic dense output that runs on plain floats and keeps the
-controller of scipy's RK45: initial step selection at error order 4, RMS
-error norm with scale atol + max(|y|, |y_new|) * rtol, safety factor 0.9,
-step factors clamped to [0.2, 10] (at most 1 right after a rejection), and a
-minimum step of 10 ulp(r).  It is the package's only ODE stepper: it runs
-any y'' = f(t, y, y') up to one terminal event g(y, y') rising through zero,
-here the cap v - 1e12*eta and in geometry.w_log_dynamics a stop of the
-log-radius equation.  Its step loop is kept bit-stable: the same IEEE
+Shampine's quartic dense output that keeps the controller of scipy's RK45:
+initial step selection at error order 4, RMS error norm with scale
+atol + max(|y|, |y_new|) * rtol, safety factor 0.9, step factors clamped to
+[0.2, 10] (at most 1 right after a rejection), and a minimum step of
+10 ulp(r).  It runs on plain floats: it converts its radii, initial state
+and tolerances with float() once per call, and SolitonParams stores floats,
+so no numpy scalar reaches the step loop, the right-hand side or the event
+root.  It is the package's only ODE stepper: it runs any y'' = f(t, y, y')
+up to one terminal event g(y, y') rising through zero, here the cap
+v - 1e12*eta and in geometry.w_log_dynamics a stop of the log-radius
+equation.  Its step loop is kept bit-stable: the same IEEE
 operations in the same order as RK45's tableau, with the constants bound to
 locals once per call and no min, max, abs or len call per step, so making a
 step cheaper never moves a result (test_kernel_bits_are_pinned in
@@ -264,11 +267,13 @@ def _rms(a: float, b: float) -> float:
 
 
 def _quartic(t0, h, y0, q, r):
-    """Dense output y0 + h * sum_j q_j x^(j+1), x = (r - t0)/h, of one step."""
+    """Dense output y0 + h * sum_j q_j x^(j+1), x = (r - t0)/h, of one step;
+    q holds q_0 .. q_3 along its first axis (floats or arrays)."""
+    q0, q1, q2, q3 = q
     x = (r - t0) / h
     x2 = x * x
     x3 = x2 * x
-    return y0 + h * (q[..., 0] * x + q[..., 1] * x2 + q[..., 2] * x3 + q[..., 3] * (x3 * x))
+    return y0 + h * (q0 * x + q1 * x2 + q2 * x3 + q3 * (x3 * x))
 
 
 class _Trajectory(NamedTuple):
@@ -289,7 +294,8 @@ class _Trajectory(NamedTuple):
         """(2, len(r)) states at the radii r; a radius equal to t[i] is taken
         from the step that ends there."""
         seg = np.clip(np.searchsorted(self.t, r) - 1, 0, len(self.h) - 1)
-        return _quartic(self.t[seg], self.h[seg], self.y[:, seg], self.q[:, seg], r)
+        q = np.moveaxis(self.q[:, seg], -1, 0)
+        return _quartic(self.t[seg], self.h[seg], self.y[:, seg], q, r)
 
 
 def _bracketed_root(fun, a: float, b: float) -> float:
@@ -317,10 +323,15 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
 
     The step loop does RK45's floating-point operations in RK45's order.
     abs, min, max and _rms are written out inline and give the builtins'
-    values, NaN included; STEP_BUDGET is read once per call."""
-    rtol = max(rtol, 100 * _EPS)
-    t = r0
-    v, dv = y0
+    values, NaN included; STEP_BUDGET is read once per call.  r0, y0, r_end,
+    rtol and atol are converted with float() once per call, a lossless
+    conversion that keeps numpy-scalar arithmetic (about 3x slower per
+    step) out of the loop; f and event then see Python floats as long as
+    their own constants are floats."""
+    r_end, atol = float(r_end), float(atol)
+    rtol = max(float(rtol), 100 * _EPS)
+    t = float(r0)
+    v, dv = map(float, y0)
     fv = f(t, v, dv)
     g = event(v, dv)
 
@@ -428,12 +439,16 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
     q = (np.frombuffer(ks).reshape(-1, 2, 7) @ _P).transpose(1, 0, 2)
     traj = _Trajectory(status, np.frombuffer(ts), np.array((vs, dvs)), np.frombuffer(hs), q)
     if status == 1:
-        t_old, h, y_old = traj.t[-2], traj.h[-1], traj.y[:, -2]
-        root = _bracketed_root(
-            lambda r: event(*_quartic(t_old, h, y_old, q[:, -1], r)), t_old, traj.t[-1]
-        )
+        # the last step read back as floats, so the bisection is scalar
+        t_old, h, v_old, dv_old = ts[-2], hs[-1], vs[-2], dvs[-2]
+        qv, qd = q[:, -1].tolist()
+
+        def state(r):
+            return _quartic(t_old, h, v_old, qv, r), _quartic(t_old, h, dv_old, qd, r)
+
+        root = _bracketed_root(lambda r: event(*state(r)), t_old, ts[-1])
         traj.t[-1] = root
-        traj.y[:, -1] = _quartic(t_old, h, y_old, q[:, -1], root)
+        traj.y[:, -1] = state(root)
     return traj
 
 

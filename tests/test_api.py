@@ -4,7 +4,8 @@ public list fails here until the count is updated on purpose.  The runtime
 needs numpy only: importing the package loads no scipy module, and every
 CLI command and the public functions no command calls run in an
 interpreter where scipy cannot be imported at all, so a lazy import inside
-a function fails here too."""
+a function fails here too.  Importing the CLI loads no multiprocessing
+module; only a sweep's process pool needs it."""
 
 import os
 import subprocess
@@ -36,6 +37,14 @@ def test_import_does_not_load_scipy():
     _run_fresh(
         "import sys, yamabelab\n"
         "loaded = [k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    _run_fresh(
+        "import sys, yamabelab.cli\n"
+        "loaded = [k for k in sys.modules if k.split('.')[0] in ('multiprocessing', '_multiprocessing')]\n"
         "assert not loaded, loaded\n"
     )
 

@@ -1,8 +1,11 @@
 """Parameter construction and its checks, classification, predictions,
 certificates; property tests for the algebraic relations between them."""
 
+import json
 import math
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +54,25 @@ def test_make_params_rejects_bad_combinations():
 def test_make_params_accepts_consistent_pair():
     p = yl.make_params(n=3, m=0.2, beta=1.0, rho=-1.0, eta=1.0, alpha=1.25)
     assert p.alpha == 1.25 and p.rho == -1.0
+
+
+def test_fields_are_stored_as_floats():
+    # ints and numpy scalars come out as Python floats, so the kernel's
+    # closures hold floats; n stays an int and a missing rho stays None
+    f64 = np.float64
+    built = (
+        yl.SolitonParams(n=3, m=f64(0.2), alpha=f64(2.5), beta=1, eta=np.int64(2), rho=0),
+        yl.make_params(n=3, m=f64(0.2), beta=f64(1.0), eta=2, rho=0),
+        yl.make_params(n=4, m=0.3, beta=1, eta=f64(2.0), alpha=np.float32(0.5)).with_eta(3),
+    )
+    for p in built:
+        assert type(p.n) is int
+        for name in ("m", "alpha", "beta", "eta"):
+            assert type(getattr(p, name)) is float, name
+    assert [type(p.rho) for p in built] == [float, float, type(None)]
+    assert json.dumps(asdict(built[0]), sort_keys=True) == (
+        '{"alpha": 2.5, "beta": 1.0, "eta": 2.0, "m": 0.2, "n": 3, "rho": 0.0}'
+    )
 
 
 def _violations_of(**fields) -> str:

@@ -1,8 +1,9 @@
 """Solver behavior: series start, statuses, blow-up detection, the step
 budget, residual checks (including fault injection), serialization
 round-trips, the integration kernel, the Hermite evaluation and the event
-root against scipy's integrators, spline and brentq, and the kernel's step
-points pinned to the bit."""
+root against scipy's integrators, spline and brentq, the kernel's step
+points pinned to the bit, and its right-hand side and event fed Python
+floats only, whatever numeric type the inputs came in as."""
 
 import json
 import math
@@ -15,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 import yamabelab as yl
 from conftest import R_MAX, RTOL, _params, perturb_profile
-from yamabelab import geometry
+from yamabelab import analysis, geometry
 from yamabelab import profile_solver as ps
 
 
@@ -331,7 +332,8 @@ def test_blowup_radius_matches_scipy_event(alpha, beta):
 def _step_quartics(traj, every):
     """(t_old, t_new, v on the step) for every so-many steps of a run."""
     for k in range(0, len(traj.h), every):
-        t0, h, y0, q = traj.t[k], traj.h[k], traj.y[:, k], traj.q[:, k]
+        # _quartic takes the four coefficients along the first axis
+        t0, h, y0, q = traj.t[k], traj.h[k], traj.y[:, k], traj.q[:, k].T
         yield t0, t0 + h, lambda r: ps._quartic(t0, h, y0, q, r)[0]
 
 
@@ -496,6 +498,77 @@ def test_kernel_bits_are_pinned(monkeypatch, case):
     got = {i: tuple(float(x).hex() for x in (traj.t[i], *traj.y[:, i])) for i in points}
     assert got == points
     assert tuple(float(x).hex() for x in (traj.t[-1], *traj.y[:, -1])) == end
+
+
+def _float_only(kernel, calls):
+    """_dopri5 whose right-hand side and event assert that every argument
+    and every returned value is exactly a Python float."""
+
+    def checked(fn):
+        def call(*args):
+            out = fn(*args)
+            assert all(type(x) is float for x in (*args, out)), [type(x) for x in (*args, out)]
+            calls.append(fn)
+            return out
+
+        return call
+
+    def run(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0):
+        return kernel(checked(f), r0, y0, r_end, rtol, atol, checked(event))
+
+    return run
+
+
+def _profile_outputs(prof):
+    return [prof.r, prof.v, prof.dv, prof.status.radius]
+
+
+def _dynamics_outputs(dyn):
+    return [dyn.s, dyn.w_tilde, dyn.w_tilde_s, dyn.R]
+
+
+def _shrink3_as(num):
+    return yl.make_params(n=3, m=num(0.2), beta=num(1.0), rho=num(1.0), eta=num(1.0))
+
+
+# Each case runs once on float inputs and once on numpy scalars (num is float
+# or np.float64); parameters, radii and initial data all go through num.
+_NUMPY_INPUT_RUNS = {
+    "w_defect": lambda num: [
+        yl.w_equation_defect(yl.solve_profile(_shrink3_as(num), num(R_MAX), num(RTOL)))
+    ],
+    "solve": lambda num: _profile_outputs(
+        yl.solve_profile(_shrink3_as(num), r_max=num(R_MAX), rtol=num(RTOL))
+    ),
+    "log_dynamics": lambda num: _dynamics_outputs(yl.w_log_dynamics(
+        yl.make_params(n=5, m=num(3 / 7), beta=num(1.0), rho=num(1.0), eta=num(1.0)),
+        (num(math.log(10.0)), num(math.log(1e6))),
+        (num(1.0), num(0.0)),
+    )),
+    "blowup": lambda num: _profile_outputs(yl.solve_profile(
+        yl.make_params(n=3, m=num(0.2), beta=num(-1.0), eta=num(1.0), alpha=num(-1.0)),
+        r_max=num(100.0),
+        rtol=num(RTOL),
+    )),
+}
+
+
+@pytest.mark.parametrize("case", list(_NUMPY_INPUT_RUNS))
+def test_kernel_runs_on_floats_whatever_the_input(monkeypatch, case):
+    """numpy-scalar parameters, radii and initial data never reach the step
+    loop: the right-hand side and the event, the event root's bisection
+    included, see and return Python floats only, and the outputs are the
+    float inputs' outputs to the bit."""
+    calls = []
+    kernel = _float_only(ps._dopri5, calls)
+    for module in (ps, analysis, geometry):
+        monkeypatch.setattr(module, "_dopri5", kernel)
+    outputs = [
+        [x.hex() for a in _NUMPY_INPUT_RUNS[case](num) for x in np.ravel(a).tolist()]
+        for num in (float, np.float64)
+    ]
+    assert calls
+    assert outputs[0] == outputs[1]
 
 
 def test_step_budget_ends_in_step_failure(monkeypatch):
