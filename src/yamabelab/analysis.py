@@ -114,16 +114,8 @@ def estimate_limits(curves: GeometryCurves, profile: RadialProfile) -> dict:
     return out
 
 
-def _record(name, applicable, margin=0.0, location=0.0, threshold=STRICT_SLACK):
-    margin = float(margin)
-    return InvariantRecord(
-        name=name,
-        applicable=bool(applicable),
-        margin=margin,
-        location=float(location),
-        threshold=threshold,
-        ok=(not applicable) or margin <= threshold,
-    )
+def _sup(a: np.ndarray) -> float:
+    return max(float(np.max(np.abs(a))), 1e-300)
 
 
 def _worst(values: np.ndarray, r: np.ndarray) -> tuple[float, float]:
@@ -131,127 +123,77 @@ def _worst(values: np.ndarray, r: np.ndarray) -> tuple[float, float]:
     return float(values[i]), float(r[i])
 
 
+def _range_margin(x: np.ndarray, low: float, high: float, scale: float, r: np.ndarray) -> tuple:
+    # low <= x <= high: the worse of the two sides, and where
+    hi = (np.max(x) - high) / scale
+    lo = (low - np.min(x)) / scale
+    return (hi, r[int(np.argmax(x))]) if hi >= lo else (lo, r[int(np.argmin(x))])
+
+
+def _record(name, applicable, margin_of, threshold=STRICT_SLACK):
+    margin, location = map(float, margin_of()) if applicable else (0.0, 0.0)
+    return InvariantRecord(
+        name=name,
+        applicable=bool(applicable),
+        margin=margin,
+        location=location,
+        threshold=threshold,
+        ok=(not applicable) or margin <= threshold,
+    )
+
+
 def invariant_battery(profile: RadialProfile, curves: GeometryCurves | None) -> tuple:
     """Every pointwise monitor, with normalized margins and worst locations.
 
     Monitors that do not apply to the regime are recorded as not applicable
-    rather than silently dropped."""
+    rather than silently dropped.  One row per monitor, in report order:
+    (name, applies, margin thunk -> (margin, radius)[, threshold])."""
     p = profile.params
     n, m, alpha, beta = p.n, p.m, p.alpha, p.beta
-    r, v, dv = profile.r, profile.v, profile.dv
-    q = profile.q
-    sup = lambda a: max(float(np.max(np.abs(a))), 1e-300)
-    records = []
-
-    records.append(_record("v-positive", True, -np.min(v) / p.eta, r[int(np.argmin(v))]))
+    r, v, dv, q, w = profile.r, profile.v, profile.dv, profile.q, profile.w
 
     ratio_ok = beta != 0.0 and m * alpha / beta <= (n - 2)
     neg_guard = alpha < 0.0 and ratio_ok
     pos_guard = alpha > 0.0 and (ratio_ok or alpha >= n * beta)
-    if pos_guard:
-        margin, loc = _worst(dv / sup(dv), r)
-        records.append(_record("dv-sign", True, margin, loc))
-    elif neg_guard:
-        margin, loc = _worst(-dv / sup(dv), r)
-        records.append(_record("dv-sign", True, margin, loc))
-    else:
-        records.append(_record("dv-sign", False))
-
-    if p.k is not None and (pos_guard or neg_guard):
-        margin, loc = _worst(-(1.0 + p.k * q), r)
-        records.append(_record("v-plus-krv-positive", True, margin, loc))
-    else:
-        records.append(_record("v-plus-krv-positive", False))
-
-    w = profile.w
-    if alpha > 0.0 and alpha >= n * beta:
-        bound = 2.0 * n * (n - 1) / (alpha * (1.0 - m))
-        margin, loc = _worst(w / bound - 1.0, r)
-        records.append(_record("w-upper-global", True, margin, loc))
-        combo = (alpha / (n * (n - 1))) * w + q
-        margin, loc = _worst(combo / sup(q), r)
-        records.append(_record("w-q-combo", True, margin, loc))
-    else:
-        records.append(_record("w-upper-global", False))
-        records.append(_record("w-q-combo", False))
-
+    signed = pos_guard or neg_guard  # alpha != 0 there, so k = beta/alpha exists
+    w_global = alpha > 0.0 and alpha >= n * beta
     cls = classify(p)
     covered = cls.validity == "CoveredByTheorems"
     shrinking = cls.variant == "Shrinking"
+    geo = covered and curves is not None
+    lim = 2.0 / (1.0 - m)
+    top = alpha * (1.0 - m)
+    blowup = profile.status.kind == "BlowUp" and alpha < 0.0 and beta <= 0.0
+    bound = blowup_certificate(p).radius_bound if blowup else None
+    r_star = profile.status.radius
 
-    if covered and shrinking:
-        a0 = (n - 1) * (n - 2) / p.rho
-        margin, loc = _worst(w / a0 - 1.0, r)
-        records.append(_record("w-upper-shrinking", True, margin, loc))
-    else:
-        records.append(_record("w-upper-shrinking", False))
+    monitors = (
+        ("v-positive", True, lambda: (-np.min(v) / p.eta, r[int(np.argmin(v))])),
+        ("dv-sign", signed, lambda: _worst((dv if pos_guard else -dv) / _sup(dv), r)),
+        ("v-plus-krv-positive", signed, lambda: _worst(-(1.0 + p.k * q), r)),
+        ("w-upper-global", w_global,
+         lambda: _worst(w / (2.0 * n * (n - 1) / (alpha * (1.0 - m))) - 1.0, r)),
+        ("w-q-combo", w_global, lambda: _worst(((alpha / (n * (n - 1))) * w + q) / _sup(q), r)),
+        ("w-upper-shrinking", covered and shrinking,
+         lambda: _worst(w / ((n - 1) * (n - 2) / p.rho) - 1.0, r)),
+        ("rvp-range", covered, lambda: _range_margin(q, -lim, 0.0, lim, r)),
+        ("psi-range", covered, lambda: _range_margin(_psi_s_and_R(p, q)[0], 0.0, 1.0, 1.0, r)),
+        ("K0-positive", geo, lambda: _worst(-curves.K0 / _sup(curves.K0), r)),
+        ("K1-positive", geo, lambda: _worst(-curves.K1 / _sup(curves.K1), r)),
+        ("R-range", geo and alpha > 0.0, lambda: _range_margin(curves.R, 0.0, top, top, r)),
+        ("R-monotone", geo, lambda: _worst_step(curves.R, r, 1.0)),
+        ("w-monotone", geo, lambda: _worst_step(curves.w, r, -1.0)),
+        ("wss-tail-vanishing", geo and shrinking, lambda: _a3_tail_margin(r, curves.w), 0.05),
+        ("blowup-soundness", bound is not None, lambda: (r_star / bound - 1.0, r_star)),
+    )
+    return tuple(_record(*row) for row in monitors)
 
-    if covered:
-        lim = 2.0 / (1.0 - m)
-        hi = np.max(q) / lim
-        lo = (-lim - np.min(q)) / lim
-        if hi >= lo:
-            records.append(_record("rvp-range", True, hi, r[int(np.argmax(q))]))
-        else:
-            records.append(_record("rvp-range", True, lo, r[int(np.argmin(q))]))
-        psi = _psi_s_and_R(p, q)[0]
-        margin_hi = float(np.max(psi)) - 1.0
-        margin_lo = -float(np.min(psi))
-        if margin_hi >= margin_lo:
-            records.append(_record("psi-range", True, margin_hi, r[int(np.argmax(psi))]))
-        else:
-            records.append(_record("psi-range", True, margin_lo, r[int(np.argmin(psi))]))
-    else:
-        records.append(_record("rvp-range", False))
-        records.append(_record("psi-range", False))
 
-    if covered and curves is not None:
-        for name, K in (("K0-positive", curves.K0), ("K1-positive", curves.K1)):
-            margin, loc = _worst(-K / sup(K), r)
-            records.append(_record(name, True, margin, loc))
-        if alpha > 0.0:
-            top = alpha * (1.0 - m)
-            hi = (np.max(curves.R) - top) / top
-            lo = -np.min(curves.R) / top
-            if hi >= lo:
-                records.append(_record("R-range", True, hi, r[int(np.argmax(curves.R))]))
-            else:
-                records.append(_record("R-range", True, lo, r[int(np.argmin(curves.R))]))
-        else:
-            records.append(_record("R-range", False))
-        dR = np.diff(curves.R)
-        margin, loc = _worst(dR / sup(dR), r[1:])
-        records.append(_record("R-monotone", True, margin, loc))
-        dw = np.diff(curves.w)
-        margin, loc = _worst(-dw / sup(dw), r[1:])
-        records.append(_record("w-monotone", True, margin, loc))
-        if shrinking:
-            margin, loc = _a3_tail_margin(r, curves.w)
-            records.append(_record("wss-tail-vanishing", True, margin, loc, threshold=0.05))
-        else:
-            records.append(_record("wss-tail-vanishing", False, threshold=0.05))
-    else:
-        for name in ("K0-positive", "K1-positive", "R-range", "R-monotone", "w-monotone"):
-            records.append(_record(name, False))
-        records.append(_record("wss-tail-vanishing", False, threshold=0.05))
-
-    if profile.status.kind == "BlowUp" and alpha < 0.0 and beta <= 0.0:
-        cert = blowup_certificate(p)
-        if cert.radius_bound is not None:
-            records.append(
-                _record(
-                    "blowup-soundness",
-                    True,
-                    profile.status.radius / cert.radius_bound - 1.0,
-                    profile.status.radius,
-                )
-            )
-        else:
-            records.append(_record("blowup-soundness", False))
-    else:
-        records.append(_record("blowup-soundness", False))
-
-    return tuple(records)
+def _worst_step(y: np.ndarray, r: np.ndarray, sign: float) -> tuple[float, float]:
+    # largest step of y between grid neighbours in the forbidden direction
+    # (sign +1: rises, -1: falls), relative to the largest step
+    d = np.diff(y)
+    return _worst(sign * d / _sup(d), r[1:])
 
 
 def _a3_tail_margin(r: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -261,8 +203,7 @@ def _a3_tail_margin(r: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     hr = s[2:] - s[1:-1]
     wss = 2.0 * (w[:-2] * hr - w[1:-1] * (hl + hr) + w[2:] * hl) / (hl * hr * (hl + hr))
     tail = r[1:-1] >= r[-1] / 10.0
-    denom = max(float(np.max(np.abs(wss))), 1e-300)
-    vals = np.abs(wss[tail]) / denom
+    vals = np.abs(wss[tail]) / _sup(wss)
     i = int(np.argmax(vals))
     return float(vals[i]), float(r[1:-1][tail][i])
 

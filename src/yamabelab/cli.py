@@ -5,8 +5,11 @@ Config files hold one `key = value` pair per line with exactly the keys
 n, m, beta, rho, alpha, eta, r_max, rtol, atol, r0_scale, output_dir,
 formats; unknown keys are errors so typos fail fast.  Flags override the
 config; the YAMABELAB_OUTPUT_DIR environment variable overrides both for
-the output directory.  Exit status: 0 success/Pass, 1 Fail or numeric
-failure, 2 usage or validation error.
+the output directory.  Parameter flags and config values share one parser,
+_grid: a comma list per key for sweep, one value per key elsewhere, and a
+malformed value is a usage error that names its key.  Exit status: 0
+success/Pass, 1 Fail or numeric failure, 2 usage or validation error
+(UsageError or any other ValueError).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ SWEEP_COLUMNS = (
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -94,42 +97,46 @@ def _to_float(values: dict, key: str, default=None):
     if raw is None:
         return default
     try:
-        out = float(raw)
+        return float(raw)
     except (TypeError, ValueError):
         raise UsageError(f"{key}: expected a number, got {raw!r}") from None
-    return out
 
 
-def _integer(key: str, raw, f: float) -> int:
-    if not (math.isfinite(f) and f == int(f)):
+def _parse_grid_value(key: str, raw) -> list:
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise UsageError(f"{key}: empty value")
+    try:
+        vals = [float(p) for p in parts]
+    except ValueError:
+        raise UsageError(f"{key}: expected a number, got {raw!r}") from None
+    if key != "n":
+        return vals
+    if not all(math.isfinite(v) and v == int(v) for v in vals):
         raise UsageError(f"{key}: expected an integer, got {raw!r}")
-    return int(f)
+    return [int(v) for v in vals]
 
 
-def _to_int(values: dict, key: str):
-    f = _to_float(values, key)
-    return None if f is None else _integer(key, values[key], f)
-
-
-def _build_params(values: dict, require=("n", "m", "beta", "eta")):
-    for key in require:
+def _grid(values: dict, sweep: bool = False) -> dict:
+    """The parameter keys given, as make_params keywords: a list of values
+    per key for a sweep, one value per key otherwise."""
+    for key in ("n", "m", "beta", "eta"):
         if values.get(key) is None:
             raise UsageError(f"missing required parameter {key!r}")
+    grid = {}
     for key in PARAM_KEYS:
         raw = values.get(key)
-        if isinstance(raw, str) and "," in raw:
+        if raw is None:
+            continue
+        if not sweep and "," in raw:
             raise UsageError(f"{key}: list values are only allowed in sweep")
-    try:
-        return make_params(
-            n=_to_int(values, "n"),
-            m=_to_float(values, "m"),
-            beta=_to_float(values, "beta"),
-            eta=_to_float(values, "eta"),
-            rho=_to_float(values, "rho"),
-            alpha=_to_float(values, "alpha"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        vals = _parse_grid_value(key, raw)
+        grid[key] = vals if sweep else vals[0]
+    return grid
+
+
+def _build_params(values: dict):
+    return make_params(**_grid(values))
 
 
 def _numerics(values: dict) -> dict:
@@ -256,24 +263,12 @@ _SELF_SIMILAR_KINDS = {"forward": "Forward", "backward": "Backward", "eternal": 
 def _cmd_selfsim(args) -> int:
     values = _merge(args)
     kind = _SELF_SIMILAR_KINDS[args.kind]
-    for key in ("n", "m", "beta", "eta"):
-        if values.get(key) is None:
-            raise UsageError(f"missing required parameter {key!r}")
-    n = _to_int(values, "n")
-    m = _to_float(values, "m")
-    beta = _to_float(values, "beta")
-    alpha = _scaling_alpha(kind, m, beta)
-    if values.get("alpha") is not None or values.get("rho") is not None:
+    point = _grid(values)
+    if "alpha" in point or "rho" in point:
         raise UsageError("selfsim derives alpha from the kind; do not pass alpha or rho")
-    try:
-        params = make_params(n=n, m=m, beta=beta, eta=_to_float(values, "eta"), alpha=alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    point["alpha"] = _scaling_alpha(kind, point["m"], point["beta"])
+    params = make_params(**point)
     spec = SelfSimilarSpec(kind=kind, params=params, T=args.T)
-    try:
-        spec.check()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     num = _numerics(values)
     out = _output_dir(values)
     profile = solve_profile(params, **num)
@@ -292,19 +287,6 @@ def _cmd_selfsim(args) -> int:
     return 0
 
 
-def _parse_grid_value(key: str, raw) -> list:
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    if not parts:
-        raise UsageError(f"{key}: empty value")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"{key}: expected numbers, got {raw!r}") from None
-    if key == "n":
-        return [_integer(key, raw, v) for v in vals]
-    return vals
-
-
 def _sweep_point(task: tuple) -> dict:
     """One grid point: verify, or certify in the blow-up regime.
 
@@ -312,18 +294,10 @@ def _sweep_point(task: tuple) -> dict:
     so a bad point never aborts the sweep."""
     point, num = task
     row = {col: "" for col in SWEEP_COLUMNS}
-    for key in ("n", "m", "beta", "eta", "rho", "alpha"):
-        if point.get(key) is not None:
-            row[key] = _fmt(float(point[key])) if key != "n" else str(point[key])
+    for key, value in point.items():
+        row[key] = str(value) if key == "n" else _fmt(value)
     try:
-        params = make_params(
-            n=point["n"],
-            m=point["m"],
-            beta=point["beta"],
-            eta=point["eta"],
-            rho=point.get("rho"),
-            alpha=point.get("alpha"),
-        )
+        params = make_params(**point)
         row["alpha"] = _fmt(params.alpha)
         if params.rho is not None:
             row["rho"] = _fmt(params.rho)
@@ -360,18 +334,11 @@ def _cmd_sweep(args) -> int:
     values = _merge(args)
     num = _numerics(values)
     out = _output_dir(values)
-    grids = {}
-    for key in PARAM_KEYS:
-        if values.get(key) is not None:
-            grids[key] = _parse_grid_value(key, values[key])
-    for key in ("n", "m", "beta", "eta"):
-        if key not in grids:
-            raise UsageError(f"missing required parameter {key!r}")
+    grids = _grid(values, sweep=True)
     if "rho" not in grids and "alpha" not in grids:
         raise UsageError("one of rho or alpha must be supplied")
 
-    keys = list(grids)
-    points = [dict(zip(keys, combo)) for combo in product(*(grids[k] for k in keys))]
+    points = [dict(zip(grids, combo)) for combo in product(*grids.values())]
     tasks = [(point, num) for point in points]
     workers = min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -400,10 +367,10 @@ def _cmd_sweep(args) -> int:
     return 0 if n_fail == 0 and n_err == 0 else 1
 
 
-def _add_param_flags(sp, as_text: bool) -> None:
-    sp.add_argument("--n", type=str if as_text else int)
-    for name in ("m", "beta", "rho", "alpha", "eta"):
-        sp.add_argument(f"--{name}", type=str if as_text else float)
+def _add_param_flags(sp) -> None:
+    # text, parsed with config values by _grid
+    for name in PARAM_KEYS:
+        sp.add_argument(f"--{name}")
 
 
 def _add_common_flags(sp) -> None:
@@ -423,15 +390,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, listy in (
-        ("solve", _cmd_solve, False),
-        ("geometry", _cmd_geometry, False),
-        ("verify", _cmd_verify, False),
-        ("certify-blowup", _cmd_certify_blowup, False),
-        ("sweep", _cmd_sweep, True),
+    for name, handler in (
+        ("solve", _cmd_solve),
+        ("geometry", _cmd_geometry),
+        ("verify", _cmd_verify),
+        ("certify-blowup", _cmd_certify_blowup),
+        ("sweep", _cmd_sweep),
     ):
         sp = sub.add_parser(name)
-        _add_param_flags(sp, as_text=listy)
+        _add_param_flags(sp)
         _add_common_flags(sp)
         sp.set_defaults(func=handler)
 
@@ -441,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=float, default=1.0)
     sp.add_argument("--x-max", dest="x_max", type=float, default=10.0)
     sp.add_argument("--samples", type=int, default=201)
-    _add_param_flags(sp, as_text=False)
+    _add_param_flags(sp)
     _add_common_flags(sp)
     sp.set_defaults(func=_cmd_selfsim)
 
@@ -457,9 +424,6 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -185,6 +185,9 @@ def make_params(
     """
     if alpha is None and rho is None:
         raise ValueError("one of rho or alpha must be supplied")
+    # derive in float arithmetic, whatever numeric type came in
+    m, beta, eta = float(m), float(beta), float(eta)
+    rho, alpha = (x if x is None else float(x) for x in (rho, alpha))
     if alpha is None:
         # m = 1 is outside the exponent range; leave alpha for the check to flag
         alpha = (2.0 * beta + rho) / (1.0 - m) if m != 1.0 else math.nan

@@ -36,10 +36,11 @@ built from (r, v, v') by _w_tilde, for log_handoff and the defect alike.
 
 Self-similar solutions of u_t = (n-1)/m * Laplacian(u^m) are evaluated from
 the profile by the Forward/Backward/Eternal scalings.  The alpha each kind
-forces is _scaling_alpha (SelfSimilarSpec.check and the selfsim command);
-the time scaling itself, u = amplitude * v(radius factor * |x|), is
-_self_similar_u, which self_similar_eval, pde_residual and the selfsim
-command call, the latter two with whole arrays of radii.
+forces is _scaling_alpha, which SelfSimilarSpec checks when it is built and
+the selfsim command derives alpha from; the time scaling itself, u =
+amplitude * v(radius factor * |x|), is _self_similar_u, which
+self_similar_eval, pde_residual and the selfsim command call, the latter
+two with whole arrays of radii.
 """
 
 from __future__ import annotations
@@ -318,17 +319,15 @@ def extrapolate_origin(r: np.ndarray, y: np.ndarray) -> float:
     """Limit of an even curve at r = 0 from three small-radius samples.
 
     Fits y = c0 + c1 r^2 + c2 r^4 through points near r[0]*{1, sqrt(10), 10}
-    (spread over a decade for conditioning) and returns c0."""
+    (spread over a decade for conditioning; the first three points on a
+    grid spanning less than that) and returns c0."""
     if len(r) < 3:
         raise ValueError("need at least 3 grid points")
     targets = r[0] * np.array([1.0, math.sqrt(10.0), 10.0])
-    idx = np.unique(np.searchsorted(r, targets))
-    while len(idx) < 3:  # degenerate tiny grids
-        idx = np.unique(np.concatenate([idx, [min(idx[-1] + 1, len(r) - 1)]]))
-        if idx[-1] == len(r) - 1 and len(idx) < 3:
-            idx = np.arange(3)
-            break
-    ri, yi = r[idx[:3]], y[idx[:3]]
+    idx = np.unique(np.minimum(np.searchsorted(r, targets), len(r) - 1))
+    if len(idx) < 3:  # a grid spanning less than a decade
+        idx = np.arange(3)
+    ri, yi = r[idx], y[idx]
     x = (ri / ri[-1]) ** 2
     A = np.vander(x, 3, increasing=True)
     c = np.linalg.solve(A, yi)
@@ -337,7 +336,9 @@ def extrapolate_origin(r: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SelfSimilarSpec:
-    """One of the three time-scaled solution families built from a profile.
+    """One of the three time-scaled solution families built from a profile,
+    valid by construction: building a spec whose params or T break its
+    kind's requirements raises ValueError.
 
     Forward:  u(x,t) = t^(-a) v(x t^(-b)),        needs a = (2b-1)/(1-m), t > 0
     Backward: u(x,t) = (T-t)^a v(x (T-t)^b),      needs a = (2b+1)/(1-m) > 0, t < T
@@ -348,7 +349,7 @@ class SelfSimilarSpec:
     params: SolitonParams
     T: float | None = None
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         alpha = self.params.alpha
         target = _scaling_alpha(self.kind, self.params.m, self.params.beta)
         if abs(alpha - target) > 1e-9 * max(1.0, abs(target)):
@@ -378,8 +379,8 @@ def _scaling_alpha(kind: str, m: float, beta: float) -> float:
 
 
 def _self_similar_u(spec: SelfSimilarSpec, profile: RadialProfile, radius, t: float):
-    """u(x, t) at |x| = radius, a nonnegative scalar or array, for a checked
-    spec: the kind's amplitude times v at the scaled radius."""
+    """u(x, t) at |x| = radius, a nonnegative scalar or array: the kind's
+    amplitude times v at the scaled radius."""
     alpha, beta = spec.params.alpha, spec.params.beta
     if spec.kind == "Forward":
         if not (t > 0.0):
@@ -396,7 +397,6 @@ def _self_similar_u(spec: SelfSimilarSpec, profile: RadialProfile, radius, t: fl
 def self_similar_eval(spec: SelfSimilarSpec, profile: RadialProfile, x, t: float):
     """u(x, t) by radial interpolation of the profile; x is a scalar radius
     or a coordinate vector.  Scaled radii beyond the stored grid raise."""
-    spec.check()
     xr = np.asarray(x, dtype=float)
     radius = float(np.sqrt(np.sum(xr * xr))) if xr.ndim else abs(float(xr))
     return _self_similar_u(spec, profile, radius, t)
@@ -415,7 +415,6 @@ def pde_residual(
     f'' + (n-1)/r f'.  Each time level is evaluated a whole row of radii
     at a time.  Sup-norm normalized; returns 0 for an identically flat
     lattice."""
-    spec.check()
     n, m = spec.params.n, spec.params.m
     coef = (n - 1) / m
     r = np.asarray(r_points, dtype=float)

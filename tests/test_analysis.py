@@ -8,7 +8,8 @@ import pytest
 
 import yamabelab as yl
 
-MONITORS = {
+# report order: the order of report.json's invariants list
+MONITORS = (
     "v-positive",
     "dv-sign",
     "v-plus-krv-positive",
@@ -24,7 +25,7 @@ MONITORS = {
     "w-monotone",
     "wss-tail-vanishing",
     "blowup-soundness",
-}
+)
 
 
 def test_estimate_limits_keys_and_values(shrink3_profile, shrink3_geometry):
@@ -51,7 +52,7 @@ def test_estimate_limits_guards(shrink3_geometry, shrink3_profile):
 
 def test_battery_covers_every_monitor(shrink3_profile, shrink3_geometry):
     records = yl.invariant_battery(shrink3_profile, shrink3_geometry)
-    assert {rec.name for rec in records} == MONITORS
+    assert [rec.name for rec in records] == list(MONITORS)
     by_name = {rec.name: rec for rec in records}
     assert by_name["v-positive"].applicable and by_name["v-positive"].ok
     # boundary shrinking run is outside the theorems: covered-regime
@@ -153,8 +154,7 @@ def test_report_json_shape(expand_params):
     }
     assert doc["overall"] in {"Pass", "Inconclusive", "Fail"}
     assert doc["params"]["alpha"] == 1.25
-    names = {rec["name"] for rec in doc["invariants"]}
-    assert names == MONITORS
+    assert [rec["name"] for rec in doc["invariants"]] == list(MONITORS)
     for rec in doc["invariants"]:
         assert set(rec) == {"name", "applicable", "margin", "location", "threshold", "ok"}
     # keys are emitted sorted so the document is byte-stable

@@ -191,6 +191,7 @@ def test_missing_and_malformed_parameters(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
     # list values only make sense for sweep
     assert run(["solve", *SOLVE_FLAGS[:-2], "--eta", "1,2"]) == 2
+    assert capsys.readouterr().err.startswith("error: eta: ")
     assert run(["solve", *SOLVE_FLAGS, "--r-max", "-5"]) == 2
     assert run(["nonsense"]) == 2
     capsys.readouterr()
@@ -203,6 +204,11 @@ def test_missing_and_malformed_parameters(tmp_path, capsys):
         assert run(["sweep", "--n", bad_n, "--m", "0.2", "--beta", "1", "--rho", "1",
                     "--eta", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: n: ")
+        # flags and config values share one parser
+        assert run(["solve", "--n", bad_n, *SOLVE_FLAGS[2:]]) == 2
+        assert capsys.readouterr().err.startswith("error: n: ")
+    assert run(["solve", "--n", "3.0", *SOLVE_FLAGS[2:], "--r-max", "10"]) == 0
+    capsys.readouterr()
     for value in ("nan", "inf"):
         assert run(["solve", *SOLVE_FLAGS[:4], "--beta", value, *SOLVE_FLAGS[6:]]) == 2
         err = capsys.readouterr().err

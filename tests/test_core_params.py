@@ -73,6 +73,11 @@ def test_fields_are_stored_as_floats():
     assert json.dumps(asdict(built[0]), sort_keys=True) == (
         '{"alpha": 2.5, "beta": 1.0, "eta": 2.0, "m": 0.2, "n": 3, "rho": 0.0}'
     )
+    # make_params derives the missing one of rho/alpha in float arithmetic,
+    # and violation messages print plain floats, not numpy reprs
+    assert yl.make_params(n=3, m=0.2, beta=1.0, eta=2.0, alpha=np.float32(0.5)).rho == -1.6
+    with pytest.raises(ValueError, match=r"eta-positive: need eta > 0, got -2\.0$"):
+        yl.make_params(n=3, m=0.2, beta=1.0, eta=np.float32(-2.0), rho=1.0)
 
 
 def _violations_of(**fields) -> str:

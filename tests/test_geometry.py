@@ -279,23 +279,27 @@ def test_extrapolate_origin_exact_on_even_polynomial():
     assert yl.extrapolate_origin(r, y) == pytest.approx(3.0, abs=1e-10)
     with pytest.raises(ValueError, match="at least 3"):
         yl.extrapolate_origin(r[:2], y[:2])
+    # grids spanning less than a decade fall back to their first three points
+    for short in ([1.0, 2.0, 3.0], [1.0, 1.5, 2.0, 2.5]):
+        r = np.array(short)
+        assert yl.extrapolate_origin(r, 3.0 - 2.0 * r**2) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_self_similar_spec_check():
     # forward scaling fixes alpha = (2 beta - 1)/(1 - m)
     good = yl.make_params(n=3, m=0.2, beta=1.0, eta=1.0, alpha=1.25)
-    yl.SelfSimilarSpec(kind="Forward", params=good).check()
+    yl.SelfSimilarSpec(kind="Forward", params=good)
     bad = yl.make_params(n=3, m=0.2, beta=1.0, eta=1.0, alpha=2.0)
     with pytest.raises(ValueError, match="requires alpha"):
-        yl.SelfSimilarSpec(kind="Forward", params=bad).check()
+        yl.SelfSimilarSpec(kind="Forward", params=bad)
     backward = yl.make_params(n=3, m=0.2, beta=1.0, eta=1.0, alpha=3.75)
     with pytest.raises(ValueError, match="horizon"):
-        yl.SelfSimilarSpec(kind="Backward", params=backward).check()
-    yl.SelfSimilarSpec(kind="Backward", params=backward, T=2.0).check()
+        yl.SelfSimilarSpec(kind="Backward", params=backward)
+    yl.SelfSimilarSpec(kind="Backward", params=backward, T=2.0)
     eternal = yl.make_params(n=3, m=0.2, beta=1.0, eta=1.0, alpha=2.5)
-    yl.SelfSimilarSpec(kind="Eternal", params=eternal).check()
+    yl.SelfSimilarSpec(kind="Eternal", params=eternal)
     with pytest.raises(ValueError, match="unknown kind"):
-        yl.SelfSimilarSpec(kind="Sideways", params=good).check()
+        yl.SelfSimilarSpec(kind="Sideways", params=good)
 
 
 def test_self_similar_eval_forward_identity(expand_profile):
