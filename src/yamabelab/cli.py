@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from itertools import product
 from pathlib import Path
@@ -368,7 +369,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _add_param_flags(sp) -> None:
-    # text, parsed with config values by _grid
+    # text, parsed with config values by _grid.  Python 3.11's argparse takes
+    # only -1 and -1.5 for negative numbers, so --alpha -1e-3 or --rho -1,0
+    # read as a missing value; this is the rule argparse adopted in 3.13
+    sp._negative_number_matcher = re.compile(r"-\.?\d")
     for name in PARAM_KEYS:
         sp.add_argument(f"--{name}")
 

@@ -22,7 +22,7 @@ processes freely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 __all__ = [
     "SolitonParams",
@@ -70,9 +70,11 @@ class SolitonParams:
     beta: float
     eta: float
     rho: float | None = None
+    # "alpha" or "rho" when make_params derived that field (not stored)
+    derived: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
-        bad = _violations(self)
+    def __post_init__(self, derived: str | None) -> None:
+        bad = _violations(self, derived)
         if bad:
             raise ValueError("invalid parameters: " + "; ".join(bad))
         for name in _FLOAT_FIELDS:
@@ -88,18 +90,27 @@ class SolitonParams:
         return replace(self, eta=eta)
 
 
-def _violations(params: SolitonParams) -> list[str]:
-    """Every broken hypothesis of the module docstring, one tagged line each."""
+def _violations(params: SolitonParams, derived: str | None = None) -> list[str]:
+    """Every broken hypothesis of the module docstring, one tagged line each.
+
+    The field make_params derived (alpha or rho) gets no finite tag when
+    another of m, alpha, beta and rho is not finite: its value follows from
+    that field, whose own tag names the cause."""
     bad: list[str] = []
     n, m = params.n, params.m
-    for name in _FLOAT_FIELDS:
+    nonfinite = {
+        name: value
+        for name in _FLOAT_FIELDS
+        if (value := getattr(params, name)) is not None and not math.isfinite(value)
+    }
+    for name, value in nonfinite.items():
         # at m = 1, alpha*(1-m) = 2*beta + rho fixes no alpha: make_params and
         # the self-similar scalings derive NaN, and exponent-range names why
         if name == "alpha" and m == 1.0:
             continue
-        value = getattr(params, name)
-        if value is not None and not math.isfinite(value):
-            bad.append(f"finite: {name} must be finite, got {value!r}")
+        if name == derived and nonfinite.keys() - {name, "eta"}:
+            continue
+        bad.append(f"finite: {name} must be finite, got {value!r}")
     in_range = False
     if not _valid_dimension(n):
         bad.append(f"dimension: n must be an integer >= 3, got {n!r}")
@@ -188,12 +199,15 @@ def make_params(
     # derive in float arithmetic, whatever numeric type came in
     m, beta, eta = float(m), float(beta), float(eta)
     rho, alpha = (x if x is None else float(x) for x in (rho, alpha))
+    derived = None
     if alpha is None:
         # m = 1 is outside the exponent range; leave alpha for the check to flag
         alpha = (2.0 * beta + rho) / (1.0 - m) if m != 1.0 else math.nan
+        derived = "alpha"
     elif rho is None and _valid_dimension(n) and abs(m - soliton_exponent(n)) <= _CONSISTENCY_TOL:
         rho = alpha * (1.0 - m) - 2.0 * beta
-    return SolitonParams(n=n, m=m, alpha=alpha, beta=beta, eta=eta, rho=rho)
+        derived = "rho"
+    return SolitonParams(n=n, m=m, alpha=alpha, beta=beta, eta=eta, rho=rho, derived=derived)
 
 
 def classify(params: SolitonParams) -> SolitonClass:

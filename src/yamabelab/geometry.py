@@ -21,10 +21,10 @@ near the origin.  K0's numerator R_r is taken along the trajectory in
 _k0_trajectory (the v'' needed is substituted from the profile equation,
 profile_solver._vpp_array, which cancels beta), and a second, independent
 evaluation of R_r through its source-integral representation, _k0_quadrature,
-is recorded as a cross-check.  Its end-corrected trapezoids take their slopes
-in closed form and borrow R_r from the first route only in the O(h^2)
-correction, so the routes agree to about 1e-9 yet stay independent at
-leading order.
+is recorded as a cross-check.  Its quintic Hermite rule takes the first and
+second derivatives in closed form and borrows R_r from the first route only
+in the O(h^2) corrections, so the routes agree to about 1e-9 yet stay
+independent at leading order.
 
 As a function of s = log r, w~(s) = w(e^s) obeys an autonomous second-order
 equation; w_log_dynamics integrates it for long-range continuation where
@@ -54,7 +54,8 @@ from .core_params import SolitonParams
 from .profile_solver import (
     RadialProfile,
     _dopri5,
-    _hermite_trapezoid,
+    _hermite_ends,
+    _hermite_weights,
     _vpp_array,
     _w,
     _write_csv,
@@ -128,8 +129,11 @@ def _k0_trajectory(profile: RadialProfile) -> np.ndarray:
     return -one_m * (lv / r + vpp / v - lv * lv) / (2.0 * v**one_m)
 
 
-def _k0_quadrature(profile: RadialProfile, R: np.ndarray, K0: np.ndarray) -> np.ndarray:
-    """K0 via the source-integral representation of R_r.
+def _k0_quadrature(
+    profile: RadialProfile, w: np.ndarray, R: np.ndarray, K0: np.ndarray
+) -> np.ndarray:
+    """K0 via the source-integral representation of R_r, given w, R and the
+    trajectory route's K0 on the grid.
 
     R satisfies the elliptic equation (n-1) Lap_g R + beta r R_r
     + R(R - rho) = 0 with Lap_g the Laplacian of the metric
@@ -145,14 +149,17 @@ def _k0_quadrature(profile: RadialProfile, R: np.ndarray, K0: np.ndarray) -> np.
     Q = v^(1+m) R (R - rho)/(n-1),
     I(r) = beta/(n-1) int_0^r tau v^(1-m) dtau.
 
-    Both integrals are end-corrected trapezoids (profile_solver's
-    _hermite_trapezoid, O(h^4)); the first segment of J uses the analytic
-    r^n/n stub.  The slopes come in closed form: tau' = v^(1-m) + (1-m) tau
-    v'/v for tau = r v^(1-m), and with g = r^(n-1) Q, G = g e^I has
-    G' = (g' + g I') e^I, I' = beta/(n-1) tau, where g' needs R_r.  R_r is
-    the trajectory route's -2 beta tau K0 (K0 as _k0_trajectory gives it);
-    it enters only through the O(h^2) correction, so the two routes stay
-    independent at leading order.
+    Both integrals use the quintic Hermite rule (profile_solver's
+    _hermite_ends, exact for quintics); the first segment of J uses the
+    analytic r^n/n stub.  The derivatives come in closed form:
+    tau' = v^(1-m) (1 + (1-m) q) and tau'' = (1-m) (tau' v'/v + v^(1-m) q')
+    for tau = r v^(1-m) = w/r and q = r v'/v; with g = r^(n-1) Q and
+    G = g e^I, G' = (g' + g I') e^I and G'' = (g'' + 2 g' I'
+    + g (I'' + I'^2)) e^I, I' = beta/(n-1) tau.  g' needs R_r, and g'' needs R_rr, which the R
+    equation above gives in terms of R_r.  R_r is the trajectory route's
+    -2 beta tau K0 (K0 as _k0_trajectory gives it), and v'' enters only
+    through q' = R_r/((1-m) beta); all of these enter only the O(h^2)
+    corrections, so the two routes stay independent at leading order.
 
     J e^I is the cumulative sum of the segments of g e^I, but I is monotone
     with the sign of beta and reaches the thousands on expanding tails, far
@@ -160,23 +167,38 @@ def _k0_quadrature(profile: RadialProfile, R: np.ndarray, K0: np.ndarray) -> np.
     moves less than _K0_BLOCK_SPAN; within a block the sum is taken of
     g e^(I - I_a), I_a the value at the block's first point a, and J =
     e^(I_a - I) times that sum.  Every factor stays within e^(+-span) for
-    either sign of beta.  Each block's first point is one step of the
-    recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2 + dr^2 gd_(k-1)/12)
-    + dr g_k/2 - dr^2 gd_k/12 from the previous block, gd = G' e^(-I),
-    which is the same quadrature."""
+    either sign of beta.  The rule's segment of G e^(-I_a) is
+    left e^(I_(k-1) - I_a) + right e^(I_k - I_a), left and right the shares
+    of its two ends in (g, G' e^(-I), G'' e^(-I)).  Each block's first point
+    is one step of the recurrence J_k = e^(-dI) (J_(k-1) + left) + right
+    from the previous block, which is the same quadrature."""
     p = profile.params
     n, m, beta, rho = p.n, p.m, p.beta, p.rho
     r, v, dv = profile.r, profile.v, profile.dv
     c = beta / (n - 1)
+    inv_r = 1.0 / r
     lv = dv / v
-    P = r ** (n - 1) * v ** (1.0 + m) / (n - 1)
-    g = P * R * (R - rho)
-    vp = v ** (1.0 - m)
-    tau = r * vp
+    mlv = (1.0 - m) * lv
+    tau = w * inv_r
+    vp = tau * inv_r
+    P = r ** (n - 1) * (v * v / vp) / (n - 1)
+    RR, D = R * (R - rho), 2.0 * R - rho
     R_r = -2.0 * beta * tau * K0
-    gd = g * ((n - 1) / r + (1.0 + m) * lv + c * tau) + P * R_r * (2.0 * R - rho)  # G' e^(-I)
-    dr = np.diff(r)
-    dI = c * _hermite_trapezoid(dr, tau, vp + (1.0 - m) * tau * lv)
+    dq = R_r / ((1.0 - m) * beta)  # q' for q = r v'/v, as R = (1-m)(alpha + beta q)
+    dtau = vp + tau * mlv
+    ddtau = mlv * dtau + (1.0 - m) * vp * dq
+    L = (n - 1) * inv_r + (1.0 + m) * lv + c * tau  # (P e^I)' / (P e^I)
+    A = L * RR + D * R_r  # G' e^(-I) / P
+    # (L' + L^2) RR + D (2 L R_r + R_rr) + 2 R_r^2 = G'' e^(-I) / P, with
+    # R_rr = -(L - (1-m) v'/v) R_r - v^(1-m) R (R - rho)/(n-1) and
+    # (v'/v)' = (q' - v'/v)/r
+    dL = ((1.0 + m) * (dq - lv) - (n - 1) * inv_r) * inv_r + c * dtau
+    B = L * A + RR * (dL - D * vp / (n - 1)) + R_r * (mlv * D + 2.0 * R_r)
+    g = P * RR
+    weights = _hermite_weights(np.diff(r))
+    dI = c * np.add(*_hermite_ends(weights, tau, dtau, ddtau))
+    # the rule's end shares of g, G' e^(-I) and G'' e^(-I) on each segment
+    left, right = _hermite_ends(weights, g, P * A, P * B)
     level = np.floor(np.cumsum(dI) / _K0_BLOCK_SPAN)
     starts = np.flatnonzero(np.diff(level, prepend=0.0)) + 1
     bounds = np.concatenate(([0], starts, [len(r)]))
@@ -185,11 +207,9 @@ def _k0_quadrature(profile: RadialProfile, R: np.ndarray, K0: np.ndarray) -> np.
     J_a = r[0] * g[0] / n
     for a, b in zip(bounds[:-1], bounds[1:]):
         if a > 0:  # one step of the recurrence carries J across the seam
-            k = a - 1
-            h, h2 = 0.5 * dr[k], dr[k] * dr[k] / 12.0
-            J_a = math.exp(-dI[k]) * (J[k] + h * g[k] + h2 * gd[k]) + h * g[a] - h2 * gd[a]
+            J_a = math.exp(-dI[a - 1]) * (J[a - 1] + left[a - 1]) + right[a - 1]
         eE = np.exp(np.concatenate(([0.0], np.cumsum(dI[a : b - 1]))))
-        S = _hermite_trapezoid(dr[a : b - 1], g[a:b] * eE, gd[a:b] * eE)
+        S = left[a : b - 1] * eE[:-1] + right[a : b - 1] * eE[1:]
         J[a:b] = np.cumsum(np.concatenate(([J_a], S))) / eE
     # K0 = -R_r/(2 beta r v^(1-m)); the v^(2m) from the integrating factor
     # combines with v^(1-m) into v^(1+m), and r^n v^(1+m) = (n-1) r P
@@ -208,7 +228,7 @@ def compute_geometry(profile: RadialProfile) -> GeometryCurves:
     # factored (1 - psi_s^2)/w, exact in the small-q regime
     K1 = -one_m * q * (1.0 + 0.25 * one_m * q) / w
     K0 = _k0_trajectory(profile)
-    K0_quad = _k0_quadrature(profile, R, K0)
+    K0_quad = _k0_quadrature(profile, w, R, K0)
     scale = max(float(np.max(np.abs(K0))), float(np.max(np.abs(K0_quad))), 1e-300)
     agreement = float(np.max(np.abs(K0 - K0_quad)) / scale)
 

@@ -23,9 +23,15 @@ locals once per call and no min, max, abs or len call per step, so making a
 step cheaper never moves a result (test_kernel_bits_are_pinned in
 tests/test_profile_solver.py holds it to the bit).  The stored grid is the
 union of the accepted steps and a log-uniform refinement filled from the
-dense output; the identity checks integrate over it with end-corrected
-trapezoids (_hermite_trapezoid, O(h^4)), so POINTS_PER_DECADE is set by
-interpolation, not by the quadratures.  Runs end in one of three statuses:
+dense output: CORE_POINTS_PER_DECADE in the core below CORE_RADIUS *
+eta^((m-1)/2), where v is flat to O(r^2), and POINTS_PER_DECADE from there
+on.  The identity checks integrate over it with the quintic Hermite rule
+(_hermite_ends, exact for quintics), which holds the integral defect and
+the K0 gap near 1e-9 on that grid.  The end-corrected trapezoid (exact for
+cubics) needs the full density there: with 200 points per decade in the
+core the largest K0 gap of the expanding benchmark runs rose from 3.9e-9
+to 2.4e-8.  So POINTS_PER_DECADE is set by interpolation, not by the
+quadratures.  Runs end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -65,11 +71,16 @@ __all__ = [
 BLOWUP_CAP = 1e12          # v > cap * eta counts as blow-up
 STEP_BUDGET = 10**6        # accepted steps before a _dopri5 run gives up
 DEFAULT_R0_SCALE = 1e-6
-# refinement density of the stored grid.  The end-corrected trapezoids hold
-# the integral defect and the K0 gap near 1e-9 at any density from 200 to
-# 1,100; value_at between knots sets the floor: the step-halving order of
-# pde_residual on the expanding reference run falls below 2 at 367 and 200
+# refinement density of the stored grid, set by value_at between knots: the
+# step-halving order of pde_residual on the expanding reference run falls
+# below 2 at 367 and 200 points per decade
 POINTS_PER_DECADE = 550
+# density in the core r < r_c = CORE_RADIUS * l, l = eta^((m-1)/2).  There
+# v/eta - 1 = -alpha (r/l)^2/(2n(n-1)) + O((r/l)^4), so value_at is limited
+# by the integration at any density, and the quintic Hermite rule keeps the
+# integral defect and the K0 gap where 550 points per decade put them
+CORE_RADIUS = 1e-2
+CORE_POINTS_PER_DECADE = 100
 
 PROFILE_CSV_HEADER = "r,v,dv"
 
@@ -470,8 +481,11 @@ def solve_profile(
     """Integrate the profile equation from the series start to r_max.
 
     The returned grid unions the accepted adaptive steps with a log-uniform
-    refinement (POINTS_PER_DECADE) filled from dense output, so later
-    geometry evaluations and quadratures work on stored points only.
+    refinement filled from dense output, so later geometry evaluations and
+    quadratures work on stored points only.  The refinement runs at
+    CORE_POINTS_PER_DECADE below r_c = CORE_RADIUS * eta^((m-1)/2) and at
+    POINTS_PER_DECADE from there on; its points from r_c up are those of
+    np.geomspace(r0, r_end) at POINTS_PER_DECADE.
     The solver reports whatever trajectory the initial data generates;
     it makes no uniqueness claim.
     """
@@ -481,7 +495,8 @@ def solve_profile(
         # far below any attainable profile scale (deep tails reach ~1e-13 eta),
         # so the error control stays effectively relative everywhere
         atol = 1e-30 * eta
-    r0 = r0_scale * eta ** ((params.m - 1.0) / 2.0)
+    length = eta ** ((params.m - 1.0) / 2.0)
+    r0 = r0_scale * length
     if r0 >= r_max:
         raise ValueError(f"r0 = {r0!r} must be below r_max = {r_max!r}")
     cap = BLOWUP_CAP * eta
@@ -510,7 +525,12 @@ def solve_profile(
     decades = max(np.log10(r_end / r0), 1e-9)
     n_refine = max(int(np.ceil(decades * POINTS_PER_DECADE)), 2)
     refine = np.geomspace(r0, r_end, n_refine)
-    grid = np.union1d(steps, refine)
+    # the fine refinement is kept from its last point below r_c, so every
+    # knot and every value_at from r_c up is the same as with no core
+    k = max(int(np.searchsorted(refine, CORE_RADIUS * length)) - 1, 0)
+    n_core = int(np.ceil(np.log10(refine[k] / r0) * CORE_POINTS_PER_DECADE))
+    core = np.geomspace(r0, refine[k], n_core, endpoint=False)
+    grid = np.union1d(steps, np.concatenate((core, refine[k:])))
     v, dv = traj(grid)
 
     # defensive: truncate anything past a positivity loss
@@ -570,10 +590,23 @@ def _quadratic_first_derivative(r: np.ndarray, f: np.ndarray) -> np.ndarray:
     )
 
 
-def _hermite_trapezoid(dr: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Segment integrals dr/2 (f0 + f1) + dr^2/12 (f0' - f1'): the trapezoid
-    with its end correction, exact for cubics, so O(h^4) given exact f'."""
-    return 0.5 * dr * (f[:-1] + f[1:]) + dr * dr / 12.0 * (df[:-1] - df[1:])
+def _hermite_weights(dr: np.ndarray):
+    """Weights (dr/2, dr^2/10, dr^3/120) of the quintic Hermite rule on
+    segments of lengths dr; _hermite_ends applies them."""
+    h2 = dr * dr / 10.0
+    return 0.5 * dr, h2, h2 * dr / 12.0
+
+
+def _hermite_ends(weights, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
+    """The quintic Hermite rule on each segment of a grid, as the shares of
+    its two ends: with weights (h, h2, h3) = _hermite_weights(dr), the
+    segment integral dr/2 (f0 + f1) + dr^2/10 (f0' - f1')
+    + dr^3/120 (f0'' + f1'') is left + right, left from (f0, f0', f0'') and
+    right from (f1, f1', f1'').  The rule integrates the quintic Hermite
+    through both ends, so it is exact for quintics and O(h^6) per unit
+    length given exact f' and f''."""
+    h, h2, h3 = weights
+    return h * f[:-1] + h2 * df[:-1] + h3 * ddf[:-1], h * f[1:] - h2 * df[1:] + h3 * ddf[1:]
 
 
 def residuals(profile: RadialProfile) -> ResidualReport:
@@ -587,11 +620,12 @@ def residuals(profile: RadialProfile) -> ResidualReport:
         (n-1) r^(n-1) v^(m-1) v'  =  -beta r^n v + (n beta - alpha) * I(r),
         I(r) = integral of z^(n-1) v(z) from 0 to r,
 
-    with the end-corrected trapezoid over the stored grid (the slope of the
-    integrand is (n-1) r^(n-2) v + r^(n-1) v', from the stored v') and the
-    0-to-r0 stub integrated analytically from the series start; it is
-    normalized by the largest participating term so total cancellations do
-    not divide by zero.
+    with the quintic Hermite rule over the stored grid (the integrand's
+    derivatives are (n-1) r^(n-2) v + r^(n-1) v' and (n-1)(n-2) r^(n-3) v
+    + 2(n-1) r^(n-2) v' + r^(n-1) v'', from the stored v' and v'' from the
+    equation) and the 0-to-r0 stub integrated analytically from the series
+    start; it is normalized by the largest participating term so total
+    cancellations do not divide by zero.
     """
     p = profile.params
     r, v, dv = profile.r, profile.v, profile.dv
@@ -620,11 +654,13 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     rn1 = r ** (n - 1)
     lhs = (n - 1) * rn1 * v ** (m - 1.0) * dv
     integrand = rn1 * v
-    slope = (n - 1) * integrand / r + rn1 * dv
-    segs = _hermite_trapezoid(np.diff(r), integrand, slope)
+    rn2v, rn1dv = integrand / r, rn1 * dv
+    slope = (n - 1) * rn2v + rn1dv
+    curvature = (n - 1) * ((n - 2) * rn2v + 2.0 * rn1dv) / r + rn1 * _vpp_array(p, r, v, dv)
+    left, right = _hermite_ends(_hermite_weights(np.diff(r)), integrand, slope, curvature)
     v2 = second_derivative_at_origin(p)
     stub = p.eta * r[0] ** n / n + v2 * r[0] ** (n + 2) / (2 * (n + 2))
-    integral = stub + np.concatenate(([0.0], np.cumsum(segs)))
+    integral = stub + np.concatenate(([0.0], np.cumsum(left + right)))
     term1 = -beta * r**n * v
     term2 = (n * beta - alpha) * integral
     rhs = term1 + term2

@@ -163,6 +163,15 @@ def test_certify_blowup_cases(capsys):
 
     assert run(["certify-blowup", "--n", "3", "--m", "0.2", "--alpha", "1",
                 "--beta", "1", "--eta", "1"]) == 2
+    capsys.readouterr()
+
+    # a negative value in exponent form is a value, as with =
+    flags = ["--n", "3", "--m", "0.2", "--beta", "-1", "--eta", "1"]
+    assert run(["certify-blowup", *flags, "--alpha=-1e-3"]) == 0
+    expected = capsys.readouterr()
+    for alpha in (["--alpha", "-1e-3"], ["--alpha", "-.1e-2"], ["--alpha", "-1E-3"]):
+        assert run(["certify-blowup", *flags, *alpha]) == 0
+        assert capsys.readouterr() == expected
 
 
 def test_selfsim_forward(tmp_path, capsys):
@@ -216,6 +225,11 @@ def test_missing_and_malformed_parameters(tmp_path, capsys):
     assert run(["verify", *SOLVE_FLAGS[:6], "--rho", "nan", *SOLVE_FLAGS[8:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid parameters: ") and "finite: rho" in err
+    # alpha derived from a non-finite beta or rho: only the cause is named
+    for flags in (["--beta", "nan", "--rho", "1"], ["--beta", "1", "--rho", "inf"]):
+        assert run(["solve", "--n", "3", "--m", "0.2", *flags, "--eta", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid parameters: finite: ") and "alpha" not in err
 
 
 def test_sweep_grid(tmp_path, capsys):

@@ -76,40 +76,69 @@ def test_compute_geometry_sectional_curvatures(shrink3_profile, shrink3_geometry
 
 
 def _exponent_steps(profile):
-    """End-corrected trapezoid segments dI of I(r) = beta/(n-1) int_0^r tau
-    v^(1-m) dtau: dr/2 (f0 + f1) + dr^2/12 (f0' - f1') with f = r v^(1-m)."""
+    """Quintic Hermite segments dI of I(r) = beta/(n-1) int_0^r tau v^(1-m)
+    dtau: dr/2 (f0 + f1) + dr^2/10 (f0' - f1') + dr^3/120 (f0'' + f1'') with
+    f = r v^(1-m), v'' from the profile equation."""
     p = profile.params
+    m = p.m
     r, v, dv = profile.r, profile.v, profile.dv
-    f = r * v ** (1.0 - p.m)
-    df = v ** (1.0 - p.m) + (1.0 - p.m) * r * v ** (-p.m) * dv
+    vpp = ps._vpp_array(p, r, v, dv)
+    f = r * v ** (1.0 - m)
+    df = v ** (1.0 - m) + (1.0 - m) * r * v ** (-m) * dv
+    ddf = (1.0 - m) * (
+        2.0 * v ** (-m) * dv - m * r * v ** (-m - 1.0) * dv**2 + r * v ** (-m) * vpp
+    )
     dr = np.diff(r)
     return (p.beta / (p.n - 1)) * (
-        0.5 * dr * (f[:-1] + f[1:]) + dr**2 / 12.0 * (df[:-1] - df[1:])
+        0.5 * dr * (f[:-1] + f[1:])
+        + dr**2 / 10.0 * (df[:-1] - df[1:])
+        + dr**3 / 120.0 * (ddf[:-1] + ddf[1:])
     )
 
 
 def _k0_quadrature_sequential(profile, R):
     """Oracle: the source-integral K0 as the plain one-point-at-a-time
-    recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2 + dr^2 G'_(k-1)/12)
-    + dr g_k/2 - dr^2 G'_k/12, G' = g' + g I' the slope of g e^I over e^I,
-    with R_r = -2 beta r v^(1-m) K0 from the trajectory route."""
+    recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2 + dr^2 G'_(k-1)/10
+    + dr^3 G''_(k-1)/120) + dr g_k/2 - dr^2 G'_k/10 + dr^3 G''_k/120, where
+    G' = g' + g I' and G'' = g'' + 2 g' I' + g (I'' + I'^2) are the
+    derivatives of g e^I over e^I, with R_r = -2 beta r v^(1-m) K0 from the
+    trajectory route, R_rr from the R equation and v'' from the profile
+    equation."""
     p = profile.params
     n, m, beta, rho = p.n, p.m, p.beta, p.rho
     r, v, dv = profile.r, profile.v, profile.dv
-    Q = v ** (1.0 + m) * R * (R - rho) / (n - 1)
+    vpp = ps._vpp_array(p, r, v, dv)
+    RR, D = R * (R - rho), 2.0 * R - rho
+    Q = v ** (1.0 + m) * RR / (n - 1)
     g = r ** (n - 1) * Q
-    R_r = -2.0 * beta * r * v ** (1.0 - m) * geometry._k0_trajectory(profile)
-    dQ = ((1.0 + m) * v**m * dv * R * (R - rho) + v ** (1.0 + m) * R_r * (2.0 * R - rho)) / (n - 1)
-    dI_dr = beta / (n - 1) * r * v ** (1.0 - m)
-    dG = (n - 1) * r ** (n - 2) * Q + r ** (n - 1) * dQ + g * dI_dr
+    tau = r * v ** (1.0 - m)
+    R_r = -2.0 * beta * tau * geometry._k0_trajectory(profile)
+    R_rr = -((n - 1) / r + 2.0 * m * dv / v + beta * tau / (n - 1)) * R_r - v ** (
+        1.0 - m
+    ) * RR / (n - 1)
+    dQ = ((1.0 + m) * v**m * dv * RR + v ** (1.0 + m) * R_r * D) / (n - 1)
+    ddQ = (
+        (1.0 + m) * m * v ** (m - 1.0) * dv**2 * RR
+        + (1.0 + m) * v**m * vpp * RR
+        + 2.0 * (1.0 + m) * v**m * dv * R_r * D
+        + v ** (1.0 + m) * (R_rr * D + 2.0 * R_r**2)
+    ) / (n - 1)
+    dg = (n - 1) * r ** (n - 2) * Q + r ** (n - 1) * dQ
+    ddg = (
+        (n - 1) * (n - 2) * r ** (n - 3) * Q + 2 * (n - 1) * r ** (n - 2) * dQ + r ** (n - 1) * ddQ
+    )
+    dI_dr = beta / (n - 1) * tau
+    ddI_dr = beta / (n - 1) * (v ** (1.0 - m) + (1.0 - m) * r * v ** (-m) * dv)
+    dG = dg + g * dI_dr
+    ddG = ddg + 2.0 * dg * dI_dr + g * (ddI_dr + dI_dr**2)
     dI = _exponent_steps(profile)
     dr = np.diff(r)
     J = np.empty_like(r)
     J[0] = r[0] ** n * Q[0] / n
     for k in range(1, len(r)):
-        h, h2 = 0.5 * dr[k - 1], dr[k - 1] ** 2 / 12.0
-        carried = J[k - 1] + h * g[k - 1] + h2 * dG[k - 1]
-        J[k] = math.exp(-dI[k - 1]) * carried + h * g[k] - h2 * dG[k]
+        h, h2, h3 = 0.5 * dr[k - 1], dr[k - 1] ** 2 / 10.0, dr[k - 1] ** 3 / 120.0
+        carried = J[k - 1] + h * g[k - 1] + h2 * dG[k - 1] + h3 * ddG[k - 1]
+        J[k] = math.exp(-dI[k - 1]) * carried + h * g[k] - h2 * dG[k] + h3 * ddG[k]
     return J / (2.0 * beta * r**n * v ** (1.0 + m))
 
 
@@ -141,7 +170,7 @@ def test_k0_quadrature_matches_sequential_recurrence(fixture, span, request, mon
     curves = yl.compute_geometry(profile)
     ref = _k0_quadrature_sequential(profile, curves.R)
     with np.errstate(over="raise", invalid="raise"):
-        got = geometry._k0_quadrature(profile, curves.R, curves.K0)
+        got = geometry._k0_quadrature(profile, curves.w, curves.R, curves.K0)
     assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-12
 
 

@@ -47,6 +47,53 @@ def test_grid_structure(shrink3_profile):
     assert si[0] == 0 and si[-1] < len(prof.r)
 
 
+@pytest.mark.parametrize("eta", [1.0, 7.0])
+def test_core_is_thinned_below_r_c_only(eta, monkeypatch):
+    # r_c = CORE_RADIUS * eta^((m-1)/2); from r_c up the grid, the stored
+    # values and value_at are those of a solve without the core, to the bit
+    p = yl.make_params(n=4, m=yl.soliton_exponent(4), beta=1.0, rho=1.0, eta=eta)
+    thin = yl.solve_profile(p, r_max=1e3, rtol=1e-9)
+    monkeypatch.setattr(ps, "CORE_RADIUS", 0.0)
+    full = yl.solve_profile(p, r_max=1e3, rtol=1e-9)
+    r_c = 1e-2 * eta ** ((p.m - 1.0) / 2.0)
+    above, above_full = thin.r >= r_c, full.r >= r_c
+    for a, b in ((thin.r, full.r), (thin.v, full.v), (thin.dv, full.dv)):
+        assert np.array_equal(a[above], b[above_full])
+    assert np.array_equal(thin.r[thin.step_indices], full.r[full.step_indices])
+    radii = np.concatenate(([r_c], np.geomspace(r_c, 1e3, 997)[1:], [1e3]))
+    for a, b in zip(thin.value_at(radii, derivative=True), full.value_at(radii, derivative=True)):
+        assert np.array_equal(a, b)
+    # the refinement below r_c: CORE_POINTS_PER_DECADE, and POINTS_PER_DECADE without the core
+    decades = math.log10(r_c / thin.r0)
+    assert decades == pytest.approx(4.0)
+    for prof, points_per_decade in ((thin, 100), (full, 550)):
+        refined = np.ones(len(prof.r), dtype=bool)
+        refined[prof.step_indices] = False
+        count = np.count_nonzero(refined & (prof.r < r_c))
+        assert points_per_decade * decades - 1 <= count <= points_per_decade * decades + 1
+
+
+def test_hermite_rule_is_exact_for_quintics():
+    rng = np.random.default_rng(5)
+    r = np.sort(rng.uniform(0.0, 1.0, 12))
+    dr = np.diff(r)
+    quintic = np.polynomial.Polynomial(rng.normal(size=6))
+    weights = ps._hermite_weights(dr)
+    left, right = ps._hermite_ends(weights, quintic(r), quintic.deriv()(r), quintic.deriv(2)(r))
+    assert np.allclose(left + right, np.diff(quintic.integ()(r)), rtol=0.0, atol=1e-15)
+    # on a degree-6 polynomial c6 x^6 + ... the segment error is exactly
+    # c6 dr^7/140: it falls 128x per halving
+    sextic = np.polynomial.Polynomial(rng.normal(size=7))
+    for h in (0.4, 0.2, 0.1, 0.05):
+        x = np.array([0.3, 0.3 + h])
+        ends = ps._hermite_ends(
+            ps._hermite_weights(np.diff(x)), sextic(x), sextic.deriv()(x), sextic.deriv(2)(x)
+        )
+        segment = np.add(*ends)
+        error = segment[0] - np.diff(sextic.integ()(x))[0]
+        assert error == pytest.approx(sextic.coef[6] * h**7 / 140.0, rel=1e-4)
+
+
 def test_constant_solution_is_exact():
     p = yl.make_params(n=3, m=0.2, beta=0.0, eta=2.5, alpha=0.0)
     prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
@@ -306,7 +353,7 @@ def test_kernel_matches_scipy(n, beta, k, log_eta):
 
 @pytest.mark.slow
 @given(**_cone, log_r_max=st.floats(min_value=1.0, max_value=5.0))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_kernel_matches_scipy_wide(n, beta, k, log_eta, log_r_max):
     _check_against_scipy(n, beta, k, log_eta, r_max=10.0**log_r_max)
 
