@@ -31,7 +31,8 @@ the K0 gap near 1e-9 on that grid.  The end-corrected trapezoid (exact for
 cubics) needs the full density there: with 200 points per decade in the
 core the largest K0 gap of the expanding benchmark runs rose from 3.9e-9
 to 2.4e-8.  So POINTS_PER_DECADE is set by interpolation, not by the
-quadratures.  Runs end in one of three statuses:
+quadratures.  The pointwise check takes v'' at the accepted steps in closed
+form (_quintic_vpp), with no linear solve.  Runs end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -50,6 +51,7 @@ import json
 import math
 from array import array
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -103,7 +105,7 @@ class RadialProfile:
 
     step_indices marks the subset of grid points that were accepted
     integrator steps; points between them were filled from dense output.
-    Arrays are read-only views.
+    Arrays are read-only; q and w are computed once, on first access.
     """
 
     def __init__(
@@ -124,31 +126,29 @@ class RadialProfile:
             raise ValueError("grid radii must be strictly increasing")
         if not np.all(v > 0.0):
             raise ValueError("profile values must stay positive")
-        for a in (r, v, dv):
-            a.setflags(write=False)
         self.params = params
-        self.r = r
-        self.v = v
-        self.dv = dv
+        self.r = _frozen(r)
+        self.v = _frozen(v)
+        self.dv = _frozen(dv)
         self.status = status
         self.rtol = float(rtol)
         self.atol = float(atol)
-        self.step_indices = np.asarray(step_indices, dtype=int)
-        self.step_indices.setflags(write=False)
+        self.step_indices = _frozen(np.asarray(step_indices, dtype=int))
 
     @property
     def r0(self) -> float:
         return float(self.r[0])
 
-    @property
+    @cached_property
     def q(self) -> np.ndarray:
-        """q = r v'/v on the grid."""
-        return self.r * self.dv / self.v
+        """q = r v'/v on the grid, computed on first access."""
+        return _frozen(self.r * self.dv / self.v)
 
-    @property
+    @cached_property
     def w(self) -> np.ndarray:
-        """The scale-invariant profile w = r^2 v^(1-m) on the grid."""
-        return _w(self.params.m, self.r, self.v)
+        """The scale-invariant profile w = r^2 v^(1-m) on the grid, computed
+        on first access."""
+        return _frozen(_w(self.params.m, self.r, self.v))
 
     def value_at(self, radius, derivative: bool = False):
         """v at arbitrary radii: series below r0, the cubic Hermite through
@@ -180,6 +180,11 @@ class RadialProfile:
         if out.ndim == 0:
             return float(out), float(dout)
         return out, dout
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _cubic_hermite(h, s, y0, y1, d0, d1):
@@ -463,10 +468,10 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
     return traj
 
 
-def _check_numerics(r_max, rtol, atol, r0_scale) -> None:
-    """Reject a numeric setting that is not finite and positive (atol may
-    be None, which selects the default)."""
-    for name, value in (("r_max", r_max), ("rtol", rtol), ("atol", atol), ("r0_scale", r0_scale)):
+def _check_numerics(**values) -> None:
+    """Reject a numeric setting that is not finite and positive (a None
+    atol selects the default)."""
+    for name, value in values.items():
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
@@ -489,7 +494,7 @@ def solve_profile(
     The solver reports whatever trajectory the initial data generates;
     it makes no uniqueness claim.
     """
-    _check_numerics(r_max, rtol, atol, r0_scale)
+    _check_numerics(r_max=r_max, rtol=rtol, atol=atol, r0_scale=r0_scale)
     eta = params.eta
     if atol is None:
         # far below any attainable profile scale (deep tails reach ~1e-13 eta),
@@ -546,48 +551,32 @@ def solve_profile(
     return RadialProfile(params, grid, v, dv, status, rtol, atol, step_indices)
 
 
-def _triple_indices(npts: int) -> np.ndarray:
-    """(npts, 3) consecutive triples: centered for interior points, the
-    first/last triple reused at the ends."""
-    if npts < 3:
-        raise ValueError("need at least 3 points")
-    left = np.clip(np.arange(npts) - 1, 0, npts - 3)
-    return left[:, None] + np.arange(3)[None, :]
-
-
-def _quintic_second_derivative(r: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """v'' at each point of a grid, from the unique quintic matching (v, v')
-    at three consecutive points.  Truncation O(h^4)."""
-    npts = len(r)
-    idx = _triple_indices(npts)
-    rt = r[idx]
-    scale = rt[:, 2] - rt[:, 0]
-    xi = (rt - r[:, None]) / scale[:, None]  # eval point at xi = 0
-
-    A = np.zeros((npts, 6, 6))
-    B = np.zeros((npts, 6))
-    powers = np.arange(6)
-    for j in range(3):
-        x = xi[:, j][:, None]
-        A[:, 2 * j, :] = x**powers
-        A[:, 2 * j + 1, 1:] = powers[1:] * x ** (powers[1:] - 1)
-        B[:, 2 * j] = v[idx[:, j]]
-        B[:, 2 * j + 1] = dv[idx[:, j]] * scale
-    coeffs = np.linalg.solve(A, B[:, :, None])[:, :, 0]
-    return 2.0 * coeffs[:, 2] / scale**2
-
-
-def _quadratic_first_derivative(r: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """f' at each point from the Lagrange quadratic through its triple."""
-    idx = _triple_indices(len(r))
-    x0, x1, x2 = r[idx[:, 0]], r[idx[:, 1]], r[idx[:, 2]]
-    f0, f1, f2 = f[idx[:, 0]], f[idx[:, 1]], f[idx[:, 2]]
-    x = r
-    return (
-        f0 * (2.0 * x - x1 - x2) / ((x0 - x1) * (x0 - x2))
-        + f1 * (2.0 * x - x0 - x2) / ((x1 - x0) * (x1 - x2))
-        + f2 * (2.0 * x - x0 - x1) / ((x2 - x0) * (x2 - x1))
-    )
+def _quintic_vpp(r: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """v'' at each point of a grid of at least 3 points, from the quintic
+    through (v, v') at three consecutive points: centered at interior
+    points, the first and last triple at the ends.  Closed form in the node
+    gaps a, b and chord slopes sL, sR of each triple; truncation O(h^4)."""
+    h = np.diff(r)
+    s = np.diff(v) / h
+    a, b, sl, sr = h[:-1], h[1:], s[:-1], s[1:]
+    ab = a + b
+    mid = 4.0 * (b - a) * dv[1:-1] / (a * b) + 2.0 * (
+        b**3 * (ab * dv[:-2] - (5.0 * a + 3.0 * b) * sl)
+        - a**3 * (ab * dv[2:] - (3.0 * a + 5.0 * b) * sr)
+    ) / (a * b * ab**3)
+    # the outer node r[0] of the first triple, and r[-1] of the last as the
+    # outer node of the grid reflected by r -> -r, which reverses the gaps
+    # and flips the signs of the slopes and of v'
+    a, b = np.stack((h[:2], h[:-3:-1]), axis=1)
+    sl, sr = np.stack((s[:2], -s[:-3:-1]), axis=1)
+    d0, d1, d2 = np.stack((dv[:3], -dv[:-4:-1]), axis=1)
+    ab = a + b
+    ends = 2.0 * (
+        b * b * ((10.0 * a * a + 10.0 * a * b + 3.0 * b * b) * sl - 2.0 * (2.0 * a + b) * ab * d0)
+        + a**3 * ((2.0 * a + 5.0 * b) * sr - ab * d2)
+        - ab**4 * d1
+    ) / (a * b * b * ab * ab)
+    return np.concatenate((ends[:1], mid, ends[1:]))
 
 
 def _hermite_weights(dr: np.ndarray):
@@ -612,8 +601,10 @@ def _hermite_ends(weights, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
 def residuals(profile: RadialProfile) -> ResidualReport:
     """Pointwise and integral-form defects of a stored profile.
 
-    The pointwise residual reconstructs v'' from (v, v') at the accepted
-    step points and compares it with the equation's right side, normalized
+    The pointwise residual takes v'' at the (at least 3) accepted step
+    points from the quintic through (v, v') at each and its two neighbours
+    (_quintic_vpp), or from the quadratic through v' where v is flat to 1e-9
+    across them, and compares it with the equation's right side, normalized
     by |alpha v| + |beta r v'| plus a small floor.  The integral defect
     tests
 
@@ -634,19 +625,17 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     n, m, alpha, beta = p.n, p.m, p.alpha, p.beta
 
     si = profile.step_indices
-    rs, vs, dvs = r[si], v[si], dv[si]
-    vpp_data = _quintic_second_derivative(rs, vs, dvs)
-    # where v is flat to roundoff across a triple the quintic coefficients
-    # cancel catastrophically; there dv still has full relative precision
-    # and the local steps are tiny, so differentiate dv directly instead
-    idx = _triple_indices(len(rs))
-    span = (np.max(vs[idx], axis=1) - np.min(vs[idx], axis=1)) / np.max(
-        np.abs(vs[idx]), axis=1
-    )
-    flat = span < 1e-9
-    if np.any(flat):
-        vpp_data = np.where(flat, _quadratic_first_derivative(rs, dvs), vpp_data)
-    vpp_ode = _vpp_array(p, rs, vs, dvs)
+    if len(si) < 3:
+        raise ValueError(f"residuals need at least 3 accepted step points, got {len(si)}")
+    vpp = _vpp_array(p, r, v, dv)
+    rs, vs, dvs, vpp_ode = r[si], v[si], dv[si], vpp[si]
+    # where v is flat to roundoff across a triple the closed form cancels
+    # catastrophically; there dv still has full relative precision and the
+    # local steps are tiny, so differentiate dv by the quadratic instead
+    triples = np.lib.stride_tricks.sliding_window_view(vs, 3)
+    span = (triples.max(axis=1) - triples.min(axis=1)) / np.abs(triples).max(axis=1)
+    flat = np.pad(span, 1, mode="edge") < 1e-9
+    vpp_data = np.where(flat, np.gradient(dvs, rs, edge_order=2), _quintic_vpp(rs, vs, dvs))
     floor = 1e-3 * p.eta * max(1.0, abs(alpha) + abs(beta))
     den = np.abs(alpha * vs) + np.abs(beta * rs * dvs) + floor
     max_ode = float(np.max(np.abs(vpp_data - vpp_ode) / den))
@@ -656,7 +645,7 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     integrand = rn1 * v
     rn2v, rn1dv = integrand / r, rn1 * dv
     slope = (n - 1) * rn2v + rn1dv
-    curvature = (n - 1) * ((n - 2) * rn2v + 2.0 * rn1dv) / r + rn1 * _vpp_array(p, r, v, dv)
+    curvature = (n - 1) * ((n - 2) * rn2v + 2.0 * rn1dv) / r + rn1 * vpp
     left, right = _hermite_ends(_hermite_weights(np.diff(r)), integrand, slope, curvature)
     v2 = second_derivative_at_origin(p)
     stub = p.eta * r[0] ** n / n + v2 * r[0] ** (n + 2) / (2 * (n + 2))
@@ -708,23 +697,35 @@ def write_profile_json(profile: RadialProfile, path) -> None:
 def load_profile(csv_path, json_path) -> RadialProfile:
     """Rebuild a profile from its CSV and sidecar, bit-for-bit.
 
-    Raises ValueError when the CSV header is not r,v,dv, the row count is
-    not the sidecar's grid_points, or the step indices do not start at 0,
-    increase strictly and stay on the grid."""
+    Raises ValueError when the sidecar misses a key or holds invalid params,
+    an unknown status kind, or a status radius, rtol or atol that is not
+    positive and finite; when the CSV header is not r,v,dv or the row count
+    is not grid_points; or when the step indices are not integers that
+    start at 0, increase strictly and stay on the grid."""
     with open(json_path) as fh:
         doc = json.load(fh)
-    pd = doc["params"]
-    params = SolitonParams(
-        n=int(pd["n"]), m=pd["m"], alpha=pd["alpha"], beta=pd["beta"], eta=pd["eta"], rho=pd["rho"]
-    )
+    try:
+        pd, status = doc["params"], doc["status"]
+        params = SolitonParams(
+            n=pd["n"], m=pd["m"], alpha=pd["alpha"], beta=pd["beta"], eta=pd["eta"], rho=pd["rho"]
+        )
+        kind, radius, rtol, atol = status["kind"], status["radius"], doc["rtol"], doc["atol"]
+        grid_points, steps = doc["grid_points"], doc["step_indices"]
+    except KeyError as err:
+        raise ValueError(f"sidecar has no key {err}") from None
+    if kind not in ("Global", "BlowUp", "StepFailure"):
+        raise ValueError(f"status kind is {kind!r}, expected Global, BlowUp or StepFailure")
+    _check_numerics(status_radius=radius, rtol=rtol, atol=atol)
     with open(csv_path) as fh:
         header = fh.readline().strip()
         if header != PROFILE_CSV_HEADER:
             raise ValueError(f"CSV header is {header!r}, expected {PROFILE_CSV_HEADER!r}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if len(data) != doc["grid_points"]:
-        raise ValueError(f"CSV has {len(data)} rows but grid_points is {doc['grid_points']}")
-    steps = np.asarray(doc["step_indices"], dtype=int)
+    if len(data) != grid_points:
+        raise ValueError(f"CSV has {len(data)} rows but grid_points is {grid_points}")
+    if not all(type(i) is int for i in steps):
+        raise ValueError("step_indices must be integers")
+    steps = np.asarray(steps, dtype=int)
     if steps.size == 0 or steps[0] != 0:
         raise ValueError("step_indices must start at 0")
     if np.any(np.diff(steps) <= 0):
@@ -732,12 +733,5 @@ def load_profile(csv_path, json_path) -> RadialProfile:
     if steps[-1] >= len(data):
         raise ValueError("step_indices fall outside the grid")
     return RadialProfile(
-        params,
-        data[:, 0],
-        data[:, 1],
-        data[:, 2],
-        ProfileStatus(doc["status"]["kind"], doc["status"]["radius"]),
-        doc["rtol"],
-        doc["atol"],
-        steps,
+        params, data[:, 0], data[:, 1], data[:, 2], ProfileStatus(kind, radius), rtol, atol, steps
     )

@@ -94,6 +94,19 @@ def test_hermite_rule_is_exact_for_quintics():
         assert error == pytest.approx(sextic.coef[6] * h**7 / 140.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("size", [3, 4, 9])
+def test_quintic_vpp_is_exact_for_quintics(size):
+    # the closed form is the quintic through (v, v') at three nodes, so it
+    # reproduces a quintic's v'' at interior points and at both ends
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        r = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(0.05, 1.0, size))
+        quintic = np.polynomial.Polynomial(rng.normal(size=6))
+        exact = quintic.deriv(2)(r)
+        got = ps._quintic_vpp(r, quintic(r), quintic.deriv()(r))
+        assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
 def test_constant_solution_is_exact():
     p = yl.make_params(n=3, m=0.2, beta=0.0, eta=2.5, alpha=0.0)
     prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
@@ -136,6 +149,37 @@ def test_residuals_on_reference(shrink3_profile):
     assert rep.grid_points == len(shrink3_profile.r)
     assert rep.max_ode_residual < 1e-6
     assert rep.max_integral_residual < 1e-6
+
+
+# max_ode_residual as the batched 6x6 quintic solve gave it, which the
+# closed form replaced; r0big is n=4, beta=1.2, rho=0.7, eta=3 to r_max 1e3
+# from r0_scale 1e-2, whose first step triple is not flat
+_ODE_RESIDUAL_PINS = {
+    "shrink3": 6.028386144378151e-08,
+    "shrink5": 4.1524557057975114e-09,
+    "steady": 3.9802108240011006e-07,
+    "expand": 2.8154941466019866e-08,
+    "r0big": 6.487931038040662e-08,
+}
+
+
+@pytest.mark.parametrize("name", list(_ODE_RESIDUAL_PINS))
+def test_ode_residual_is_pinned(request, name):
+    if name == "r0big":
+        p = _params(4, 1.2, 0.7).with_eta(3.0)
+        prof = yl.solve_profile(p, r_max=1e3, rtol=RTOL, r0_scale=1e-2)
+    else:
+        prof = request.getfixturevalue(f"{name}_profile")
+    got = yl.residuals(prof).max_ode_residual
+    assert got == pytest.approx(_ODE_RESIDUAL_PINS[name], rel=1e-6, abs=0.0)
+
+
+def test_residuals_need_three_step_points(shrink3_params):
+    # past the 10-row minimum, but one accepted step after r0
+    prof = yl.solve_profile(shrink3_params, r_max=2e-6, rtol=RTOL)
+    assert len(prof.r) >= 10 and len(prof.step_indices) == 2
+    with pytest.raises(ValueError, match="residuals need at least 3 accepted step points, got 2"):
+        yl.residuals(prof)
 
 
 def test_residuals_detect_corruption(shrink3_profile):
@@ -244,10 +288,21 @@ def test_solve_profile_input_validation():
 
 
 def test_profile_arrays_are_readonly(shrink3_profile):
+    prof = shrink3_profile
     with pytest.raises(ValueError):
-        shrink3_profile.v[0] = 2.0
+        prof.v[0] = 2.0
     with pytest.raises(ValueError):
-        shrink3_profile.r[0] = 2.0
+        prof.r[0] = 2.0
+    # q and w are computed once, bit for bit by their formulas, and shared
+    for name, formula in (
+        ("q", prof.r * prof.dv / prof.v),
+        ("w", prof.r * prof.r * prof.v ** (1.0 - prof.params.m)),
+    ):
+        got = getattr(prof, name)
+        assert got is getattr(prof, name)
+        assert np.array_equal(got, formula)
+        with pytest.raises(ValueError):
+            got[0] = 2.0
 
 
 def test_csv_json_roundtrip(tmp_path, shrink3_profile):
@@ -718,6 +773,34 @@ def _dimension_two(csv, doc):
     doc["params"]["n"] = 2
 
 
+def _fractional_dimension(csv, doc):
+    doc["params"]["n"] = 3.7
+
+
+def _fractional_step(csv, doc):
+    doc["step_indices"][1] = 1.5
+
+
+def _string_step(csv, doc):
+    doc["step_indices"][1] = "4"
+
+
+def _unknown_kind(csv, doc):
+    doc["status"]["kind"] = "Converged"
+
+
+def _nan_radius(csv, doc):
+    doc["status"]["radius"] = math.nan
+
+
+def _negative_rtol(csv, doc):
+    doc["rtol"] = -1.0
+
+
+def _missing_key(csv, doc):
+    del doc["atol"]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -728,6 +811,13 @@ def _dimension_two(csv, doc):
         (_step_past_grid, "outside the grid"),
         (_negative_eta, "invalid parameters: eta-positive"),
         (_dimension_two, "invalid parameters: dimension"),
+        (_fractional_dimension, "invalid parameters: dimension"),
+        (_fractional_step, "step_indices must be integers"),
+        (_string_step, "step_indices must be integers"),
+        (_unknown_kind, "status kind is 'Converged'"),
+        (_nan_radius, "status_radius must be positive and finite, got nan"),
+        (_negative_rtol, "rtol must be positive and finite, got -1.0"),
+        (_missing_key, "sidecar has no key 'atol'"),
     ],
 )
 def test_load_profile_rejects_malformed_input(tmp_path, corrupt, message):
