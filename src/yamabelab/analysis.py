@@ -266,16 +266,13 @@ def _verdict(pred: float, est: LimitEstimate, curve_scale: float) -> Verdict:
     return Verdict("Inconclusive", rel_err)
 
 
-def verify(
-    params: SolitonParams,
-    r_max: float = 1e4,
-    rtol: float = 1e-9,
-    atol: float | None = None,
-) -> AsymptoticReport:
+def verify(params: SolitonParams, r_max: float = 1e4, **numerics) -> AsymptoticReport:
     """solve -> geometry -> limits -> verdicts -> battery, aggregated.
 
-    Refuses the certified blow-up regime (alpha < 0, beta <= 0); that path
-    goes through the certificate plus blow-up detection instead."""
+    numerics (rtol, atol, r0_scale) go to solve_profile as given, so its
+    defaults apply.  Refuses the certified blow-up regime (alpha < 0,
+    beta <= 0); that path goes through the certificate plus blow-up
+    detection instead."""
     if params.alpha < 0.0 and params.beta <= 0.0:
         raise ValueError(
             "no global solution exists for alpha < 0, beta <= 0; use the blow-up certificate path"
@@ -283,7 +280,7 @@ def verify(
     if params.rho is None:
         raise ValueError("verification needs soliton parameters (rho present)")
     cls = classify(params)
-    profile = solve_profile(params, r_max=r_max, rtol=rtol, atol=atol)
+    profile = solve_profile(params, r_max, **numerics)
     if profile.status.kind != "Global":
         raise RuntimeError(
             f"solver did not reach r_max: {profile.status.kind} at r = {profile.status.radius}"

@@ -5,11 +5,14 @@ Config files hold one `key = value` pair per line with exactly the keys
 n, m, beta, rho, alpha, eta, r_max, rtol, atol, r0_scale, output_dir,
 formats; unknown keys are errors so typos fail fast.  Flags override the
 config; the YAMABELAB_OUTPUT_DIR environment variable overrides both for
-the output directory.  Parameter flags and config values share one parser,
-_grid: a comma list per key for sweep, one value per key elsewhere, and a
-malformed value is a usage error that names its key.  Exit status: 0
-success/Pass, 1 Fail or numeric failure, 2 usage or validation error
-(UsageError or any other ValueError).
+the output directory.  Every subcommand takes the same shared flags; run
+resolves them once (_settings) and every command hands the numeric
+settings given on to the library, whose defaults, checks and geometry
+guards are the only ones.  Parameter flags and config values share one
+parser, _grid: a comma list per key for sweep, one value per key
+elsewhere, and a malformed value is a usage error that names its key.
+Exit status: 0 success/Pass, 1 Fail or numeric failure, 2 usage or
+validation error (UsageError or any other ValueError).
 """
 
 from __future__ import annotations
@@ -25,16 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import STRICT_SLACK, report_to_json, verify
-from .core_params import blowup_certificate, classify, make_params, soliton_exponent
-from .geometry import (
-    SelfSimilarSpec,
-    _scaling_alpha,
-    _self_similar_u,
-    compute_geometry,
-    write_geometry_csv,
-)
-from .profile_solver import DEFAULT_R0_SCALE, _write_csv, _write_sidecar, solve_profile
-from .profile_solver import _check_numerics, write_profile_csv, write_profile_json
+from .core_params import blowup_certificate, classify, make_params
+from .geometry import SelfSimilarSpec, _require_geometry, _scaling_alpha, _self_similar_u
+from .geometry import compute_geometry, write_geometry_csv
+from .profile_solver import _check_numerics, _write_csv, _write_sidecar, solve_profile
+from .profile_solver import write_profile_csv, write_profile_json
 
 __all__ = ["main", "run"]
 
@@ -44,12 +42,10 @@ NUMERIC_KEYS = ("r_max", "rtol", "atol", "r0_scale")
 OUTPUT_KEYS = ("output_dir", "formats")
 CONFIG_KEYS = frozenset(PARAM_KEYS + NUMERIC_KEYS + OUTPUT_KEYS)
 
-SWEEP_COLUMNS = (
-    "n", "m", "alpha", "beta", "rho", "eta",
-    "variant", "validity", "status", "overall",
-    "w", "R", "K0", "K1", "rvp_over_v", "w_over_logr", "r2v2k",
-    "blowup_radius", "blowup_bound", "error",
-)
+# the limits estimate_limits reports, one sweep column each
+LIMIT_COLUMNS = ("w", "R", "K0", "K1", "rvp_over_v", "w_over_logr", "r2v2k")
+SWEEP_COLUMNS = ("n", "m", "alpha", "beta", "rho", "eta", "variant", "validity", "status",
+                 "overall", *LIMIT_COLUMNS, "blowup_radius", "blowup_bound", "error")
 
 
 class UsageError(ValueError):
@@ -74,33 +70,30 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip().strip("\"'")
+        key, value = key.strip(), value.strip().strip("\"'")
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         cfg[key] = value
     return cfg
 
 
-def _merge(args) -> dict:
-    """Config values with flag overrides; raw strings/floats keyed by name."""
-    cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-    merged = dict(cfg)
-    for key in PARAM_KEYS + NUMERIC_KEYS + OUTPUT_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
-
-
-def _to_float(values: dict, key: str, default=None):
-    raw = values.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key}: expected a number, got {raw!r}") from None
+def _settings(args) -> tuple[dict, dict]:
+    """Config values under flag overrides, and the numeric settings given as
+    floats, checked by solve_profile's rule.  r_max is always set (solve_profile
+    needs it), at verify's default; the other defaults stay solve_profile's."""
+    values = _read_config(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
+    numerics = {"r_max": 1e4}
+    for key in NUMERIC_KEYS:
+        raw = values.get(key)
+        if raw is None:
+            continue
+        try:
+            numerics[key] = float(raw)
+        except ValueError:
+            raise UsageError(f"{key}: expected a number, got {raw!r}") from None
+    _check_numerics(**numerics)
+    return values, numerics
 
 
 def _parse_grid_value(key: str, raw) -> list:
@@ -136,21 +129,6 @@ def _grid(values: dict, sweep: bool = False) -> dict:
     return grid
 
 
-def _build_params(values: dict):
-    return make_params(**_grid(values))
-
-
-def _numerics(values: dict) -> dict:
-    out = {
-        "r_max": _to_float(values, "r_max", 1e4),
-        "rtol": _to_float(values, "rtol", 1e-9),
-        "atol": _to_float(values, "atol"),
-        "r0_scale": _to_float(values, "r0_scale", DEFAULT_R0_SCALE),
-    }
-    _check_numerics(**out)
-    return out
-
-
 def _formats(values: dict) -> set:
     raw = values.get("formats") or "csv,json"
     formats = {part.strip() for part in str(raw).split(",") if part.strip()}
@@ -161,42 +139,31 @@ def _formats(values: dict) -> set:
 
 
 def _output_dir(values: dict) -> Path:
-    env = os.environ.get(ENV_OUTPUT_DIR)
-    raw = env if env else values.get("output_dir", ".")
-    path = Path(raw)
+    path = Path(os.environ.get(ENV_OUTPUT_DIR) or values.get("output_dir", "."))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _cmd_solve(args) -> int:
-    values = _merge(args)
-    params = _build_params(values)
-    num = _numerics(values)
+def _cmd_solve(args, values: dict, numerics: dict) -> int:
+    params = make_params(**_grid(values))
     formats = _formats(values)
     out = _output_dir(values)
-    profile = solve_profile(params, **num)
+    profile = solve_profile(params, **numerics)
     if "csv" in formats:
         write_profile_csv(profile, out / "profile.csv")
     if "json" in formats:
         write_profile_json(profile, out / "profile.json")
     st = profile.status
-    print(
-        f"{st.kind} at r = {st.radius:.6g}, {len(profile.r)} grid points -> {out}"
-    )
+    print(f"{st.kind} at r = {st.radius:.6g}, {len(profile.r)} grid points -> {out}")
     return 0 if st.kind in ("Global", "BlowUp") else 1
 
 
-def _cmd_geometry(args) -> int:
-    values = _merge(args)
-    params = _build_params(values)
-    num = _numerics(values)
+def _cmd_geometry(args, values: dict, numerics: dict) -> int:
+    params = make_params(**_grid(values))
     formats = _formats(values)
     out = _output_dir(values)
-    if params.rho is None:
-        raise UsageError("geometry needs soliton parameters (m = (n-2)/(n+2))")
-    if params.beta == 0.0:
-        raise UsageError("sectional curvature needs beta != 0")
-    profile = solve_profile(params, **num)
+    _require_geometry(params)
+    profile = solve_profile(params, **numerics)
     if profile.status.kind == "StepFailure":
         print(f"solver stalled at r = {profile.status.radius:.6g}", file=sys.stderr)
         return 1
@@ -205,64 +172,55 @@ def _cmd_geometry(args) -> int:
         write_geometry_csv(curves, out / "geometry.csv")
     if "json" in formats:
         _write_sidecar(profile, out / "geometry.json", k0_agreement=curves.k0_agreement)
-    print(
-        f"geometry on {len(curves.r)} points, K0 cross-check {curves.k0_agreement:.3g} -> {out}"
-    )
+    print(f"geometry on {len(curves.r)} points, K0 cross-check {curves.k0_agreement:.3g} -> {out}")
     return 0
 
 
-def _cmd_verify(args) -> int:
-    values = _merge(args)
-    params = _build_params(values)
-    num = _numerics(values)
+def _cmd_verify(args, values: dict, numerics: dict) -> int:
+    params = make_params(**_grid(values))
     out = _output_dir(values)
-    report = verify(
-        params, r_max=num["r_max"], rtol=num["rtol"], atol=num["atol"]
-    )
+    report = verify(params, **numerics)
     (out / "report.json").write_text(report_to_json(report) + "\n")
     print(f"{report.variant} ({report.validity}): overall {report.overall} -> {out}")
     return 0 if report.overall == "Pass" else 1
 
 
-def _certify(params, num: dict):
-    """Certificate, solver status, and whether a detected blow-up radius
-    keeps within the certified bound (None without a blow-up or a bound)."""
+def _certify(params, numerics: dict):
+    """Certificate, solver status and outcome: Certified when the detected
+    blow-up radius keeps within the certified bound, Detected when there is
+    no bound, Fail without a blow-up or beyond the bound."""
     cert = blowup_certificate(params)
-    status = solve_profile(params, **num).status
-    within = None
-    if status.kind == "BlowUp" and cert.radius_bound is not None:
-        within = status.radius <= cert.radius_bound * (1.0 + STRICT_SLACK)
-    return cert, status, within
-
-
-def _cmd_certify_blowup(args) -> int:
-    values = _merge(args)
-    params = _build_params(values)
-    num = _numerics(values)
-    cert, status, within = _certify(params, num)
+    status = solve_profile(params, **numerics).status
     if status.kind != "BlowUp":
+        outcome = "Fail"
+    elif cert.radius_bound is None:
+        outcome = "Detected"
+    else:
+        within = status.radius <= cert.radius_bound * (1.0 + STRICT_SLACK)
+        outcome = "Certified" if within else "Fail"
+    return cert, status, outcome
+
+
+def _cmd_certify_blowup(args, values: dict, numerics: dict) -> int:
+    params = make_params(**_grid(values))
+    cert, status, outcome = _certify(params, numerics)
+    if status.kind != "BlowUp":
+        print(f"{cert.case_tag}: no blow-up detected before r = {numerics['r_max']:.6g} ({status.kind})")
+    elif outcome == "Detected":
+        print(f"{cert.case_tag}: detected r* = {status.radius:.6g} (no certified bound)")
+    else:
         print(
-            f"{cert.case_tag}: no blow-up detected before r = {num['r_max']:.6g} "
-            f"({status.kind})"
+            f"{cert.case_tag}: C1 = {cert.C1:.6g}, bound = {cert.radius_bound:.6g}, "
+            f"detected r* = {status.radius:.6g} "
+            f"({'within bound' if outcome == 'Certified' else 'EXCEEDS BOUND'})"
         )
-        return 1
-    r_star = status.radius
-    if within is None:
-        print(f"{cert.case_tag}: detected r* = {r_star:.6g} (no certified bound)")
-        return 0
-    print(
-        f"{cert.case_tag}: C1 = {cert.C1:.6g}, bound = {cert.radius_bound:.6g}, "
-        f"detected r* = {r_star:.6g} "
-        f"({'within bound' if within else 'EXCEEDS BOUND'})"
-    )
-    return 0 if within else 1
+    return 1 if outcome == "Fail" else 0
 
 
 _SELF_SIMILAR_KINDS = {"forward": "Forward", "backward": "Backward", "eternal": "Eternal"}
 
 
-def _cmd_selfsim(args) -> int:
-    values = _merge(args)
+def _cmd_selfsim(args, values: dict, numerics: dict) -> int:
     kind = _SELF_SIMILAR_KINDS[args.kind]
     point = _grid(values)
     if "alpha" in point or "rho" in point:
@@ -270,21 +228,17 @@ def _cmd_selfsim(args) -> int:
     point["alpha"] = _scaling_alpha(kind, point["m"], point["beta"])
     params = make_params(**point)
     spec = SelfSimilarSpec(kind=kind, params=params, T=args.T)
-    num = _numerics(values)
     out = _output_dir(values)
-    profile = solve_profile(params, **num)
+    profile = solve_profile(params, **numerics)
     if profile.status.kind != "Global":
-        print(
-            f"profile is not global ({profile.status.kind} at r = "
-            f"{profile.status.radius:.6g}); cannot evaluate",
-            file=sys.stderr,
-        )
+        st = profile.status
+        print(f"profile is not global ({st.kind} at r = {st.radius:.6g}); cannot evaluate",
+              file=sys.stderr)
         return 1
     xs = np.linspace(0.0, args.x_max, args.samples)
-    t = args.t
-    u = _self_similar_u(spec, profile, np.abs(xs), t)
-    _write_csv(out / "selfsim.csv", "x,t,u", (xs, np.full_like(xs, t), u))
-    print(f"{kind} solution at t = {t:.6g}: {len(xs)} samples -> {out}")
+    u = _self_similar_u(spec, profile, np.abs(xs), args.t)
+    _write_csv(out / "selfsim.csv", "x,t,u", (xs, np.full_like(xs, args.t), u))
+    print(f"{kind} solution at t = {args.t:.6g}: {len(xs)} samples -> {out}")
     return 0
 
 
@@ -293,7 +247,7 @@ def _sweep_point(task: tuple) -> dict:
 
     Returns a complete row; any exception is captured in the error column
     so a bad point never aborts the sweep."""
-    point, num = task
+    point, numerics = task
     row = {col: "" for col in SWEEP_COLUMNS}
     for key, value in point.items():
         row[key] = str(value) if key == "n" else _fmt(value)
@@ -303,26 +257,21 @@ def _sweep_point(task: tuple) -> dict:
         if params.rho is not None:
             row["rho"] = _fmt(params.rho)
         cls = classify(params)
-        row["variant"] = cls.variant
-        row["validity"] = cls.validity
+        row.update(variant=cls.variant, validity=cls.validity)
 
         if params.alpha < 0.0 and params.beta <= 0.0:
-            cert, status, within = _certify(params, num)
+            cert, status, row["overall"] = _certify(params, numerics)
             row["status"] = status.kind
-            row["overall"] = "Fail"
             if status.kind == "BlowUp":
                 row["blowup_radius"] = _fmt(status.radius)
-                if within is None:
-                    row["overall"] = "Detected"
-                else:
+                if cert.radius_bound is not None:
                     row["blowup_bound"] = _fmt(cert.radius_bound)
-                    row["overall"] = "Certified" if within else "Fail"
             return row
 
-        report = verify(params, r_max=num["r_max"], rtol=num["rtol"], atol=num["atol"])
+        report = verify(params, **numerics)
         row["status"] = "Global"
         row["overall"] = report.overall
-        for name in ("w", "R", "K0", "K1", "rvp_over_v", "w_over_logr", "r2v2k"):
+        for name in LIMIT_COLUMNS:
             if name in report.observed:
                 row[name] = _fmt(report.observed[name].value)
     except Exception as exc:
@@ -331,16 +280,14 @@ def _sweep_point(task: tuple) -> dict:
     return row
 
 
-def _cmd_sweep(args) -> int:
-    values = _merge(args)
-    num = _numerics(values)
+def _cmd_sweep(args, values: dict, numerics: dict) -> int:
     out = _output_dir(values)
     grids = _grid(values, sweep=True)
     if "rho" not in grids and "alpha" not in grids:
         raise UsageError("one of rho or alpha must be supplied")
 
     points = [dict(zip(grids, combo)) for combo in product(*grids.values())]
-    tasks = [(point, num) for point in points]
+    tasks = [(point, numerics) for point in points]
     workers = min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: concurrent.futures.process loads multiprocessing,
@@ -361,61 +308,39 @@ def _cmd_sweep(args) -> int:
     n_inc = sum(r["overall"] == "Inconclusive" for r in rows)
     n_fail = sum(r["overall"] == "Fail" for r in rows)
     n_err = sum(bool(r["error"]) for r in rows)
-    print(
-        f"{len(rows)} points: {n_pass} ok, {n_inc} inconclusive, "
-        f"{n_fail} Fail, {n_err} errors -> {out}"
-    )
+    print(f"{len(rows)} points: {n_pass} ok, {n_inc} inconclusive, {n_fail} Fail, "
+          f"{n_err} errors -> {out}")
     return 0 if n_fail == 0 and n_err == 0 else 1
 
 
-def _add_param_flags(sp) -> None:
-    # text, parsed with config values by _grid.  Python 3.11's argparse takes
-    # only -1 and -1.5 for negative numbers, so --alpha -1e-3 or --rho -1,0
-    # read as a missing value; this is the rule argparse adopted in 3.13
-    sp._negative_number_matcher = re.compile(r"-\.?\d")
-    for name in PARAM_KEYS:
-        sp.add_argument(f"--{name}")
-
-
-def _add_common_flags(sp) -> None:
-    sp.add_argument("--r-max", dest="r_max", type=float)
-    sp.add_argument("--rtol", type=float)
-    sp.add_argument("--atol", type=float)
-    sp.add_argument("--r0-scale", dest="r0_scale", type=float)
-    sp.add_argument("--config")
-    sp.add_argument("--output-dir", dest="output_dir")
-    sp.add_argument("--formats")
+_COMMANDS = {"solve": _cmd_solve, "geometry": _cmd_geometry, "verify": _cmd_verify,
+             "certify-blowup": _cmd_certify_blowup, "sweep": _cmd_sweep, "selfsim": _cmd_selfsim}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    for key in PARAM_KEYS + NUMERIC_KEYS + ("config",) + OUTPUT_KEYS:
+        kind = float if key in NUMERIC_KEYS else None  # parameters: text, parsed by _grid
+        common.add_argument("--" + key.replace("_", "-"), type=kind)
+
+    selfsim = argparse.ArgumentParser(add_help=False)  # ahead of the shared flags in help
+    selfsim.add_argument("--kind", required=True, choices=sorted(_SELF_SIMILAR_KINDS))
+    selfsim.add_argument("--T", type=float, default=None)
+    selfsim.add_argument("--t", type=float, default=1.0)
+    selfsim.add_argument("--x-max", dest="x_max", type=float, default=10.0)
+    selfsim.add_argument("--samples", type=int, default=201)
+
     parser = argparse.ArgumentParser(
         prog="yamabelab",
         description="Radial self-similar profiles: solve, curvature, verification, blow-up certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, handler in (
-        ("solve", _cmd_solve),
-        ("geometry", _cmd_geometry),
-        ("verify", _cmd_verify),
-        ("certify-blowup", _cmd_certify_blowup),
-        ("sweep", _cmd_sweep),
-    ):
-        sp = sub.add_parser(name)
-        _add_param_flags(sp)
-        _add_common_flags(sp)
+    for name, handler in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[selfsim, common] if name == "selfsim" else [common])
+        # Python 3.11's argparse takes only -1 and -1.5 for negative numbers, so --alpha -1e-3
+        # or --rho -1,0 read as a missing value; this is 3.13's rule.  parents= does not copy it.
+        sp._negative_number_matcher = re.compile(r"-\.?\d")
         sp.set_defaults(func=handler)
-
-    sp = sub.add_parser("selfsim")
-    sp.add_argument("--kind", required=True, choices=sorted(_SELF_SIMILAR_KINDS))
-    sp.add_argument("--T", type=float, default=None)
-    sp.add_argument("--t", type=float, default=1.0)
-    sp.add_argument("--x-max", dest="x_max", type=float, default=10.0)
-    sp.add_argument("--samples", type=int, default=201)
-    _add_param_flags(sp)
-    _add_common_flags(sp)
-    sp.set_defaults(func=_cmd_selfsim)
-
     return parser
 
 
@@ -427,7 +352,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors with code 2
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, *_settings(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -110,6 +110,13 @@ def _require_soliton(params: SolitonParams, what: str) -> None:
         raise ValueError(f"{what} requires soliton parameters (rho present)")
 
 
+def _require_geometry(params: SolitonParams) -> None:
+    """compute_geometry's preconditions: soliton parameters and beta != 0."""
+    _require_soliton(params, "geometry")
+    if params.beta == 0.0:
+        raise ValueError("sectional curvature needs beta != 0")
+
+
 def _psi_s_and_R(params: SolitonParams, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """psi_s = 1 + (1-m) q/2 and R = (1-m)(alpha + beta q) from q = r v'/v.
 
@@ -219,9 +226,7 @@ def _k0_quadrature(
 def compute_geometry(profile: RadialProfile) -> GeometryCurves:
     """All curvature curves plus the K0 cross-check in one pass."""
     p = profile.params
-    _require_soliton(p, "geometry")
-    if p.beta == 0.0:
-        raise ValueError("sectional curvature needs beta != 0")
+    _require_geometry(p)
     one_m = 1.0 - p.m
     q, w = profile.q, profile.w
     psi_s, R = _psi_s_and_R(p, q)

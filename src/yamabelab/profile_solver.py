@@ -694,25 +694,36 @@ def write_profile_json(profile: RadialProfile, path) -> None:
     _write_sidecar(profile, path, step_indices=profile.step_indices.tolist())
 
 
+def _sidecar_field(doc: dict, key: str, kind=(int, float)):
+    """doc[key], if it is a JSON value of the given kind (a bool is no number)."""
+    if key not in doc:
+        raise ValueError(f"sidecar has no key {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"sidecar field {key!r} has the wrong type: {value!r}")
+    return value
+
+
 def load_profile(csv_path, json_path) -> RadialProfile:
     """Rebuild a profile from its CSV and sidecar, bit-for-bit.
 
-    Raises ValueError when the sidecar misses a key or holds invalid params,
-    an unknown status kind, or a status radius, rtol or atol that is not
-    positive and finite; when the CSV header is not r,v,dv or the row count
-    is not grid_points; or when the step indices are not integers that
-    start at 0, increase strictly and stay on the grid."""
+    Raises ValueError when the sidecar misses a key, holds a value of the
+    wrong JSON type (naming its key) or invalid params, an unknown status
+    kind, or a status radius, rtol or atol that is not positive and finite;
+    when the CSV header is not r,v,dv or the row count is not grid_points;
+    or when the step indices are not integers that start at 0, increase
+    strictly and stay on the grid."""
     with open(json_path) as fh:
         doc = json.load(fh)
-    try:
-        pd, status = doc["params"], doc["status"]
-        params = SolitonParams(
-            n=pd["n"], m=pd["m"], alpha=pd["alpha"], beta=pd["beta"], eta=pd["eta"], rho=pd["rho"]
-        )
-        kind, radius, rtol, atol = status["kind"], status["radius"], doc["rtol"], doc["atol"]
-        grid_points, steps = doc["grid_points"], doc["step_indices"]
-    except KeyError as err:
-        raise ValueError(f"sidecar has no key {err}") from None
+    pd, status = _sidecar_field(doc, "params", dict), _sidecar_field(doc, "status", dict)
+    params = SolitonParams(
+        **{key: _sidecar_field(pd, key) for key in ("n", "m", "alpha", "beta", "eta")},
+        rho=_sidecar_field(pd, "rho", (int, float, type(None))),
+    )
+    kind, radius = _sidecar_field(status, "kind", str), _sidecar_field(status, "radius")
+    rtol, atol = _sidecar_field(doc, "rtol"), _sidecar_field(doc, "atol")
+    grid_points = _sidecar_field(doc, "grid_points", int)
+    steps = _sidecar_field(doc, "step_indices", list)
     if kind not in ("Global", "BlowUp", "StepFailure"):
         raise ValueError(f"status kind is {kind!r}, expected Global, BlowUp or StepFailure")
     _check_numerics(status_radius=radius, rtol=rtol, atol=atol)

@@ -71,6 +71,9 @@ cases = [
     (["verify", "--beta", "1", "--rho", "-1"], 1),  # Inconclusive at r_max 100
     (["certify-blowup", "--alpha", "-4", "--beta", "-1"], 0),
     (["selfsim", "--kind", "forward", "--beta", "1"], 0),
+    # two points, so the sweep runs its process pool; a worker's failed
+    # import would land in an error row and exit 1
+    (["sweep", "--beta", "1", "--rho", "1,-1"], 0),
 ]
 for argv, expected in cases:
     code = run(argv + base)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import yamabelab as yl
-from yamabelab.cli import run
+from yamabelab import cli
+from yamabelab.cli import LIMIT_COLUMNS, run
 
 SOLVE_FLAGS = ["--n", "3", "--m", "0.2", "--beta", "1", "--rho", "1", "--eta", "1"]
 
@@ -286,3 +287,49 @@ def test_sweep_requires_grid_keys():
     assert run(["sweep", "--n", "3", "--m", "0.2", "--beta", "1", "--eta", "1"]) == 2
     assert run(["sweep", "--n", "3.5,4", "--m", "0.2", "--beta", "1",
                 "--eta", "1", "--rho", "1"]) == 2
+
+
+# every shared flag, negative values in exponent and list form included
+SHARED_FLAGS = [
+    "--n", "3", "--m", "0.2", "--beta", "-1e-3", "--rho", "-1,0", "--alpha", "-.5",
+    "--eta", "1e-2", "--r-max", "1e3", "--rtol", "1e-8", "--atol", "-1e-20",
+    "--r0-scale", "1e-2", "--config", "run.cfg", "--output-dir", "out", "--formats", "json",
+]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_takes_every_shared_flag(command):
+    own = ["--kind", "forward"] if command == "selfsim" else []
+    args = cli._build_parser().parse_args([command, *own, *SHARED_FLAGS])
+    assert args.func is cli._COMMANDS[command]
+    assert (args.n, args.m, args.beta, args.rho, args.alpha, args.eta) == (
+        "3", "0.2", "-1e-3", "-1,0", "-.5", "1e-2")
+    assert (args.r_max, args.rtol, args.atol, args.r0_scale) == (1e3, 1e-8, -1e-20, 1e-2)
+    assert (args.config, args.output_dir, args.formats) == ("run.cfg", "out", "json")
+
+
+def test_verify_honours_r0_scale(tmp_path):
+    flags = [*SOLVE_FLAGS, "--r-max", "1e3"]
+    assert run(["verify", *flags, "--output-dir", "default"]) == 0
+    assert run(["verify", *flags, "--r0-scale", "1e-2", "--output-dir", "scaled"]) == 0
+    p = yl.make_params(n=3, m=0.2, beta=1.0, rho=1.0, eta=1.0)
+    scaled = (tmp_path / "scaled" / "report.json").read_text()
+    assert scaled == yl.report_to_json(yl.verify(p, r_max=1e3, r0_scale=1e-2)) + "\n"
+    assert scaled != (tmp_path / "default" / "report.json").read_text()
+
+
+def test_sweep_verify_row_honours_r0_scale(tmp_path):
+    assert run(["sweep", *SOLVE_FLAGS, "--r-max", "1e3", "--r0-scale", "1e-2"]) == 0
+    [row] = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+    p = yl.make_params(n=3, m=0.2, beta=1.0, rho=1.0, eta=1.0)
+    scaled = yl.verify(p, r_max=1e3, r0_scale=1e-2).observed
+    default = yl.verify(p, r_max=1e3).observed
+    assert [row[name] for name in LIMIT_COLUMNS] == [
+        f"{scaled[name].value:.17g}" if name in scaled else "" for name in LIMIT_COLUMNS]
+    assert scaled["w"].value != default["w"].value
+
+
+def test_limit_columns_are_the_observed_limits():
+    # the expanding run is the one that reports r2v2k too
+    p = yl.make_params(n=3, m=0.2, beta=1.0, rho=-1.0, eta=1.0)
+    assert tuple(yl.verify(p, r_max=1e3).observed) == LIMIT_COLUMNS

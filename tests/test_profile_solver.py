@@ -801,6 +801,26 @@ def _missing_key(csv, doc):
     del doc["atol"]
 
 
+def _null_atol(csv, doc):
+    doc["atol"] = None
+
+
+def _string_rtol(csv, doc):
+    doc["rtol"] = "1e-9"
+
+
+def _scalar_steps(csv, doc):
+    doc["step_indices"] = 5
+
+
+def _list_params(csv, doc):
+    doc["params"] = [1]
+
+
+def _string_status(csv, doc):
+    doc["status"] = "Global"
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -818,6 +838,11 @@ def _missing_key(csv, doc):
         (_nan_radius, "status_radius must be positive and finite, got nan"),
         (_negative_rtol, "rtol must be positive and finite, got -1.0"),
         (_missing_key, "sidecar has no key 'atol'"),
+        (_null_atol, "sidecar field 'atol' has the wrong type: None"),
+        (_string_rtol, "sidecar field 'rtol' has the wrong type: '1e-9'"),
+        (_scalar_steps, "sidecar field 'step_indices' has the wrong type: 5"),
+        (_list_params, r"sidecar field 'params' has the wrong type: \[1\]"),
+        (_string_status, "sidecar field 'status' has the wrong type: 'Global'"),
     ],
 )
 def test_load_profile_rejects_malformed_input(tmp_path, corrupt, message):
