@@ -19,13 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core_params import (
-    SolitonParams,
-    TheoreticalPredictions,
-    blowup_certificate,
-    classify,
-    predictions,
-)
+from .core_params import SolitonParams, TheoreticalPredictions, _blowup_regime
+from .core_params import blowup_certificate, classify, predictions
 from .geometry import GeometryCurves, _psi_s_and_R, _w_tilde, compute_geometry
 from .profile_solver import RadialProfile, _dopri5, _vpp, solve_profile
 
@@ -163,7 +158,7 @@ def invariant_battery(profile: RadialProfile, curves: GeometryCurves | None) -> 
     geo = covered and curves is not None
     lim = 2.0 / (1.0 - m)
     top = alpha * (1.0 - m)
-    blowup = profile.status.kind == "BlowUp" and alpha < 0.0 and beta <= 0.0
+    blowup = profile.status.kind == "BlowUp" and _blowup_regime(p)
     bound = blowup_certificate(p).radius_bound if blowup else None
     r_star = profile.status.radius
 
@@ -222,9 +217,11 @@ def w_equation_defect(
     log-radius one) at a tolerance well below the profile's, because the
     quantity being measured is the O(h^2) truncation of the central
     difference and stored dense-output wiggle at the profile's own rtol
-    would otherwise put a floor under it.  w~ and w~_s are exact algebra
-    in (v, v'); only w~_ss is differenced, so halving the spacing shrinks
-    the defect about fourfold."""
+    would otherwise put a floor under it.  It runs once per profile and
+    window and is kept on the profile, so num_points only changes the
+    sampling; a stalled run raises on every call.  w~ and w~_s are exact
+    algebra in (v, v'); only w~_ss is differenced, so halving the spacing
+    shrinks the defect about fourfold."""
     p = profile.params
     if p.rho is None:
         raise ValueError("the log-radius equation needs soliton parameters")
@@ -234,9 +231,12 @@ def w_equation_defect(
     r = np.exp(s)
     if r[-1] > profile.r[-1]:
         raise ValueError("s_span reaches beyond the profile grid")
-    r_start = r[0] / 1.05
-    y0 = profile.value_at(r_start, derivative=True)
-    traj = _dopri5(_vpp(n, m, p.alpha, beta), r_start, y0, r[-1], 1e-12, 1e-30 * p.eta)
+    window = r_start, r_end = r[0] / 1.05, r[-1]
+    if window not in profile._windows:
+        y0 = profile.value_at(r_start, derivative=True)
+        f = _vpp(n, m, p.alpha, beta)
+        profile._windows[window] = _dopri5(f, r_start, y0, r_end, 1e-12, 1e-30 * p.eta)
+    traj = profile._windows[window]
     if traj.status != 0:
         raise RuntimeError(f"window re-integration stalled at r = {traj.t[-1]!r}")
     v, dv = traj(r)
@@ -273,7 +273,7 @@ def verify(params: SolitonParams, r_max: float = 1e4, **numerics) -> AsymptoticR
     defaults apply.  Refuses the certified blow-up regime (alpha < 0,
     beta <= 0); that path goes through the certificate plus blow-up
     detection instead."""
-    if params.alpha < 0.0 and params.beta <= 0.0:
+    if _blowup_regime(params):
         raise ValueError(
             "no global solution exists for alpha < 0, beta <= 0; use the blow-up certificate path"
         )

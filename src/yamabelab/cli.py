@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import STRICT_SLACK, report_to_json, verify
-from .core_params import blowup_certificate, classify, make_params
+from .core_params import _blowup_regime, blowup_certificate, classify, make_params
 from .geometry import SelfSimilarSpec, _require_geometry, _scaling_alpha, _self_similar_u
 from .geometry import compute_geometry, write_geometry_csv
 from .profile_solver import _check_numerics, _write_csv, _write_sidecar, solve_profile
@@ -259,7 +259,7 @@ def _sweep_point(task: tuple) -> dict:
         cls = classify(params)
         row.update(variant=cls.variant, validity=cls.validity)
 
-        if params.alpha < 0.0 and params.beta <= 0.0:
+        if _blowup_regime(params):
             cert, status, row["overall"] = _certify(params, numerics)
             row["status"] = status.kind
             if status.kind == "BlowUp":

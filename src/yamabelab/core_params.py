@@ -292,10 +292,15 @@ def predictions(params: SolitonParams, strict: bool = False) -> TheoreticalPredi
     return pred
 
 
+def _blowup_regime(params: SolitonParams) -> bool:
+    """alpha < 0, beta <= 0: no global solution exists, the profile blows up."""
+    return params.alpha < 0.0 and params.beta <= 0.0
+
+
 def blowup_certificate(params: SolitonParams) -> BlowupCertificate:
     """Certificate of finite existence radius for alpha < 0, beta <= 0."""
     alpha, beta = params.alpha, params.beta
-    if not (alpha < 0.0 and beta <= 0.0):
+    if not _blowup_regime(params):
         raise ValueError(
             f"certificate requires alpha < 0 and beta <= 0, got alpha = {alpha!r}, beta = {beta!r}"
         )

@@ -37,10 +37,10 @@ built from (r, v, v') by _w_tilde, for log_handoff and the defect alike.
 Self-similar solutions of u_t = (n-1)/m * Laplacian(u^m) are evaluated from
 the profile by the Forward/Backward/Eternal scalings.  The alpha each kind
 forces is _scaling_alpha, which SelfSimilarSpec checks when it is built and
-the selfsim command derives alpha from; the time scaling itself, u =
-amplitude * v(radius factor * |x|), is _self_similar_u, which
-self_similar_eval, pde_residual and the selfsim command call, the latter
-two with whole arrays of radii.
+the selfsim command derives alpha from.  The time scaling, u = amplitude *
+v(radial factor * |x|), is _self_similar_scale; _self_similar_u applies it
+for self_similar_eval and the selfsim command, and pde_residual applies it to
+its whole stencil, which it reads from the profile in one value_at call.
 """
 
 from __future__ import annotations
@@ -403,20 +403,26 @@ def _scaling_alpha(kind: str, m: float, beta: float) -> float:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _self_similar_u(spec: SelfSimilarSpec, profile: RadialProfile, radius, t: float):
-    """u(x, t) at |x| = radius, a nonnegative scalar or array: the kind's
-    amplitude times v at the scaled radius."""
+def _self_similar_scale(spec: SelfSimilarSpec, t: float) -> tuple[float, float]:
+    """(amplitude, radial factor) of the kind's time scaling at t, so that
+    u(x, t) = amplitude * v(radial factor * |x|)."""
     alpha, beta = spec.params.alpha, spec.params.beta
     if spec.kind == "Forward":
         if not (t > 0.0):
             raise ValueError("Forward scaling needs t > 0")
-        return t ** (-alpha) * profile.value_at(radius * t ** (-beta))
+        return t ** (-alpha), t ** (-beta)
     if spec.kind == "Backward":
         if not (t < spec.T):
             raise ValueError("Backward scaling needs t < T")
         tau = spec.T - t
-        return tau**alpha * profile.value_at(radius * tau**beta)
-    return math.exp(-alpha * t) * profile.value_at(radius * math.exp(-beta * t))
+        return tau**alpha, tau**beta
+    return math.exp(-alpha * t), math.exp(-beta * t)
+
+
+def _self_similar_u(spec: SelfSimilarSpec, profile: RadialProfile, radius, t: float):
+    """u(x, t) at |x| = radius, a nonnegative scalar or array."""
+    amplitude, factor = _self_similar_scale(spec, t)
+    return amplitude * profile.value_at(radius * factor)
 
 
 def self_similar_eval(spec: SelfSimilarSpec, profile: RadialProfile, x, t: float):
@@ -437,27 +443,24 @@ def pde_residual(
 ) -> float:
     """Normalized defect of u_t = (n-1)/m * Laplacian(u^m) on an (r, t)
     lattice, by central differences in both variables; radial Laplacian
-    f'' + (n-1)/r f'.  Each time level is evaluated a whole row of radii
-    at a time.  Sup-norm normalized; returns 0 for an identically flat
-    lattice."""
+    f'' + (n-1)/r f'.  The whole stencil, each row scaled by
+    _self_similar_scale at its own time, is read in one value_at call.
+    Sup-norm normalized; returns 0 for an identically flat lattice."""
     n, m = spec.params.n, spec.params.m
     coef = (n - 1) / m
-    r = np.asarray(r_points, dtype=float)
-    res = []
-    scale = []
-    for t in np.asarray(t_points, dtype=float):
-        u_tp = _self_similar_u(spec, profile, r, t + h_t)
-        u_tm = _self_similar_u(spec, profile, r, t - h_t)
-        ut = (u_tp - u_tm) / (2.0 * h_t)
-        f_c = _self_similar_u(spec, profile, r, t) ** m
-        f_p = _self_similar_u(spec, profile, r + h_r, t) ** m
-        # the profile is even in r, so a stencil reaching past the origin reflects
-        f_m = _self_similar_u(spec, profile, np.abs(r - h_r), t) ** m
-        lap = (f_p - 2.0 * f_c + f_m) / h_r**2 + (n - 1) / r * (f_p - f_m) / (2.0 * h_r)
-        res.append(ut - coef * lap)
-        scale.append(np.abs(ut) + np.abs(coef * lap))
-    top = float(np.max(np.abs(res)))
-    bottom = float(np.max(scale))
+    r = np.array(r_points, dtype=float, ndmin=1)
+    ts = np.array(t_points, dtype=float, ndmin=1)
+    k, nr = len(ts), len(r)
+    times = np.concatenate((ts + h_t, ts - h_t, np.repeat(ts, 3)))
+    amplitude, factor = np.array([_self_similar_scale(spec, t) for t in times]).T
+    # the profile is even in r, so a stencil reaching past the origin reflects
+    radii = np.concatenate([r] * (2 * k) + [r, r + h_r, np.abs(r - h_r)] * k)
+    u = amplitude[:, None] * profile.value_at(radii * np.repeat(factor, nr)).reshape(-1, nr)
+    ut = (u[:k] - u[k : 2 * k]) / (2.0 * h_t)
+    f_c, f_p, f_m = (u[2 * k :] ** m).reshape(k, 3, nr).transpose(1, 0, 2)
+    lap = (f_p - 2.0 * f_c + f_m) / h_r**2 + (n - 1) / r * (f_p - f_m) / (2.0 * h_r)
+    top = float(np.max(np.abs(ut - coef * lap)))
+    bottom = float(np.max(np.abs(ut) + np.abs(coef * lap)))
     return top / bottom if bottom > 0.0 else 0.0
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import yamabelab as yl
+from yamabelab.core_params import _blowup_regime
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 dims = st.integers(min_value=3, max_value=12)
@@ -202,6 +203,23 @@ def test_blowup_certificate_cases():
 
     with pytest.raises(ValueError, match="alpha < 0 and beta <= 0"):
         yl.blowup_certificate(yl.make_params(n=3, m=0.2, beta=1.0, rho=1.0, eta=1.0))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(-1.0, -1.0), (-1.0, 0.0), (-1.0, 0.5), (0.0, -1.0), (1.0, -1.0), (1.0, 1.0)]
+)
+def test_blowup_regime_is_one_rule(alpha, beta):
+    # the certificate takes exactly the points verify refuses
+    p = yl.make_params(n=3, m=0.2, beta=beta, eta=1.0, alpha=alpha)
+    blows_up = alpha < 0.0 and beta <= 0.0
+    assert _blowup_regime(p) is blows_up
+    if blows_up:
+        yl.blowup_certificate(p)
+        with pytest.raises(ValueError, match="no global solution exists for alpha < 0, beta <= 0"):
+            yl.verify(p)
+    else:
+        with pytest.raises(ValueError, match="certificate requires alpha < 0 and beta <= 0"):
+            yl.blowup_certificate(p)
 
 
 @given(n=dims, beta=betas, rho=rhos, eta1=etas, eta2=etas)

@@ -8,7 +8,7 @@ import pytest
 
 import yamabelab as yl
 from conftest import R_MAX, RTOL
-from yamabelab import geometry
+from yamabelab import analysis, geometry
 from yamabelab import profile_solver as ps
 
 
@@ -202,6 +202,54 @@ def test_w_equation_defect_converges(shrink3_profile):
         yl.w_equation_defect(prof)
 
 
+def _count_kernel_runs(monkeypatch):
+    """Wrap the kernel w_equation_defect calls; the list grows by one per run."""
+    runs = []
+    kernel = analysis._dopri5
+
+    def counted(*args, **kwargs):
+        runs.append(args[1:4:2])  # (r_start, r_end)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_dopri5", counted)
+    return runs
+
+
+def test_w_equation_defect_integrates_each_window_once(monkeypatch, tmp_path, shrink3_params):
+    runs = _count_kernel_runs(monkeypatch)
+    prof = yl.solve_profile(shrink3_params, r_max=1e3, rtol=RTOL)
+    pair = [yl.w_equation_defect(prof, num_points=num) for num in (1400, 2799)]
+    assert len(runs) == 1
+    assert yl.w_equation_defect(prof, num_points=700) > pair[0]  # coarser: larger defect
+    assert len(runs) == 1
+    other = (math.log(0.2), math.log(50.0))
+    yl.w_equation_defect(prof, s_span=other, num_points=2799)
+    yl.w_equation_defect(prof, s_span=other)
+    assert len(runs) == 2 and runs[1] != runs[0]
+
+    csv_path, json_path = tmp_path / "p.csv", tmp_path / "p.json"
+    yl.write_profile_csv(prof, csv_path)
+    yl.write_profile_json(prof, json_path)
+    loaded = yl.load_profile(csv_path, json_path)
+    fresh = ps.RadialProfile(
+        prof.params, prof.r, prof.v, prof.dv, prof.status, prof.rtol, prof.atol, prof.step_indices
+    )
+    for rebuilt in (loaded, fresh):
+        again = [yl.w_equation_defect(rebuilt, num_points=num) for num in (1400, 2799)]
+        assert [x.hex() for x in again] == [x.hex() for x in pair]
+    assert len(runs) == 4
+
+
+def test_w_equation_defect_stalled_window_raises_every_call(monkeypatch, shrink3_params):
+    prof = yl.solve_profile(shrink3_params, r_max=1e3, rtol=RTOL)
+    runs = _count_kernel_runs(monkeypatch)
+    monkeypatch.setattr(ps, "STEP_BUDGET", 50)  # the window takes 1,312 steps
+    for num in (1400, 2799):
+        with pytest.raises(RuntimeError, match="stalled"):
+            yl.w_equation_defect(prof, num_points=num)
+    assert len(runs) == 1
+
+
 def test_log_continuation_matches_direct_tail(shrink3_profile, shrink3_geometry):
     p = shrink3_profile.params
     s0, init = yl.log_handoff(shrink3_profile, 10.0)
@@ -387,24 +435,50 @@ def _pde_residual_pointwise(spec, profile, r_points, t_points, h_r, h_t):
     return top / bottom if bottom > 0.0 else 0.0
 
 
-@pytest.mark.parametrize(
-    "kind, fixture",
-    [("Forward", "expand_profile"), ("Eternal", "steady_profile"), ("Backward", "shrink3_profile")],
-)
-def test_pde_residual_matches_pointwise_loop(kind, fixture, request):
-    # both take u^m through numpy's pow (libm's differs in the last ulp on a
-    # few inputs, which 1/h^2 magnifies); at h = 2e-3 the residual nears
-    # roundoff
+_PDE_CASES = [("Forward", "expand_profile"), ("Eternal", "steady_profile"), ("Backward", "shrink3_profile")]
+
+
+def _spec(kind, profile):
+    return yl.SelfSimilarSpec(kind=kind, params=profile.params, T=2.0 if kind == "Backward" else None)
+
+
+@pytest.mark.parametrize("kind, fixture", _PDE_CASES)
+def test_pde_residual_matches_pointwise_loop(kind, fixture, request, monkeypatch):
+    # the whole lattice is one value_at call, and every sample sees the
+    # same IEEE operations as in the scalar stencil, so the two agree to the
+    # bit, down to h = 2e-3 where the residual nears roundoff
     profile = request.getfixturevalue(fixture)
-    spec = yl.SelfSimilarSpec(kind=kind, params=profile.params, T=2.0 if kind == "Backward" else None)
+    spec = _spec(kind, profile)
     r_pts = np.linspace(0.5, 3.0, 6)
     t_pts = np.linspace(0.8, 1.2, 3)
-    for h in (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3):
+    value_at, calls = profile.value_at, []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[0]))
+        return value_at(*args, **kwargs)
+
+    monkeypatch.setattr(profile, "value_at", counted)
+    for h in (3.2e-2, 1.6e-2, 8e-3, 4e-3, 2e-3, 1e-2):
+        before = len(calls)
         got = yl.pde_residual(spec, profile, r_pts, t_pts, h, h)
+        assert calls[before:] == [5 * 6 * 3]  # five stencil rows of 6 radii at 3 times
         ref = _pde_residual_pointwise(spec, profile, r_pts, t_pts, h, h)
-        assert abs(got - ref) <= 2e-8
-        if h >= 4e-3:
-            assert abs(got - ref) <= 1e-6 * ref
+        assert got.hex() == ref.hex()
+
+
+@pytest.mark.parametrize("kind, fixture", _PDE_CASES)
+def test_pde_residual_rejects_what_the_scaling_rejects(kind, fixture, request):
+    profile = request.getfixturevalue(fixture)
+    spec = _spec(kind, profile)
+    r_pts = np.linspace(0.5, 3.0, 6)
+    t_bad = {"Forward": 0.01, "Backward": 1.99}.get(kind)  # t - h_t <= 0, t + h_t >= T
+    if t_bad is not None:
+        with pytest.raises(ValueError, match=f"{kind} scaling needs"):
+            yl.pde_residual(spec, profile, r_pts, np.array([1.0, t_bad]), 1e-2, 2e-2)
+    t_one = np.array([0.0 if kind == "Eternal" else 1.0])  # radial factor 1
+    far = np.array([1.0, profile.r[-1]])  # the r + h_r row leaves the grid
+    with pytest.raises(ValueError, match="beyond profile grid"):
+        yl.pde_residual(spec, profile, far, t_one, 1e-2, 1e-2)
 
 
 def test_pde_residual_zero_on_constant():
