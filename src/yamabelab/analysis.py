@@ -21,8 +21,8 @@ import numpy as np
 
 from .core_params import SolitonParams, TheoreticalPredictions, _blowup_regime
 from .core_params import blowup_certificate, classify, predictions
-from .geometry import GeometryCurves, _psi_s_and_R, _w_tilde, compute_geometry
-from .profile_solver import RadialProfile, _dopri5, _vpp, solve_profile
+from .geometry import GeometryCurves, _psi_s_and_R, compute_geometry
+from .profile_solver import RadialProfile, _dopri5, _vpp, _w_tilde, solve_profile
 
 __all__ = [
     "LimitEstimate",

@@ -28,11 +28,13 @@ independent at leading order.
 
 As a function of s = log r, w~(s) = w(e^s) obeys an autonomous second-order
 equation; w_log_dynamics integrates it for long-range continuation where
-direct r-integration would waste steps.  It runs W = log w~ (_log_wpp) on
-profile_solver._dopri5, stopped by one terminal event when w~ collapses or
-W_s runs away.  analysis.w_equation_defect writes the w~ form again, in
-array arithmetic, as _vpp_array does for _vpp.  The state (w~, w~_s) is
-built from (r, v, v') by _w_tilde, for log_handoff and the defect alike.
+direct r-integration would waste steps.  It runs W = log w~ on
+profile_solver._dopri5, through profile_solver._log_wpp, the equation
+solve_profile carries alpha, beta > 0 tails on, and stops at one terminal
+event when w~ collapses or W_s runs away.  analysis.w_equation_defect writes
+the w~ form again, in array arithmetic, as _vpp_array does for _vpp.  The
+state (w~, w~_s) is built from (r, v, v') by profile_solver._w_tilde, for
+log_handoff and the defect alike.
 
 Self-similar solutions of u_t = (n-1)/m * Laplacian(u^m) are evaluated from
 the profile by the Forward/Backward/Eternal scalings.  The alpha each kind
@@ -56,8 +58,9 @@ from .profile_solver import (
     _dopri5,
     _hermite_ends,
     _hermite_weights,
+    _log_wpp,
     _vpp_array,
-    _w,
+    _w_tilde,
     _write_csv,
 )
 
@@ -262,12 +265,6 @@ class LogDynamics:
     status: str  # Completed | Stopped
 
 
-def _w_tilde(m: float, r, v, dv):
-    """(w~, w~_s) = (w, w (2 + (1-m) r v'/v)) at scalar or array (r, v, v')."""
-    wt = _w(m, r, v)
-    return wt, wt * (2.0 + (1.0 - m) * r * dv / v)
-
-
 def log_handoff(profile: RadialProfile, r_h: float) -> tuple[float, tuple[float, float]]:
     """Initial data (s0, (w~, w~_s)) for w_log_dynamics taken from a profile."""
     idx = int(np.searchsorted(profile.r, r_h))
@@ -276,19 +273,6 @@ def log_handoff(profile: RadialProfile, r_h: float) -> tuple[float, tuple[float,
     v = float(profile.v[idx])
     dv = float(profile.dv[idx])
     return math.log(r), _w_tilde(profile.params.m, r, v, dv)
-
-
-def _log_wpp(n: int, m: float, alpha: float, beta: float):
-    """W'' of the log-radius equation in W = log w~, as a function of
-    (s, W, W_s)."""
-    exp, neg_m, one_m, n1, n2 = math.exp, -m, 1.0 - m, float(n - 1), float(n - 2)
-    c = one_m * alpha - 2.0 * beta
-
-    def f(s, W, Ws):
-        d = Ws - 2.0
-        return neg_m * (d * d) / one_m - n2 * d - exp(W) * (c + beta * Ws) / n1
-
-    return f
 
 
 def _log_stop(W, Ws):

@@ -16,32 +16,60 @@ and tolerances with float() once per call, and SolitonParams stores floats,
 so no numpy scalar reaches the step loop, the right-hand side or the event
 root.  It is the package's only ODE stepper: it runs any y'' = f(t, y, y')
 up to one terminal event g(y, y') rising through zero, here the cap
-v - 1e12*eta and in geometry.w_log_dynamics a stop of the log-radius
-equation.  Its step loop is kept bit-stable: the same IEEE
-operations in the same order as RK45's tableau, with the constants bound to
-locals once per call and no min, max, abs or len call per step, so making a
-step cheaper never moves a result (test_kernel_bits_are_pinned in
-tests/test_profile_solver.py holds it to the bit).  The stored grid is the
-union of the accepted steps and a log-uniform refinement filled from the
-dense output: CORE_POINTS_PER_DECADE in the core below CORE_RADIUS *
-eta^((m-1)/2), where v is flat to O(r^2), and POINTS_PER_DECADE from there
-on.  The identity checks integrate over it with the quintic Hermite rule
-(_hermite_ends, exact for quintics), which holds the integral defect and
-the K0 gap near 1e-9 on that grid.  The end-corrected trapezoid (exact for
-cubics) needs the full density there: with 200 points per decade in the
-core the largest K0 gap of the expanding benchmark runs rose from 3.9e-9
-to 2.4e-8.  So POINTS_PER_DECADE is set by interpolation, not by the
-quadratures.  The pointwise check takes v'' at the accepted steps in closed
-form (_quintic_vpp), with no linear solve.  Runs end in one of three statuses:
+v - 1e12*eta, and the log-radius equation below, which
+geometry.w_log_dynamics runs up to a stop of its own.  Its step loop is
+kept bit-stable: the same IEEE operations in the same order as RK45's
+tableau, with the constants bound to locals once per call and no min, max,
+abs or len call per step, so making a step cheaper never moves a result
+(test_kernel_bits_are_pinned in tests/test_profile_solver.py holds it to
+the bit).
+
+Runs with alpha > 0 and beta > 0 go in two phases when l = eta^((m-1)/2)
+lies below r_max.  The r-form runs from r0 to r_h = HANDOFF_RADIUS * l, and
+from there the autonomous equation of W = log w, w = r^2 v^(1-m), in
+s = log r (_log_wpp, valid for any m) carries the tail to log r_max.  The
+paper's limits are statements in s, and the power-law tails that cost the
+r-form about 200 accepted steps per decade are smooth there: the shrinking
+(n = 3, 5), steady and expanding reference runs to 1e4 take 305, 359, 458
+and 5,091 steps instead of 702, 878, 862 and 10,861.  r_h = l because just
+past the core v is flat, W_s = 2 + (1-m) r v'/v is close to 2, and relative
+control of W_s loses r v'/v: handing over at 0.1 l put the benchmark's
+worst error at 6e-9 (1.1e-9 at l).  The same loss, milder, sets the log
+phase's tolerance, LOG_TOL_FACTOR * rtol = rtol/100, as rtol and atol
+alike: at rtol/10 the worst gap between the two K0 routes of the expanding
+benchmark runs rose from 2.5e-9 to 2.0e-8, just past r_h at n = 8, where
+W_s - 2 is about -0.02; at rtol/30 it read 6.4e-9.  The log phase fills
+its part of the grid from its own dense output, v = (e^W / r^2)^(1/(1-m))
+and v' = (W_s - 2) v / ((1-m) r).
+Every other run (blow-up alpha < 0, beta <= 0; touch-down alpha > 0 > beta;
+alpha < 0 < beta; beta = 0) is the r-form alone.
+
+The stored grid is the union of the accepted steps of both phases and a
+log-uniform refinement filled from the dense output: CORE_POINTS_PER_DECADE
+in the core below CORE_RADIUS * l, where v is flat to O(r^2), and
+POINTS_PER_DECADE from there on.  The identity checks integrate over it
+with the quintic Hermite rule (_hermite_ends, exact for quintics), which
+holds the integral defect and the K0 gap near 1e-9 on that grid.  The
+end-corrected trapezoid (exact for cubics) needs the full density there:
+with 200 points per decade in the core the largest K0 gap of the expanding
+benchmark runs rose from 3.9e-9 to 2.4e-8.  So POINTS_PER_DECADE is set by
+interpolation, not by the quadratures.  The pointwise check takes v'' at the
+accepted steps in closed form (_quintic_vpp), with no linear solve.  Runs
+end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
                         underflowed while v was still rising,
     StepFailure(r_fail) the controller stalled without blow-up indicators,
-                        or the run used up STEP_BUDGET accepted steps.
+                        a _dopri5 run used up STEP_BUDGET accepted steps,
+                        or the state at r_h was not positive and finite.
 
-Between grid points value_at reads v from the cubic Hermite through (v, v')
-and v' from the one through (v', v''), v'' from the equation.  Profiles are
+Between grid points value_at reads v from the quintic Hermite through
+(v, v', v'') and v' from the one through (v', v'', v'''), v'' and v''' from
+the equation (_vpp_array, _vppp_array).  The log phase adds no knots near
+the radii where values are checked, so a cubic's own interpolation error
+would show: with the cubic through (v, v') the expanding benchmark's worst
+error read 4.20e-10 where the quintic reads 3.50e-10.  Profiles are
 immutable; solving is a pure function of (params, numerics).
 """
 
@@ -83,6 +111,11 @@ POINTS_PER_DECADE = 550
 # integral defect and the K0 gap where 550 points per decade put them
 CORE_RADIUS = 1e-2
 CORE_POINTS_PER_DECADE = 100
+# alpha, beta > 0 runs hand the r-form over to the log-radius equation at
+# r_h = HANDOFF_RADIUS * l, which runs at LOG_TOL_FACTOR * rtol, as rtol and
+# atol alike
+HANDOFF_RADIUS = 1.0
+LOG_TOL_FACTOR = 0.01
 
 PROFILE_CSV_HEADER = "r,v,dv"
 
@@ -153,11 +186,12 @@ class RadialProfile:
         return _frozen(_w(self.params.m, self.r, self.v))
 
     def value_at(self, radius, derivative: bool = False):
-        """v at arbitrary radii: series below r0, the cubic Hermite through
-        the stored (v, v') on the grid.  With derivative=True returns (v, v'),
-        v' from the cubic Hermite through (v', v''), v'' from the equation at
-        the knots, so v' never divides differences of v by the knot spacing.
-        Negative, non-finite and past-the-grid radii raise (no extrapolation)."""
+        """v at arbitrary radii: series below r0, the quintic Hermite through
+        the stored (v, v') and v'' from the equation on the grid.  With
+        derivative=True returns (v, v'), v' from the quintic Hermite through
+        (v', v'', v'''), v''' from the differentiated equation at the knots,
+        so v' never divides differences of v by the knot spacing.  Negative,
+        non-finite and past-the-grid radii raise (no extrapolation)."""
         radius = np.asarray(radius, dtype=float)
         if not np.all(np.isfinite(radius)):
             raise ValueError("radius must be finite")
@@ -168,17 +202,20 @@ class RadialProfile:
         p, r, v, dv = self.params, self.r, self.v, self.dv
         x = np.clip(radius, r[0], r[-1])
         i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, len(r) - 2)
-        j = i + 1
-        h = r[j] - r[i]
-        s = x - r[i]
+        # the two knots of each interval along the first axis
+        k = np.stack((i, i + 1))
+        rk, vk, dvk = r[k], v[k], dv[k]
+        h = rk[1] - rk[0]
+        s = x - rk[0]
+        vpp = _vpp_array(p, rk, vk, dvk)
         v2 = second_derivative_at_origin(p)
         small = radius < r[0]
-        hermite = _cubic_hermite(h, s, v[i], v[j], dv[i], dv[j])
+        hermite = _quintic_hermite(h, s, vk, dvk, vpp)
         out = np.where(small, p.eta + 0.5 * v2 * radius**2, hermite)
         if not derivative:
             return float(out) if out.ndim == 0 else out
-        vpp_i, vpp_j = _vpp_array(p, r[i], v[i], dv[i]), _vpp_array(p, r[j], v[j], dv[j])
-        dout = np.where(small, v2 * radius, _cubic_hermite(h, s, dv[i], dv[j], vpp_i, vpp_j))
+        slope = _quintic_hermite(h, s, dvk, vpp, _vppp_array(p, rk, vk, dvk, vpp))
+        dout = np.where(small, v2 * radius, slope)
         if out.ndim == 0:
             return float(out), float(dout)
         return out, dout
@@ -189,16 +226,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cubic_hermite(h, s, y0, y1, d0, d1):
-    """The cubic through (y0, d0) and (y1, d1) on an interval of length h, at
-    offset s: scipy CubicHermiteSpline's coefficients and power sums in its
-    order of operations."""
-    slope = (y1 - y0) / h
-    t = (d0 + d1 - 2 * slope) / h
-    c3 = t / h
-    c2 = (slope - d0) / h - t
-    s2 = s * s
-    return y0 + d0 * s + c2 * s2 + c3 * (s2 * s)
+def _quintic_hermite(h, s, y, d, dd):
+    """The quintic through (y, y', y'') = (y[0], d[0], dd[0]) and (y[1], d[1],
+    dd[1]) at the ends of an interval of length h, at offset s: the Taylor
+    quadratic of the left end plus t^3 (c3 + c4 t + c5 t^2), t = s/h, whose
+    coefficients make up what it misses of the right end's value, slope and
+    curvature."""
+    h2 = h * h
+    a = y[1] - y[0] - h * d[0] - 0.5 * h2 * dd[0]
+    b = h * (d[1] - d[0]) - h2 * dd[0]
+    c = 0.5 * h2 * (dd[1] - dd[0])
+    t = s / h
+    c3 = 10.0 * a - 4.0 * b + c
+    c4 = -15.0 * a + 7.0 * b - 2.0 * c
+    c5 = 6.0 * a - 3.0 * b + c
+    return y[0] + s * (d[0] + 0.5 * s * dd[0]) + t * t * t * (c3 + t * (c4 + t * c5))
 
 
 def _w(m: float, r, v):
@@ -247,6 +289,54 @@ def _vpp_array(params: SolitonParams, r: np.ndarray, v: np.ndarray, dv: np.ndarr
         - (n - 1) * dv / r
         - (params.alpha * v + params.beta * r * dv) * v ** (1.0 - m) / (n - 1)
     )
+
+
+def _vppp_array(params: SolitonParams, r, v, dv, vpp) -> np.ndarray:
+    """v''' of the profile equation on arrays of (r, v, v', v''): the
+    derivative of _vpp_array's right side along the solution."""
+    n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
+    d = dv / v
+    source = (alpha * (2.0 - m) + beta) * dv + beta * r * ((1.0 - m) * dv * d + vpp)
+    return (
+        (n - 1) * (dv / r - vpp) / r
+        + (1.0 - m) * d * (2.0 * vpp - dv * d)
+        - v ** (1.0 - m) * source / (n - 1)
+    )
+
+
+def _w_tilde(m: float, r, v, dv):
+    """(w~, w~_s) = (w, w (2 + (1-m) r v'/v)) at scalar or array (r, v, v')."""
+    wt = _w(m, r, v)
+    return wt, wt * (2.0 + (1.0 - m) * r * dv / v)
+
+
+def _log_wpp(n: int, m: float, alpha: float, beta: float):
+    """W'' of the log-radius equation in W = log w~, s = log r, as a function
+    of (s, W, W_s); it holds for any m, with e^W (c + beta W_s) =
+    (1-m) r^2 v^(1-m) (alpha + beta r v'/v)."""
+    exp, neg_m, one_m, n1, n2 = math.exp, -m, 1.0 - m, float(n - 1), float(n - 2)
+    c = one_m * alpha - 2.0 * beta
+
+    def f(s, W, Ws):
+        d = Ws - 2.0
+        return neg_m * (d * d) / one_m - n2 * d - exp(W) * (c + beta * Ws) / n1
+
+    return f
+
+
+def _log_start(m: float, r: float, v: float, dv: float):
+    """(W, W_s) = (log w, 2 + (1-m) r v'/v) of the r-form state (v, v') at r,
+    or None unless w is positive and finite and v' is finite."""
+    w = _w(m, r, v) if v > 0.0 else 0.0  # a negative v would make w complex
+    if not (0.0 < w < math.inf and math.isfinite(dv)):
+        return None
+    return math.log(w), 2.0 + (1.0 - m) * r * dv / v
+
+
+def _from_log(m: float, r, W, Ws):
+    """(v, v') at radii r from the log-radius state (W, W_s) there."""
+    v = (np.exp(W) / (r * r)) ** (1.0 / (1.0 - m))
+    return v, (Ws - 2.0) * v / ((1.0 - m) * r)
 
 
 # Dormand & Prince (1980) 5(4) pair with Shampine's quartic dense output and
@@ -487,6 +577,9 @@ def solve_profile(
 ) -> RadialProfile:
     """Integrate the profile equation from the series start to r_max.
 
+    With alpha > 0 and beta > 0 the r-form stops at r_h = HANDOFF_RADIUS *
+    eta^((m-1)/2) when that lies below r_max, and the log-radius equation
+    carries the run on from the state there (see the module docstring).
     The returned grid unions the accepted adaptive steps with a log-uniform
     refinement filled from dense output, so later geometry evaluations and
     quadratures work on stored points only.  The refinement runs at
@@ -507,26 +600,45 @@ def solve_profile(
     if r0 >= r_max:
         raise ValueError(f"r0 = {r0!r} must be below r_max = {r_max!r}")
     cap = BLOWUP_CAP * eta
+    n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
+    r_h = HANDOFF_RADIUS * length
+    log_tail = alpha > 0.0 and beta > 0.0 and r_h < r_max
     traj = _dopri5(
-        _vpp(params.n, params.m, params.alpha, params.beta),
+        _vpp(n, m, alpha, beta),
         r0,
         series_start(params, r0),
-        r_max,
+        r_h if log_tail else r_max,
         rtol,
         atol,
         lambda v, dv: v - cap,
     )
+    code, steps, tail = traj.status, traj.t, None
+    v_end, dv_end = traj.y[:, -1].tolist()
+    if log_tail and code == 0:
+        start = _log_start(m, r_h, v_end, dv_end)
+        if start is None:
+            code = -3  # a handoff state the log form cannot take
+        else:
+            tol = LOG_TOL_FACTOR * rtol
+            tail = _dopri5(
+                _log_wpp(n, m, alpha, beta), math.log(r_h), start, math.log(r_max), tol, tol
+            )
+            code = tail.status
+            r_tail = np.exp(tail.t[1:])
+            if code == 0:
+                r_tail[-1] = r_max
+            steps = np.concatenate((steps, r_tail))
+            v_end, dv_end = map(float, _from_log(m, steps[-1], *tail.y[:, -1]))
 
-    steps = traj.t
     r_end = steps[-1]
-    rising = traj.y[1, -1] > 0.0 and traj.y[0, -1] > eta
-    if traj.status == 1 or (traj.status == -1 and rising):
+    if code == 1 or (code == -1 and dv_end > 0.0 and v_end > eta):
         # the cap, or a controller stall while v was still climbing
         status = ProfileStatus("BlowUp", float(r_end))
-    elif traj.status == 0:
+    elif code == 0:
         status = ProfileStatus("Global", float(r_max))
     else:
-        # a stall without blow-up indicators, or the step budget used up
+        # a stall without blow-up indicators, the step budget used up, or a
+        # handoff state that is not positive and finite
         status = ProfileStatus("StepFailure", float(r_end))
 
     decades = max(np.log10(r_end / r0), 1e-9)
@@ -538,7 +650,12 @@ def solve_profile(
     n_core = int(np.ceil(np.log10(refine[k] / r0) * CORE_POINTS_PER_DECADE))
     core = np.geomspace(r0, refine[k], n_core, endpoint=False)
     grid = np.union1d(steps, np.concatenate((core, refine[k:])))
-    v, dv = traj(grid)
+    if tail is None:
+        v, dv = traj(grid)
+    else:
+        head = int(np.searchsorted(grid, r_h, side="right"))
+        r = grid[head:]
+        v, dv = np.concatenate((traj(grid[:head]), _from_log(m, r, *tail(np.log(r)))), axis=1)
 
     # defensive: truncate anything past a positivity loss
     bad = np.flatnonzero(v <= 0.0)

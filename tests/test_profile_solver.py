@@ -1,9 +1,10 @@
 """Solver behavior: series start, statuses, blow-up detection, the step
-budget, residual checks (including fault injection), serialization
-round-trips, the integration kernel, the Hermite evaluation and the event
-root against scipy's integrators, spline and brentq, the kernel's step
-points pinned to the bit, and its right-hand side and event fed Python
-floats only, whatever numeric type the inputs came in as."""
+budget, the two-phase alpha, beta > 0 solve (r-form, then the log-radius
+equation) and its handoff, residual checks (including fault injection),
+serialization round-trips, the integration kernel, the Hermite evaluation
+and the event root against scipy's integrators, spline and brentq, the
+kernel's step points pinned to the bit, and its right-hand side and event
+fed Python floats only, whatever numeric type the inputs came in as."""
 
 import json
 import math
@@ -153,10 +154,13 @@ def test_residuals_on_reference(shrink3_profile):
 
 # max_ode_residual as the batched 6x6 quintic solve gave it, which the
 # closed form replaced; r0big is n=4, beta=1.2, rho=0.7, eta=3 to r_max 1e3
-# from r0_scale 1e-2, whose first step triple is not flat
+# from r0_scale 1e-2, whose first step triple is not flat.  shrink5's
+# maximum lies in the log-radius phase of its two-phase run (4.15e-9 with
+# the r-form to r_max), whose step points lie about 0.3 r apart, where the
+# quintic through three of them is truncation-limited
 _ODE_RESIDUAL_PINS = {
     "shrink3": 6.028386144378151e-08,
-    "shrink5": 4.1524557057975114e-09,
+    "shrink5": 4.1291045768824595e-08,
     "steady": 3.9802108240011006e-07,
     "expand": 2.8154941466019866e-08,
     "r0big": 6.487931038040662e-08,
@@ -229,12 +233,15 @@ def _ulps(got, ref):
 
 @pytest.mark.parametrize("name", ["shrink3", "shrink5", "expand", "negcurv"])
 def test_value_at_matches_scipy_spline(request, name):
-    from scipy.interpolate import CubicHermiteSpline
+    from scipy.interpolate import BPoly
 
     prof = request.getfixturevalue(f"{name}_profile")
-    spline = CubicHermiteSpline(prof.r, prof.v, prof.dv)
-    # v' is the cubic Hermite through (v', v''), v'' from the equation
-    slope = CubicHermiteSpline(prof.r, prof.dv, ps._vpp_array(prof.params, prof.r, prof.v, prof.dv))
+    # v is the quintic Hermite through (v, v', v''), v' the one through
+    # (v', v'', v'''), v'' and v''' from the equation
+    vpp = ps._vpp_array(prof.params, prof.r, prof.v, prof.dv)
+    vppp = ps._vppp_array(prof.params, prof.r, prof.v, prof.dv, vpp)
+    spline = BPoly.from_derivatives(prof.r, np.column_stack((prof.v, prof.dv, vpp)))
+    slope = BPoly.from_derivatives(prof.r, np.column_stack((prof.dv, vpp, vppp)))
     rng = np.random.default_rng(7)
     radii = np.concatenate((
         np.exp(rng.uniform(math.log(prof.r0), math.log(prof.r[-1]), 2000)),
@@ -247,7 +254,28 @@ def test_value_at_matches_scipy_spline(request, name):
         vx, dvx = prof.value_at(x, derivative=True)
         assert prof.value_at(x) == vx
         worst = max(worst, _ulps(vx, spline(x)), _ulps(dvx, slope(x)))
-    assert worst <= 4.0
+    # the Taylor-plus-correction form against scipy's Bernstein form: at
+    # most 5 ulp on these four profiles
+    assert worst <= 6.0
+
+
+def test_vppp_is_the_derivative_of_the_equation():
+    # v''' against sympy's derivative of the right side along the solution
+    import sympy
+
+    r, v, d, n, m, a, b = sympy.symbols("r v d n m alpha beta")
+    rhs = (1 - m) * d * d / v - (n - 1) * d / r - (a * v + b * r * d) * v ** (1 - m) / (n - 1)
+    third = sympy.diff(rhs, r) + sympy.diff(rhs, v) * d + sympy.diff(rhs, d) * rhs
+    exact = sympy.lambdify((r, v, d, n, m, a, b), third)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = yl.SolitonParams(
+            n=int(rng.integers(3, 9)), m=rng.uniform(0.1, 0.3), alpha=rng.normal(),
+            beta=rng.normal(), eta=1.0,
+        )
+        x, y, dy = rng.uniform(0.1, 10.0), rng.uniform(0.1, 2.0), rng.normal()
+        got = ps._vppp_array(p, x, y, dy, ps._vpp_array(p, x, y, dy))
+        assert got == pytest.approx(exact(x, y, dy, p.n, p.m, p.alpha, p.beta), rel=1e-12)
 
 
 def test_profile_constructor_guards():
@@ -372,14 +400,35 @@ def test_value_at_slope_matches_reference(request, name):
     assert np.max(np.abs(dv / dv_ref - 1.0)) < 5e-9
 
 
+def _scipy_log_solve(profile, r_h, s_end, method, rtol, **options):
+    """solve_ivp on the log-radius equation in W = log w, s = log r, from the
+    profile's state at r_h, with its own right-hand side."""
+    p = profile.params
+    n, m, alpha, beta = p.n, p.m, p.alpha, p.beta
+
+    def rhs(s, y):
+        W, Ws = y
+        q = (Ws - 2.0) / (1.0 - m)  # r v'/v
+        return [Ws, -m * (1.0 - m) * q * q - (n - 2) * (1.0 - m) * q
+                - math.exp(W) * (1.0 - m) * (alpha + beta * q) / (n - 1)]
+
+    v, dv = profile.value_at(r_h, derivative=True)
+    y0 = [2.0 * math.log(r_h) + (1.0 - m) * math.log(v), 2.0 + (1.0 - m) * r_h * dv / v]
+    return solve_ivp(rhs, (math.log(r_h), s_end), y0, method=method, rtol=rtol, atol=rtol, **options)
+
+
 def _check_against_scipy(n, beta, k, log_eta, r_max):
+    # k > -2 makes alpha = beta (2 + k)/(1 - m) positive: every point runs
+    # the r-form to r_h = l <= 6.4 and the log-radius equation from there
     p = yl.make_params(n=n, m=yl.soliton_exponent(n), beta=beta, rho=k * beta, eta=10.0**log_eta)
     prof = yl.solve_profile(p, r_max=r_max, rtol=1e-9)
-    steps = len(prof.step_indices) - 1
-    # steep expanding points (k near -1.5) need more than STEP_BUDGET steps
-    # to r_max = 1e5; those runs must stop exactly at the budget
+    r_h = ps.HANDOFF_RADIUS * p.eta ** ((p.m - 1.0) / 2.0)
+    assert p.alpha > 0.0 and r_h < r_max
+    head = np.count_nonzero(prof.r[prof.step_indices] <= r_h) - 1
+    tail = len(prof.step_indices) - 1 - head
+    # a log-radius phase that used up STEP_BUDGET steps stops exactly there
     if prof.status.kind != "Global":
-        assert prof.status.kind == "StepFailure" and steps == ps.STEP_BUDGET
+        assert prof.status.kind == "StepFailure" and tail == ps.STEP_BUDGET
 
     radii = np.array([0.1, 1.0, 10.0])
     v_ref, dv_ref = _scipy_solve(prof, 10.0, "DOP853", 1e-13, t_eval=radii).y
@@ -387,9 +436,15 @@ def _check_against_scipy(n, beta, k, log_eta, r_max):
     assert np.all(np.abs(v - v_ref) <= 1e-6 * v_ref)
     assert np.all(np.abs(dv - dv_ref) <= 1e-6 * np.abs(dv_ref))
 
-    # same method and controller: the accepted steps match scipy's RK45
-    rk45 = _scipy_solve(prof, prof.status.radius, "RK45", prof.rtol)
-    assert abs(steps - (len(rk45.t) - 1)) <= 0.02 * steps
+    # same method and controller: the accepted steps of each phase match
+    # scipy's RK45, the r-form to r_h and the log-radius equation from the
+    # state there, at LOG_TOL_FACTOR * rtol as rtol and atol
+    rk45 = _scipy_solve(prof, r_h, "RK45", prof.rtol)
+    assert abs(head - (len(rk45.t) - 1)) <= 0.02 * head
+    log_rk45 = _scipy_log_solve(
+        prof, r_h, math.log(prof.status.radius), "RK45", ps.LOG_TOL_FACTOR * prof.rtol
+    )
+    assert abs(tail - (len(log_rk45.t) - 1)) <= 0.02 * tail
 
 
 _cone = dict(
@@ -411,6 +466,63 @@ def test_kernel_matches_scipy(n, beta, k, log_eta):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_kernel_matches_scipy_wide(n, beta, k, log_eta, log_r_max):
     _check_against_scipy(n, beta, k, log_eta, r_max=10.0**log_r_max)
+
+
+@given(**_cone, log_r_max=st.floats(min_value=2.0, max_value=4.0))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_log_tail_matches_dop853(n, beta, k, log_eta, log_r_max):
+    # the two-phase solve against the r-form at rtol 1e-13 out to r_max/2.
+    # Over 40 random points of this cone the worst error in v and v' was
+    # 6.2e-10, and 3.0e-9 with the r-form alone to r_max
+    p = yl.make_params(n=n, m=yl.soliton_exponent(n), beta=beta, rho=k * beta, eta=10.0**log_eta)
+    r_max = 10.0**log_r_max
+    prof = yl.solve_profile(p, r_max=r_max, rtol=1e-9)
+    assert prof.status.kind == "Global"
+    radii = np.geomspace(0.05, r_max / 2.0, 9)
+    v_ref, dv_ref = _scipy_solve(prof, radii[-1], "DOP853", 1e-13, t_eval=radii).y
+    v, dv = prof.value_at(radii, derivative=True)
+    assert np.max(np.abs(v / v_ref - 1.0)) <= 5e-9
+    assert np.max(np.abs(dv / dv_ref - 1.0)) <= 5e-9
+
+
+@pytest.mark.parametrize(
+    "params, r_max, runs",
+    [
+        (yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=-1.0), 100.0, 1),
+        (yl.make_params(n=3, m=0.2, alpha=1.0, beta=-2.5, eta=1.0), 100.0, 1),
+        (yl.make_params(n=3, m=0.2, beta=1.0, rho=-3.0, alpha=-1.25, eta=1.0), 30.0, 1),
+        (yl.make_params(n=3, m=0.2, alpha=1.0, beta=0.0, eta=1.0), 100.0, 1),
+        (_params(3, 1.0, 1.0), 0.5, 1),
+        (_params(3, 1.0, 1.0), 100.0, 2),
+        (_params(3, 1.0, 0.0).with_eta(7.0), 100.0, 2),
+        (_params(5, 1.0, -1.0).with_eta(0.01), 100.0, 2),
+    ],
+    ids=["blowup", "touchdown", "negcurv", "beta0", "below-l", "shrink", "steady", "expand"],
+)
+def test_log_tail_only_for_positive_alpha_and_beta(monkeypatch, params, r_max, runs):
+    # alpha, beta > 0 with l = eta^((m-1)/2) < r_max: the r-form to l, then
+    # the log-radius equation; every other run is the r-form alone
+    kernel_fs, log_fs = [], []
+    kernel, log_wpp = ps._dopri5, ps._log_wpp
+
+    def recording_kernel(f, *args):
+        kernel_fs.append(f)
+        return kernel(f, *args)
+
+    def recording_log_wpp(*args):
+        log_fs.append(log_wpp(*args))
+        return log_fs[-1]
+
+    monkeypatch.setattr(ps, "_dopri5", recording_kernel)
+    monkeypatch.setattr(ps, "_log_wpp", recording_log_wpp)
+    prof = yl.solve_profile(params, r_max=r_max, rtol=1e-9)
+    assert len(kernel_fs) == runs
+    assert log_fs == kernel_fs[1:]
+    if runs == 2:
+        assert prof.status == yl.ProfileStatus("Global", r_max) and prof.r[-1] == r_max
+        # the handoff radius is a step point of both phases
+        r_h = ps.HANDOFF_RADIUS * params.eta ** ((params.m - 1.0) / 2.0)
+        assert r_h in prof.r[prof.step_indices]
 
 
 @pytest.mark.parametrize(
@@ -469,8 +581,8 @@ def test_bracketed_root_matches_brentq(alpha, beta, rho):
     assert checked >= 20
 
 
-# One public call per case; each runs _dopri5 once.  The conftest profiles,
-# the touch-down stall, a Case-2 blow-up and a log-radius continuation.
+# One public call per case.  The conftest profiles, the touch-down stall, a
+# Case-2 blow-up and a log-radius continuation.
 _KERNEL_RUNS = {
     "shrink3": lambda: yl.solve_profile(_params(3, 1.0, 1.0), r_max=R_MAX, rtol=RTOL),
     "shrink5": lambda: yl.solve_profile(_params(5, 1.0, 1.0), r_max=R_MAX, rtol=RTOL),
@@ -490,88 +602,147 @@ _KERNEL_RUNS = {
     ),
 }
 
-# (accepted steps, status, {i: float.hex of (t, v, v') at step point i}, the
-# same of the end point: r_end, the stall radius or the event root)
+# per _dopri5 run of the case, in call order: (accepted steps, status,
+# {i: float.hex of (t, y, y') at step point i}, the same of the end point:
+# r_end, the stall radius or the event root).  The alpha, beta > 0 profiles
+# run twice, the r-form to r_h = l = 1, then (s, W, W_s) from log r_h
+# to log R_MAX.
 _KERNEL_PINS = {
     "shrink3": (
-        702,
-        0,
-        {
-            1: ("0x1.4407bf11f4e9fp-19", "0x1.fffffffffbfeap-1", "-0x1.9509aed66cc2bp-20"),
-            351: ("0x1.629507b97299dp+6", "0x1.0319067172aa7p-15", "-0x1.e66a4a6df5836p-21"),
-            701: ("0x1.36b598156b1a5p+13", "0x1.0ccd9c9d638abp-32", "-0x1.1514faf14ee51p-44"),
-        },
-        ("0x1.3880000000000p+13", "0x1.08f737101d8abp-32", "-0x1.0f916e322836fp-44"),
+        (
+            61,
+            0,
+            {
+                1: ("0x1.4407bf11f4e9fp-19", "0x1.fffffffffbfeap-1", "-0x1.9509aed66cc2bp-20"),
+                30: ("0x1.3180b7e40d0a7p-3", "0x1.fc75f995429d1p-1", "-0x1.795982cc2678dp-4"),
+                60: ("0x1.f2d1504d00e6cp-1", "0x1.8749ee89ce295p-1", "-0x1.88d9b7c6c33cdp-2"),
+            },
+            ("0x1.0000000000000p+0", "0x1.8238bc3108c76p-1", "-0x1.8a500d9c87d1cp-2"),
+        ),
+        (
+            244,
+            0,
+            {
+                1: ("0x1.4d9b45d4c5813p-9", "-0x1.c5983b2dc7bfcp-3", "0x1.9704e7f1eb3b2p+0"),
+                122: ("0x1.9e3f0cb0af676p+1", "0x1.b1190806ede85p-1", "-0x1.a9b4cf96c6ec1p-3"),
+                243: ("0x1.25dc33a57c3f5p+3", "0x1.684af0446e578p-1", "-0x1.968ebad9c01bap-10"),
+            },
+            ("0x1.26bb1bbb55516p+3", "0x1.6844f9303aa23p-1", "-0x1.d5fe8bc351273p-10"),
+        ),
     ),
     "shrink5": (
-        878,
-        0,
-        {
-            1: ("0x1.4407bf11f3e40p-19", "0x1.fffffffffe516p-1", "-0x1.543b556c71a16p-21"),
-            439: ("0x1.cb05fe44ee200p+6", "0x1.42b54dc79469cp-18", "-0x1.3bde1976019a4p-23"),
-            877: ("0x1.375f61883ad0dp+13", "0x1.b91768b3b1662p-41", "-0x1.3d51698ad0ad3p-52"),
-        },
-        ("0x1.3880000000000p+13", "0x1.b38bfd684de10p-41", "-0x1.3832e8c8f15ddp-52"),
+        (
+            85,
+            0,
+            {
+                1: ("0x1.4407bf11f3e40p-19", "0x1.fffffffffe516p-1", "-0x1.543b556c71a16p-21"),
+                42: ("0x1.28ef3993936ddp-3", "0x1.fe9723fc4db56p-1", "-0x1.3671ed315a3bfp-5"),
+                84: ("0x1.f034cf9418ca8p-1", "0x1.c674abb54390cp-1", "-0x1.b0b54611c1868p-3"),
+            },
+            ("0x1.0000000000000p+0", "0x1.c315d54290e08p-1", "-0x1.b95567fdbfaebp-3"),
+        ),
+        (
+            274,
+            0,
+            {
+                1: ("0x1.3bf9130e25e64p-9", "-0x1.161c61afa6212p-4", "0x1.dc0edf87f2ba6p+0"),
+                137: ("0x1.263779cfc63bfp+1", "0x1.37370ee9fc250p+1", "0x1.926f9babb5820p-3"),
+                273: ("0x1.23f0673fd14ecp+3", "0x1.3e114ef13b223p+1", "0x1.164421d9acd1fp-17"),
+            },
+            ("0x1.26bb1bbb55516p+3", "0x1.3e11549062e52p+1", "0x1.dc0014376bc56p-18"),
+        ),
     ),
     "steady": (
-        862,
-        0,
-        {
-            1: ("0x1.4407bf11f451bp-19", "0x1.fffffffffd547p-1", "-0x1.0e06748ef3a6dp-20"),
-            431: ("0x1.7589ff14f6893p+7", "0x1.b9bdcf1052b20p-15", "-0x1.5d29d569d340fp-21"),
-            861: ("0x1.382c3d55a259fp+13", "0x1.39e69582830c0p-28", "-0x1.3281e42209548p-40"),
-        },
-        ("0x1.3880000000000p+13", "0x1.391e5ddc0826fp-28", "-0x1.316cd5184e505p-40"),
+        (
+            59,
+            0,
+            {
+                1: ("0x1.4407bf11f451bp-19", "0x1.fffffffffd547p-1", "-0x1.0e06748ef3a6dp-20"),
+                29: ("0x1.31c7a0d6120fdp-3", "0x1.fda1e9f56fb37p-1", "-0x1.f936268459e0dp-5"),
+                58: ("0x1.f3a15c068cee6p-1", "0x1.aa72c4ba693f7p-1", "-0x1.27245f204fef9p-2"),
+            },
+            ("0x1.0000000000000p+0", "0x1.a6de1384190e8p-1", "-0x1.29ae9f77eaddbp-2"),
+        ),
+        (
+            399,
+            0,
+            {
+                1: ("0x1.455b55433ec65p-9", "-0x1.30a30dda82a51p-3", "0x1.b79c99316ae9ap+0"),
+                199: ("0x1.0ceb30ec96907p+2", "0x1.33c6e85663f01p+1", "0x1.7c4cc199f859ap-3"),
+                398: ("0x1.264826581e12dp+3", "0x1.86e8ab34a42ddp+1", "0x1.8516f04deb676p-4"),
+            },
+            ("0x1.26bb1bbb55516p+3", "0x1.871451f290e18p+1", "0x1.849076af2a2e6p-4"),
+        ),
     ),
     "expand": (
-        10861,
-        0,
-        {
-            1: ("0x1.4407bf11f3b9ep-19", "0x1.fffffffffeaa4p-1", "-0x1.0e06748ef4218p-21"),
-            5431: ("0x1.9d1a6ffcd2b72p+11", "0x1.0092aa4dfadafp-13", "-0x1.8d6bfa89508f8p-25"),
-            10860: ("0x1.387aa4720ccebp+13", "0x1.0139281f573e9p-15", "-0x1.0765ecad9b01cp-28"),
-        },
-        ("0x1.3880000000000p+13", "0x1.0133a509a6cf4p-15", "-0x1.075bc3d519268p-28"),
+        (
+            57,
+            0,
+            {
+                1: ("0x1.4407bf11f3b9ep-19", "0x1.fffffffffeaa4p-1", "-0x1.0e06748ef4218p-21"),
+                28: ("0x1.391f15203467dp-3", "0x1.fec1c1e44a143p-1", "-0x1.03710accdf21ep-5"),
+                56: ("0x1.fd510a3284ff3p-1", "0x1.d0f0448f45aa5p-1", "-0x1.51911d86236afp-3"),
+            },
+            ("0x1.0000000000000p+0", "0x1.d07ede6938e7ep-1", "-0x1.5292be11b7e7ep-3"),
+        ),
+        (
+            5034,
+            0,
+            {
+                1: ("0x1.3c8119837004ep-9", "-0x1.2cbbdf977ce08p-4", "0x1.da85b9d8e8cf0p+0"),
+                2517: ("0x1.03c593f7df4dfp+3", "0x1.20733e9c6759ep+3", "0x1.000bf6b291581p+0"),
+                5033: ("0x1.26bae5a35d20fp+3", "0x1.43698eb0c9904p+3", "0x1.000403018ec87p+0"),
+            },
+            ("0x1.26bb1bbb55516p+3", "0x1.4369c4c99ac27p+3", "0x1.000402fac111ep+0"),
+        ),
     ),
     "negcurv": (
-        1850,
-        0,
-        {
-            1: ("0x1.4407bf11f289bp-19", "0x1.0000000000aaep+0", "0x1.0e06748ef5166p-21"),
-            925: ("0x1.4543b565d54a8p+4", "0x1.47658fd0ac8c7p+4", "0x1.41ec67ff444dcp+0"),
-            1849: ("0x1.dfe1305a7bc9ep+4", "0x1.0a21b3f2204dep+5", "0x1.62df1566bba6dp+0"),
-        },
-        ("0x1.e000000000000p+4", "0x1.0a370f1c382adp+5", "0x1.62e4c93915f36p+0"),
+        (
+            1850,
+            0,
+            {
+                1: ("0x1.4407bf11f289bp-19", "0x1.0000000000aaep+0", "0x1.0e06748ef5166p-21"),
+                925: ("0x1.4543b565d54a8p+4", "0x1.47658fd0ac8c7p+4", "0x1.41ec67ff444dcp+0"),
+                1849: ("0x1.dfe1305a7bc9ep+4", "0x1.0a21b3f2204dep+5", "0x1.62df1566bba6dp+0"),
+            },
+            ("0x1.e000000000000p+4", "0x1.0a370f1c382adp+5", "0x1.62e4c93915f36p+0"),
+        ),
     ),
     "touchdown": (
-        1077,
-        -1,
-        {
-            1: ("0x1.4407bf11f22e8p-19", "0x1.fffffffffeee9p-1", "-0x1.b00a5417ef002p-22"),
-            539: ("0x1.b04652690c13ap+2", "0x1.c327ce6ffc164p-52", "-0x1.dffc675642f5ep-43"),
-            1076: ("0x1.b0dceb6f11c05p+2", "0x1.5addda153b2dcp-240", "-0x1.102cf2cadb4a3p-195"),
-        },
-        ("0x1.b0dceb6f11c31p+2", "0x1.937a595550af8p-242", "-0x1.93ceb63cc8aecp-197"),
+        (
+            1077,
+            -1,
+            {
+                1: ("0x1.4407bf11f22e8p-19", "0x1.fffffffffeee9p-1", "-0x1.b00a5417ef002p-22"),
+                539: ("0x1.b04652690c13ap+2", "0x1.c327ce6ffc164p-52", "-0x1.dffc675642f5ep-43"),
+                1076: ("0x1.b0dceb6f11c05p+2", "0x1.5addda153b2dcp-240", "-0x1.102cf2cadb4a3p-195"),
+            },
+            ("0x1.b0dceb6f11c31p+2", "0x1.937a595550af8p-242", "-0x1.93ceb63cc8aecp-197"),
+        ),
     ),
     "blowup": (
-        1075,
-        1,
-        {
-            1: ("0x1.4407bf11f1d77p-19", "0x1.000000000088bp+0", "0x1.b00a5417ef6ffp-22"),
-            538: ("0x1.86c004251c964p+1", "0x1.5dc6340c03351p+18", "0x1.c419dceb11053p+33"),
-            1074: ("0x1.86c0fbb49a01cp+1", "0x1.c542b558afa6dp+39", "0x1.39cb1437d5d5fp+72"),
-        },
-        ("0x1.86c0fbb49c799p+1", "0x1.d1a8b10c299fap+39", "0x1.4969844678a0fp+72"),
+        (
+            1075,
+            1,
+            {
+                1: ("0x1.4407bf11f1d77p-19", "0x1.000000000088bp+0", "0x1.b00a5417ef6ffp-22"),
+                538: ("0x1.86c004251c964p+1", "0x1.5dc6340c03351p+18", "0x1.c419dceb11053p+33"),
+                1074: ("0x1.86c0fbb49a01cp+1", "0x1.c542b558afa6dp+39", "0x1.39cb1437d5d5fp+72"),
+            },
+            ("0x1.86c0fbb49c799p+1", "0x1.d1a8b10c299fap+39", "0x1.4969844678a0fp+72"),
+        ),
     ),
     "log_dynamics": (
-        332,
-        0,
-        {
-            1: ("0x1.26be6297b2b4fp+1", "0x1.d871454eed0e4p-27", "0x1.205ad3be503f4p-12"),
-            166: ("0x1.7e66849596b73p+2", "0x1.3faa618ac590ap+1", "0x1.48700fddcf5d6p-7"),
-            331: ("0x1.b7db534060246p+3", "0x1.3e116da53275bp+1", "-0x1.369464a0585a1p-23"),
-        },
-        ("0x1.ba18a998fffa0p+3", "0x1.3e116d8e67c12p+1", "-0x1.52f13c68a1db0p-23"),
+        (
+            332,
+            0,
+            {
+                1: ("0x1.26be6297b2b4fp+1", "0x1.d871454eed0e4p-27", "0x1.205ad3be503f4p-12"),
+                166: ("0x1.7e66849596b73p+2", "0x1.3faa618ac590ap+1", "0x1.48700fddcf5d6p-7"),
+                331: ("0x1.b7db534060246p+3", "0x1.3e116da53275bp+1", "-0x1.369464a0585a1p-23"),
+            },
+            ("0x1.ba18a998fffa0p+3", "0x1.3e116d8e67c12p+1", "-0x1.52f13c68a1db0p-23"),
+        ),
     ),
 }
 
@@ -594,12 +765,12 @@ def test_kernel_bits_are_pinned(monkeypatch, case):
     monkeypatch.setattr(ps, "_dopri5", recording(ps._dopri5))
     monkeypatch.setattr(geometry, "_dopri5", recording(geometry._dopri5))
     _KERNEL_RUNS[case]()
-    (traj,) = trajs
-    steps, status, points, end = _KERNEL_PINS[case]
-    assert (len(traj.h), traj.status) == (steps, status)
-    got = {i: tuple(float(x).hex() for x in (traj.t[i], *traj.y[:, i])) for i in points}
-    assert got == points
-    assert tuple(float(x).hex() for x in (traj.t[-1], *traj.y[:, -1])) == end
+    assert len(trajs) == len(_KERNEL_PINS[case])
+    for traj, (steps, status, points, end) in zip(trajs, _KERNEL_PINS[case]):
+        assert (len(traj.h), traj.status) == (steps, status)
+        got = {i: tuple(float(x).hex() for x in (traj.t[i], *traj.y[:, i])) for i in points}
+        assert got == points
+        assert tuple(float(x).hex() for x in (traj.t[-1], *traj.y[:, -1])) == end
 
 
 def _float_only(kernel, calls):
@@ -741,6 +912,27 @@ def test_positivity_truncation_gives_step_failure(monkeypatch):
     assert prof.status.radius == prof.r[-1] < 1.0
     assert np.all(prof.v > 0.0)
     assert prof.step_indices[-1] < len(prof.r)
+
+
+@pytest.mark.parametrize("state", [(0.0, -0.3), (-1e-3, -0.3), (math.nan, -0.3), (0.5, math.inf)])
+def test_bad_handoff_state_gives_step_failure(monkeypatch, state):
+    # an r-form end state at r_h = l that is not positive and finite never
+    # reaches the log form: the run stops there, typed
+    runs = []
+    real = ps._dopri5
+
+    def spoiled(*args):
+        traj = real(*args)
+        runs.append(traj)
+        traj.y[:, -1] = state
+        return traj
+
+    monkeypatch.setattr(ps, "_dopri5", spoiled)
+    p = yl.make_params(n=3, m=yl.soliton_exponent(3), beta=1.0, rho=1.0, eta=1.0)
+    prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
+    assert len(runs) == 1
+    assert prof.status == yl.ProfileStatus("StepFailure", 1.0) and prof.r[-1] == 1.0
+    assert np.all(prof.v > 0.0)
 
 
 def _corrupt_header(csv, doc):
