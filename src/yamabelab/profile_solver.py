@@ -25,35 +25,30 @@ abs or len call per step, so making a step cheaper never moves a result
 the bit).
 
 Runs with alpha > 0 and beta > 0 go in two phases when l = eta^((m-1)/2)
-lies below r_max.  The r-form runs from r0 to r_h = HANDOFF_RADIUS * l, and
-from there the autonomous equation of W = log w, w = r^2 v^(1-m), in
-s = log r (_log_wpp, valid for any m) carries the tail to log r_max.  The
-paper's limits are statements in s, and the power-law tails that cost the
-r-form about 200 accepted steps per decade are smooth there: the shrinking
-(n = 3, 5), steady and expanding reference runs to 1e4 take 305, 359, 458
-and 5,091 steps instead of 702, 878, 862 and 10,861.  r_h = l because just
-past the core v is flat, W_s = 2 + (1-m) r v'/v is close to 2, and relative
-control of W_s loses r v'/v: handing over at 0.1 l put the benchmark's
-worst error at 6e-9 (1.1e-9 at l).  The same loss, milder, sets the log
-phase's tolerance, LOG_TOL_FACTOR * rtol = rtol/100, as rtol and atol
-alike: at rtol/10 the worst gap between the two K0 routes of the expanding
-benchmark runs rose from 2.5e-9 to 2.0e-8, just past r_h at n = 8, where
-W_s - 2 is about -0.02; at rtol/30 it read 6.4e-9.  The log phase fills
-its part of the grid from its own dense output, v = (e^W / r^2)^(1/(1-m))
-and v' = (W_s - 2) v / ((1-m) r).
+lies below r_max.  The r-form runs from r0 to r_h = l, and from there the
+autonomous equation of W = log w, w = r^2 v^(1-m), in s = log r (_log_wpp,
+valid for any m) carries the tail to log r_max.  The paper's limits are
+statements in s, and the power-law tails that cost the r-form about 200
+accepted steps per decade are smooth there: the shrinking (n = 3, 5),
+steady and expanding reference runs to 1e4 take 305, 359, 458 and 5,091
+steps instead of 702, 878, 862 and 10,861.  r_h = l because just past the
+core v is flat, W_s = 2 + (1-m) r v'/v is close to 2, and relative control
+of W_s loses r v'/v: handing over at 0.1 l put the benchmark's worst error
+at 6e-9 (1.1e-9 at l; both on a grid of 550 points per decade).  The same
+loss, milder, sets the log phase's tolerance, LOG_TOL_FACTOR * rtol =
+rtol/100, as rtol and atol alike: at rtol/10 the worst gap between the two
+K0 routes of the expanding benchmark runs rose from 2.5e-9 to 2.0e-8, just
+past r_h at n = 8, where W_s - 2 is about -0.02; at rtol/30 it read 6.4e-9.
+The log phase fills its part of the grid from its own dense output,
+v = (e^W / r^2)^(1/(1-m)) and v' = (W_s - 2) v / ((1-m) r).
 Every other run (blow-up alpha < 0, beta <= 0; touch-down alpha > 0 > beta;
 alpha < 0 < beta; beta = 0) is the r-form alone.
 
 The stored grid is the union of the accepted steps of both phases and a
-log-uniform refinement filled from the dense output: CORE_POINTS_PER_DECADE
-in the core below CORE_RADIUS * l, where v is flat to O(r^2), and
-POINTS_PER_DECADE from there on.  The identity checks integrate over it
-with the quintic Hermite rule (_hermite_ends, exact for quintics), which
-holds the integral defect and the K0 gap near 1e-9 on that grid.  The
-end-corrected trapezoid (exact for cubics) needs the full density there:
-with 200 points per decade in the core the largest K0 gap of the expanding
-benchmark runs rose from 3.9e-9 to 2.4e-8.  So POINTS_PER_DECADE is set by
-interpolation, not by the quadratures.  The pointwise check takes v'' at the
+log-uniform refinement at POINTS_PER_DECADE filled from the dense output.
+The identity checks integrate over it with the quintic Hermite rule
+(_hermite_ends, exact for quintics), which holds the integral defect and
+the K0 gap near 1e-9 on that grid.  The pointwise check takes v'' at the
 accepted steps in closed form (_quintic_vpp), with no linear solve.  Runs
 end in one of three statuses:
 
@@ -68,9 +63,10 @@ Between grid points value_at reads v from the quintic Hermite through
 (v, v', v'') and v' from the one through (v', v'', v'''), v'' and v''' from
 the equation (_vpp_array, _vppp_array).  The log phase adds no knots near
 the radii where values are checked, so a cubic's own interpolation error
-would show: with the cubic through (v, v') the expanding benchmark's worst
-error read 4.20e-10 where the quintic reads 3.50e-10.  Profiles are
-immutable; solving is a pure function of (params, numerics).
+would show: with the cubic through (v, v') on a grid of 550 points per
+decade the expanding benchmark's worst error read 4.20e-10 where the
+quintic read 3.50e-10.  Profiles are immutable; solving is a pure function
+of (params, numerics).
 """
 
 from __future__ import annotations
@@ -101,20 +97,16 @@ __all__ = [
 BLOWUP_CAP = 1e12          # v > cap * eta counts as blow-up
 STEP_BUDGET = 10**6        # accepted steps before a _dopri5 run gives up
 DEFAULT_R0_SCALE = 1e-6
-# refinement density of the stored grid, set by value_at between knots: the
-# step-halving order of pde_residual on the expanding reference run falls
-# below 2 at 367 and 200 points per decade
-POINTS_PER_DECADE = 550
-# density in the core r < r_c = CORE_RADIUS * l, l = eta^((m-1)/2).  There
-# v/eta - 1 = -alpha (r/l)^2/(2n(n-1)) + O((r/l)^4), so value_at is limited
-# by the integration at any density, and the quintic Hermite rule keeps the
-# integral defect and the K0 gap where 550 points per decade put them
-CORE_RADIUS = 1e-2
-CORE_POINTS_PER_DECADE = 100
+# refinement density of the stored grid.  With the quintic value_at and the
+# quintic Hermite rule, 100 points per decade hold the integral defect and
+# the K0 gap of the reference runs within 1.4% of 200 per decade, and keep
+# the step-halving order of pde_residual above 2.  The benchmark's worst v, v'
+# error is not monotone in the density (set by which knots bracket a check
+# radius): 2.9e-10 on the sweep panel at 100, 9.7e-10 at 200
+POINTS_PER_DECADE = 100
 # alpha, beta > 0 runs hand the r-form over to the log-radius equation at
-# r_h = HANDOFF_RADIUS * l, which runs at LOG_TOL_FACTOR * rtol, as rtol and
+# r_h = l = eta^((m-1)/2), which runs at LOG_TOL_FACTOR * rtol, as rtol and
 # atol alike
-HANDOFF_RADIUS = 1.0
 LOG_TOL_FACTOR = 0.01
 
 PROFILE_CSV_HEADER = "r,v,dv"
@@ -577,15 +569,12 @@ def solve_profile(
 ) -> RadialProfile:
     """Integrate the profile equation from the series start to r_max.
 
-    With alpha > 0 and beta > 0 the r-form stops at r_h = HANDOFF_RADIUS *
-    eta^((m-1)/2) when that lies below r_max, and the log-radius equation
-    carries the run on from the state there (see the module docstring).
-    The returned grid unions the accepted adaptive steps with a log-uniform
-    refinement filled from dense output, so later geometry evaluations and
-    quadratures work on stored points only.  The refinement runs at
-    CORE_POINTS_PER_DECADE below r_c = CORE_RADIUS * eta^((m-1)/2) and at
-    POINTS_PER_DECADE from there on; its points from r_c up are those of
-    np.geomspace(r0, r_end) at POINTS_PER_DECADE.
+    With alpha > 0 and beta > 0 the r-form stops at r_h = eta^((m-1)/2)
+    when that lies below r_max, and the log-radius equation carries the run
+    on from the state there (see the module docstring).  The returned grid
+    unions the accepted adaptive steps with np.geomspace(r0, r_end) at
+    POINTS_PER_DECADE, filled from dense output, so later geometry
+    evaluations and quadratures work on stored points only.
     The solver reports whatever trajectory the initial data generates;
     it makes no uniqueness claim.
     """
@@ -601,7 +590,7 @@ def solve_profile(
         raise ValueError(f"r0 = {r0!r} must be below r_max = {r_max!r}")
     cap = BLOWUP_CAP * eta
     n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
-    r_h = HANDOFF_RADIUS * length
+    r_h = length
     log_tail = alpha > 0.0 and beta > 0.0 and r_h < r_max
     traj = _dopri5(
         _vpp(n, m, alpha, beta),
@@ -643,13 +632,7 @@ def solve_profile(
 
     decades = max(np.log10(r_end / r0), 1e-9)
     n_refine = max(int(np.ceil(decades * POINTS_PER_DECADE)), 2)
-    refine = np.geomspace(r0, r_end, n_refine)
-    # the fine refinement is kept from its last point below r_c, so every
-    # knot and every value_at from r_c up is the same as with no core
-    k = max(int(np.searchsorted(refine, CORE_RADIUS * length)) - 1, 0)
-    n_core = int(np.ceil(np.log10(refine[k] / r0) * CORE_POINTS_PER_DECADE))
-    core = np.geomspace(r0, refine[k], n_core, endpoint=False)
-    grid = np.union1d(steps, np.concatenate((core, refine[k:])))
+    grid = np.union1d(steps, np.geomspace(r0, r_end, n_refine))
     if tail is None:
         v, dv = traj(grid)
     else:

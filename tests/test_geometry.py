@@ -176,8 +176,8 @@ def test_k0_quadrature_matches_sequential_recurrence(fixture, span, request, mon
 
 @pytest.mark.parametrize("name", ["shrink3", "shrink5", "expand"])
 def test_quadratures_hold_on_half_the_grid(name, request, monkeypatch):
-    # the end-corrected trapezoids are O(h^4) and sit near 1e-9, where the
-    # grid no longer sets them: halving the refinement moves the integral
+    # the quintic Hermite rule is O(h^6) and the checks sit near 1e-9, where
+    # the grid no longer sets them: halving the refinement moves the integral
     # defect and the K0 gap by less than 2x (plain trapezoids moved them 4x)
     params = request.getfixturevalue(f"{name}_params")
 
@@ -186,7 +186,8 @@ def test_quadratures_hold_on_half_the_grid(name, request, monkeypatch):
         prof = yl.solve_profile(params, r_max=R_MAX, rtol=RTOL)
         return yl.residuals(prof).max_integral_residual, yl.compute_geometry(prof).k0_agreement
 
-    for fine, coarse in zip(checks(1100), checks(550)):
+    n = ps.POINTS_PER_DECADE
+    for fine, coarse in zip(checks(2 * n), checks(n)):
         assert max(fine, coarse) < 2.0 * min(fine, coarse)
 
 
