@@ -31,10 +31,12 @@ equation; w_log_dynamics integrates it for long-range continuation where
 direct r-integration would waste steps.  It runs W = log w~ on
 profile_solver._dopri5, through profile_solver._log_wpp, the equation
 solve_profile carries alpha, beta > 0 tails on, and stops at one terminal
-event when w~ collapses or W_s runs away.  analysis.w_equation_defect writes
-the w~ form again, in array arithmetic, as _vpp_array does for _vpp.  The
-state (w~, w~_s) is built from (r, v, v') by profile_solver._w_tilde, for
-log_handoff and the defect alike.
+event when w~ collapses or W_s runs away.  analysis.w_equation_defect keeps
+its own copy of the equation, in w~ rather than W and in array arithmetic:
+it is the reference the stored profile, W-form tail included, is checked
+against, so it must not share _log_wpp's formula.  log_handoff and the defect
+both read (v, v') from the profile by value_at and build (w~, w~_s) with
+profile_solver._w_tilde.
 
 Self-similar solutions of u_t = (n-1)/m * Laplacian(u^m) are evaluated from
 the profile by the Forward/Backward/Eternal scalings.  The alpha each kind
@@ -266,13 +268,11 @@ class LogDynamics:
 
 
 def log_handoff(profile: RadialProfile, r_h: float) -> tuple[float, tuple[float, float]]:
-    """Initial data (s0, (w~, w~_s)) for w_log_dynamics taken from a profile."""
-    idx = int(np.searchsorted(profile.r, r_h))
-    idx = min(max(idx, 0), len(profile.r) - 1)
-    r = float(profile.r[idx])
-    v = float(profile.v[idx])
-    dv = float(profile.dv[idx])
-    return math.log(r), _w_tilde(profile.params.m, r, v, dv)
+    """Initial data (s0, (w~, w~_s)) for w_log_dynamics read from a profile
+    at r_h by value_at, which rejects radii past the grid, negative or
+    non-finite."""
+    v, dv = profile.value_at(r_h, derivative=True)
+    return math.log(r_h), _w_tilde(profile.params.m, r_h, v, dv)
 
 
 def _log_stop(W, Ws):

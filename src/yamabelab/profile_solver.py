@@ -130,8 +130,8 @@ class RadialProfile:
 
     step_indices marks the subset of grid points that were accepted
     integrator steps; points between them were filled from dense output.
-    Arrays are read-only; q and w are computed once, on first access, and
-    _windows keeps analysis.w_equation_defect's trajectory per window.
+    Arrays are read-only and q and w are computed once, on first access;
+    nothing else is stored on the profile after construction.
     """
 
     def __init__(
@@ -160,7 +160,6 @@ class RadialProfile:
         self.rtol = float(rtol)
         self.atol = float(atol)
         self.step_indices = _frozen(np.asarray(step_indices, dtype=int))
-        self._windows = {}
 
     @property
     def r0(self) -> float:

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 import yamabelab as yl
 from conftest import R_MAX, RTOL, _params, perturb_profile
-from yamabelab import analysis, geometry
+from yamabelab import geometry
 from yamabelab import profile_solver as ps
 
 
@@ -835,7 +835,7 @@ def test_kernel_runs_on_floats_whatever_the_input(monkeypatch, case):
     float inputs' outputs to the bit."""
     calls = []
     kernel = _float_only(ps._dopri5, calls)
-    for module in (ps, analysis, geometry):
+    for module in (ps, geometry):
         monkeypatch.setattr(module, "_dopri5", kernel)
     outputs = [
         [x.hex() for a in _NUMPY_INPUT_RUNS[case](num) for x in np.ravel(a).tolist()]
