@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core_params import SolitonParams, TheoreticalPredictions, _blowup_regime
+from .core_params import SolitonParams, TheoreticalPredictions, _blowup_regime, _require_soliton
 from .core_params import blowup_certificate, classify, predictions
 from .geometry import GeometryCurves, _psi_s_and_R, compute_geometry
 from .profile_solver import RadialProfile, _w_tilde, solve_profile
@@ -221,8 +221,7 @@ def w_equation_defect(
     and w~_s are exact algebra in (v, v'); only w~_ss is differenced, so
     halving the spacing shrinks the defect about fourfold."""
     p = profile.params
-    if p.rho is None:
-        raise ValueError("the log-radius equation needs soliton parameters")
+    _require_soliton(p, "the log-radius equation")
     if num_points < 3:
         raise ValueError(f"num_points must be at least 3, got {num_points!r}")
     n, m, beta, rho = p.n, p.m, p.beta, p.rho
@@ -269,8 +268,7 @@ def verify(params: SolitonParams, r_max: float = 1e4, **numerics) -> AsymptoticR
         raise ValueError(
             "no global solution exists for alpha < 0, beta <= 0; use the blow-up certificate path"
         )
-    if params.rho is None:
-        raise ValueError("verification needs soliton parameters (rho present)")
+    _require_soliton(params, "verification")
     cls = classify(params)
     profile = solve_profile(params, r_max, **numerics)
     if profile.status.kind != "Global":

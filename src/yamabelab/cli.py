@@ -29,8 +29,8 @@ import numpy as np
 
 from .analysis import STRICT_SLACK, report_to_json, verify
 from .core_params import _blowup_regime, blowup_certificate, classify, make_params
-from .geometry import SelfSimilarSpec, _require_geometry, _scaling_alpha, _self_similar_u
-from .geometry import compute_geometry, write_geometry_csv
+from .geometry import _SCALING_RHO, SelfSimilarSpec, _require_geometry, _scaling_alpha
+from .geometry import _self_similar_u, compute_geometry, write_geometry_csv
 from .profile_solver import _check_numerics, _write_csv, _write_sidecar, solve_profile
 from .profile_solver import write_profile_csv, write_profile_json
 
@@ -217,7 +217,7 @@ def _cmd_certify_blowup(args, values: dict, numerics: dict) -> int:
     return 1 if outcome == "Fail" else 0
 
 
-_SELF_SIMILAR_KINDS = {"forward": "Forward", "backward": "Backward", "eternal": "Eternal"}
+_SELF_SIMILAR_KINDS = {kind.lower(): kind for kind in _SCALING_RHO}
 
 
 def _cmd_selfsim(args, values: dict, numerics: dict) -> int:
@@ -242,12 +242,11 @@ def _cmd_selfsim(args, values: dict, numerics: dict) -> int:
     return 0
 
 
-def _sweep_point(task: tuple) -> dict:
+def _sweep_point(point: dict, numerics: dict) -> dict:
     """One grid point: verify, or certify in the blow-up regime.
 
     Returns a complete row; any exception is captured in the error column
     so a bad point never aborts the sweep."""
-    point, numerics = task
     row = {col: "" for col in SWEEP_COLUMNS}
     for key, value in point.items():
         row[key] = str(value) if key == "n" else _fmt(value)
@@ -287,17 +286,7 @@ def _cmd_sweep(args, values: dict, numerics: dict) -> int:
         raise UsageError("one of rho or alpha must be supplied")
 
     points = [dict(zip(grids, combo)) for combo in product(*grids.values())]
-    tasks = [(point, numerics) for point in points]
-    workers = min(len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: concurrent.futures.process loads multiprocessing,
-        # which every other command and --help would pay for at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(task) for task in tasks]
+    rows = [_sweep_point(point, numerics) for point in points]
 
     with open(out / "sweep.csv", "w") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")

@@ -50,6 +50,17 @@ def _valid_dimension(n) -> bool:
     return isinstance(n, int) and n >= 3
 
 
+def _soliton_alpha(m: float, beta: float, rho: float) -> float:
+    """alpha from alpha*(1-m) = 2*beta + rho.  At m = 1 no alpha follows:
+    the value is NaN, and SolitonParams flags m as outside the exponent range."""
+    return (2.0 * beta + rho) / (1.0 - m) if m != 1.0 else math.nan
+
+
+def _require_soliton(params: SolitonParams, what: str) -> None:
+    if params.rho is None:
+        raise ValueError(f"{what} requires soliton parameters (rho present)")
+
+
 _FLOAT_FIELDS = ("m", "alpha", "beta", "eta", "rho")
 
 
@@ -201,8 +212,7 @@ def make_params(
     rho, alpha = (x if x is None else float(x) for x in (rho, alpha))
     derived = None
     if alpha is None:
-        # m = 1 is outside the exponent range; leave alpha for the check to flag
-        alpha = (2.0 * beta + rho) / (1.0 - m) if m != 1.0 else math.nan
+        alpha = _soliton_alpha(m, beta, rho)
         derived = "alpha"
     elif rho is None and _valid_dimension(n) and abs(m - soliton_exponent(n)) <= _CONSISTENCY_TOL:
         rho = alpha * (1.0 - m) - 2.0 * beta
@@ -245,9 +255,8 @@ def predictions(params: SolitonParams, strict: bool = False) -> TheoreticalPredi
     rejected.  The default fills every formula whose inputs are defined,
     which is what the verification battery compares against.
     """
+    _require_soliton(params, "prediction")
     cls = classify(params)
-    if cls.variant == "NonSoliton":
-        raise ValueError("predictions need a soliton parameter set (rho present)")
     if strict and cls.validity != "CoveredByTheorems":
         raise ValueError(f"parameters outside covered regimes: {cls.reason}")
 

@@ -39,9 +39,10 @@ both read (v, v') from the profile by value_at and build (w~, w~_s) with
 profile_solver._w_tilde.
 
 Self-similar solutions of u_t = (n-1)/m * Laplacian(u^m) are evaluated from
-the profile by the Forward/Backward/Eternal scalings.  The alpha each kind
-forces is _scaling_alpha, which SelfSimilarSpec checks when it is built and
-the selfsim command derives alpha from.  The time scaling, u = amplitude *
+the profile by the Forward/Backward/Eternal scalings.  Each kind forces rho
+= -1, 0 or +1 (_SCALING_RHO), so its alpha, _scaling_alpha, is core_params'
+alpha rule at that rho; SelfSimilarSpec checks it when it is built and the
+selfsim command derives alpha from it.  The time scaling, u = amplitude *
 v(radial factor * |x|), is _self_similar_scale; _self_similar_u applies it
 for self_similar_eval and the selfsim command, and pde_residual applies it to
 its whole stencil, which it reads from the profile in one value_at call.
@@ -54,9 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_params import SolitonParams
+from .core_params import SolitonParams, _require_soliton, _soliton_alpha
 from .profile_solver import (
     RadialProfile,
+    _check_numerics,
     _dopri5,
     _hermite_ends,
     _hermite_weights,
@@ -108,11 +110,6 @@ class GeometryCurves:
     psi_s: np.ndarray
     k0_quadrature: np.ndarray
     k0_agreement: float
-
-
-def _require_soliton(params: SolitonParams, what: str) -> None:
-    if params.rho is None:
-        raise ValueError(f"{what} requires soliton parameters (rho present)")
 
 
 def _require_geometry(params: SolitonParams) -> None:
@@ -301,6 +298,9 @@ def w_log_dynamics(
     if not (wt0 > 0.0):
         raise ValueError(f"w~ must be positive at handoff, got {wt0!r}")
     s0, s1 = s_range
+    # a non-finite end would run the kernel to STEP_BUDGET
+    if not (math.isfinite(s0) and math.isfinite(s1) and s0 < s1):
+        raise ValueError(f"s_range must be finite and increasing, got {s_range!r}")
     traj = _dopri5(
         _log_wpp(params.n, params.m, params.alpha, params.beta),
         s0,
@@ -372,19 +372,16 @@ class SelfSimilarSpec:
                 raise ValueError("Backward scaling requires a positive horizon T")
 
 
-def _scaling_alpha(kind: str, m: float, beta: float) -> float:
-    """The alpha that the kind's time scaling requires of the profile.
+# the soliton constant rho each kind's time scaling forces on the profile
+_SCALING_RHO = {"Forward": -1.0, "Eternal": 0.0, "Backward": 1.0}
 
-    m = 1 lies outside the exponent range: the alpha is NaN there, as in
-    make_params, and SolitonParams flags both."""
-    one_m = 1.0 - m if m != 1.0 else math.nan
-    if kind == "Forward":
-        return (2.0 * beta - 1.0) / one_m
-    if kind == "Backward":
-        return (2.0 * beta + 1.0) / one_m
-    if kind == "Eternal":
-        return 2.0 * beta / one_m
-    raise ValueError(f"unknown kind {kind!r}")
+
+def _scaling_alpha(kind: str, m: float, beta: float) -> float:
+    """The alpha that the kind's time scaling requires of the profile:
+    alpha*(1-m) = 2*beta + rho with the kind's rho."""
+    if kind not in _SCALING_RHO:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _soliton_alpha(m, beta, _SCALING_RHO[kind])
 
 
 def _self_similar_scale(spec: SelfSimilarSpec, t: float) -> tuple[float, float]:
@@ -429,7 +426,9 @@ def pde_residual(
     lattice, by central differences in both variables; radial Laplacian
     f'' + (n-1)/r f'.  The whole stencil, each row scaled by
     _self_similar_scale at its own time, is read in one value_at call.
-    Sup-norm normalized; returns 0 for an identically flat lattice."""
+    Sup-norm normalized; returns 0 for an identically flat lattice.  The
+    steps h_r and h_t must be positive and finite."""
+    _check_numerics(h_r=h_r, h_t=h_t)
     n, m = spec.params.n, spec.params.m
     coef = (n - 1) / m
     r = np.array(r_points, dtype=float, ndmin=1)

@@ -580,8 +580,9 @@ def solve_profile(
     _check_numerics(r_max=r_max, rtol=rtol, atol=atol, r0_scale=r0_scale)
     eta = params.eta
     if atol is None:
-        # far below any attainable profile scale (deep tails reach ~1e-13 eta),
-        # so the error control stays effectively relative everywhere
+        # far below v on runs that stay away from zero, so control stays
+        # relative there; a touch-down run (alpha > 0 > beta) passes below it
+        # (v ~ 3.5e-65 at n=3, alpha=0.5, beta=-1.5), and its ending depends on atol
         atol = 1e-30 * eta
     length = eta ** ((params.m - 1.0) / 2.0)
     r0 = r0_scale * length

@@ -5,7 +5,10 @@ needs numpy only: importing the package loads no scipy module, and every
 CLI command and the public functions no command calls run in an
 interpreter where scipy cannot be imported at all, so a lazy import inside
 a function fails here too.  Importing the CLI loads no multiprocessing
-module; only a sweep's process pool needs it."""
+module, and a sweep, which runs its points one after another in the
+calling process, loads none either.  The total line count of the package
+sources is capped the same way: a change that adds lines raises the cap on
+purpose."""
 
 import os
 import subprocess
@@ -31,6 +34,11 @@ def test_public_api_is_union_of_module_exports():
     for name in yl.__all__:
         assert getattr(yl, name) is not None
     assert len(yl.__all__) == 36
+
+
+def test_source_line_count_does_not_grow():
+    sources = Path(yl.__file__).resolve().parent.glob("*.py")
+    assert sum(f.read_bytes().count(b"\n") for f in sources) <= 2327
 
 
 def test_import_does_not_load_scipy():
@@ -71,13 +79,15 @@ cases = [
     (["verify", "--beta", "1", "--rho", "-1"], 1),  # Inconclusive at r_max 100
     (["certify-blowup", "--alpha", "-4", "--beta", "-1"], 0),
     (["selfsim", "--kind", "forward", "--beta", "1"], 0),
-    # two points, so the sweep runs its process pool; a worker's failed
-    # import would land in an error row and exit 1
+    # two points, both run in this process
     (["sweep", "--beta", "1", "--rho", "1,-1"], 0),
 ]
 for argv, expected in cases:
     code = run(argv + base)
     assert code == expected, (argv, code)
+pools = [k for k in sys.modules if k.split(".")[0] in ("multiprocessing", "_multiprocessing")
+         or k.startswith("concurrent.futures")]
+assert not pools, pools
 
 # the public functions no command calls
 import numpy as np

@@ -2,6 +2,7 @@
 origin extrapolation, self-similar evaluation and its PDE residual."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -338,6 +339,13 @@ def test_w_log_dynamics_matches_solve_ivp(request, name):
 def test_log_dynamics_guards(steady_params):
     with pytest.raises(ValueError, match="positive at handoff"):
         yl.w_log_dynamics(steady_params, (0.0, 1.0), (-1.0, 0.0))
+    # reversed ends raised IndexError, equal ends ZeroDivisionError, and a NaN
+    # end ran the kernel to STEP_BUDGET before failing to allocate its samples
+    for s_range in [(1.0, 0.0), (1.0, 1.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="s_range"):
+            yl.w_log_dynamics(steady_params, s_range, (1.0, 0.0))
+        assert time.perf_counter() - start < 1.0
     general = yl.make_params(n=3, m=0.15, beta=1.0, eta=1.0, alpha=1.0)
     with pytest.raises(ValueError, match="soliton"):
         yl.w_log_dynamics(general, (0.0, 1.0), (1.0, 0.0))
@@ -472,6 +480,17 @@ def test_pde_residual_rejects_what_the_scaling_rejects(kind, fixture, request):
     far = np.array([1.0, profile.r[-1]])  # the r + h_r row leaves the grid
     with pytest.raises(ValueError, match="beyond profile grid"):
         yl.pde_residual(spec, profile, far, t_one, 1e-2, 1e-2)
+
+
+@pytest.mark.parametrize("kind, fixture", _PDE_CASES)
+def test_pde_residual_rejects_a_step_that_is_not_positive(kind, fixture, request):
+    # a zero step made every difference 0/0, and the NaN ratio read as 0.0
+    profile = request.getfixturevalue(fixture)
+    spec = _spec(kind, profile)
+    r_pts, t_pts = np.linspace(0.5, 3.0, 6), np.array([1.0])
+    for h_r, h_t in [(0.0, 1e-2), (1e-2, 0.0), (-1e-2, 1e-2), (1e-2, math.nan), (math.inf, 1e-2)]:
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            yl.pde_residual(spec, profile, r_pts, t_pts, h_r, h_t)
 
 
 def test_pde_residual_zero_on_constant():

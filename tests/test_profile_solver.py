@@ -488,6 +488,70 @@ def test_log_tail_matches_dop853(n, beta, k, log_eta, log_r_max):
     assert np.max(np.abs(dv / dv_ref - 1.0)) <= 5e-9
 
 
+# The equation's two exact scaling symmetries, checked on alpha, beta > 0
+# (rho/beta in [-0.6, 1.5(n-2)]) and on the blow-up regime alpha < 0,
+# beta <= 0.  Left out: alpha > 0 > beta, whose ending depends on the atol
+# floor, and alpha < 0 < beta, where a probed point ran the whole STEP_BUDGET
+@st.composite
+def _symmetry_point(draw):
+    n = draw(st.integers(min_value=3, max_value=8))
+    m, eta = yl.soliton_exponent(n), 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+    if draw(st.booleans()):
+        beta = draw(st.floats(min_value=0.5, max_value=2.0))
+        rho = beta * draw(st.floats(min_value=-0.6, max_value=1.5 * (n - 2)))
+        return yl.make_params(n=n, m=m, beta=beta, rho=rho, eta=eta)
+    alpha = draw(st.floats(min_value=-8.0, max_value=-0.5))
+    beta = draw(st.floats(min_value=-2.0, max_value=0.0))
+    return yl.make_params(n=n, m=m, alpha=alpha, beta=beta, eta=eta)
+
+
+def _scaled_pair(p, p_scaled, lam, r_max=1e3):
+    """Solves p to r_max and p_scaled to lam * r_max, and reads both at 40
+    radii r and lam * r up to 0.9 of p's end radius: (profile, profile_scaled,
+    (v, v'), (v, v') scaled)."""
+    prof = yl.solve_profile(p, r_max=r_max)
+    prof_scaled = yl.solve_profile(p_scaled, r_max=lam * r_max)
+    length = p.eta ** ((p.m - 1.0) / 2.0)
+    radii = np.geomspace(1e-2 * length, 0.9 * prof.status.radius, 40)
+    return prof, prof_scaled, prof.value_at(radii, True), prof_scaled.value_at(lam * radii, True)
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got / ref - 1.0)))
+
+
+@given(p=_symmetry_point())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_eta_is_a_gauge(p):
+    # v_eta(r) = eta v_1(lam r), lam = eta^((1-m)/2); r0, atol, the blow-up
+    # cap and the log-radius handoff all scale with it, so the runs agree to
+    # roundoff though their steps drift apart (worst of these 25 examples, 13
+    # of them blow-ups: 6.9e-11 in v', 4.7e-15 in the end radius)
+    lam = p.eta ** ((1.0 - p.m) / 2.0)
+    prof, prof_1, (v, dv), (v_1, dv_1) = _scaled_pair(p, p.with_eta(1.0), lam)
+    assert _rel(p.eta * v_1, v) <= 1e-10
+    assert _rel(p.eta * lam * dv_1, dv) <= 1e-10
+    assert prof_1.status.kind == prof.status.kind
+    assert prof_1.status.radius == pytest.approx(lam * prof.status.radius, rel=1e-14, abs=0.0)
+
+
+@given(p=_symmetry_point(), log_c=st.floats(min_value=-0.7, max_value=0.7))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_alpha_beta_scaling(p, log_c):
+    # (alpha, beta) -> c (alpha, beta) maps v(r) to v(sqrt(c) r).  r0 does not
+    # scale with c, so the runs take different steps (worst of these 25
+    # examples, 7 of them blow-ups: 8.8e-10 in v', 4.4e-16 in the blow-up radius)
+    c = 10.0**log_c
+    p_c = yl.make_params(n=p.n, m=p.m, alpha=c * p.alpha, beta=c * p.beta, eta=p.eta)
+    lam = 1.0 / math.sqrt(c)
+    prof, prof_c, (v, dv), (v_c, dv_c) = _scaled_pair(p, p_c, lam)
+    assert _rel(v_c, v) <= 1e-8
+    assert _rel(lam * dv_c, dv) <= 1e-8
+    assert prof_c.status.kind == prof.status.kind
+    if prof.status.kind == "BlowUp":
+        assert prof_c.status.radius == pytest.approx(lam * prof.status.radius, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "params, r_max, runs",
     [
