@@ -5,44 +5,79 @@ The second-order equation is integrated in the explicit form
     v'' = -(m-1) v'^2 / v - (n-1) v'/r - (alpha v + beta r v') v^(1-m) / (n-1)
 
 with state (v, v'), starting from a fourth-order series at a small radius
-r0 = r0_scale * eta^((m-1)/2) because the origin is a regular singular point
-of the r-form.  The steps come from a scalar Dormand-Prince 5(4) kernel with
-Shampine's quartic dense output that keeps the controller of scipy's RK45:
-initial step selection at error order 4, RMS error norm with scale
-atol + max(|y|, |y_new|) * rtol, safety factor 0.9, step factors clamped to
-[0.2, 10] (at most 1 right after a rejection), and a minimum step of
-10 ulp(r).  It runs on plain floats: it converts its radii, initial state
-and tolerances with float() once per call, and SolitonParams stores floats,
-so no numpy scalar reaches the step loop, the right-hand side or the event
-root.  It is the package's only ODE stepper: it runs any y'' = f(t, y, y')
-up to one terminal event g(y, y') rising through zero, here the cap
-v - 1e12*eta, and the log-radius equation below, which
-geometry.w_log_dynamics runs up to a stop of its own.  Its step loop is
-kept bit-stable: the same IEEE operations in the same order as RK45's
-tableau, with the constants bound to locals once per call and no min, max,
-abs or len call per step, so making a step cheaper never moves a result
-(test_kernel_bits_are_pinned in tests/test_profile_solver.py holds it to
-the bit).
+r0 = r0_scale * l, l = eta^((m-1)/2), because the origin is a regular
+singular point of the r-form.  Every run solves the eta = 1 problem in
+r / l and v / eta and scales it back (r = l r^, v = eta v^, v' = (eta/l) v^'):
+eta is an exact gauge of the equation, so the eta factors of r0, the cap,
+the default atol and the handoff radii drop out of the kernel calls, and
+runs that differ only in eta take the same steps.  The steps come from a
+scalar Dormand-Prince 5(4) kernel with Shampine's quartic dense output that
+keeps the controller of scipy's RK45: initial step selection at error
+order 4, RMS error norm with scale atol + max(|y|, |y_new|) * rtol, safety
+factor 0.9, step factors clamped to [0.2, 10] (at most 1 right after a
+rejection), and a minimum step of 10 ulp(r).  It runs on plain floats: it
+converts its radii, initial state and tolerances with float() once per
+call, and SolitonParams stores floats, so no numpy scalar reaches the step
+loop, the right-hand side or the event root.  It is the package's only ODE
+stepper: it runs any y'' = f(t, y, y') up to one terminal event g(y, y')
+rising through zero, here the three phases below, and the log-radius
+equation that geometry.w_log_dynamics runs up to a stop of its own.  Its
+step loop is kept bit-stable: the same IEEE operations in the same order as
+RK45's tableau, with the constants bound to locals once per call and no
+min, max, abs or len call per step, so making a step cheaper never moves a
+result (test_kernel_bits_are_pinned in tests/test_profile_solver.py holds
+it to the bit).
 
-Runs with alpha > 0 and beta > 0 go in two phases when l = eta^((m-1)/2)
-lies below r_max.  The r-form runs from r0 to r_h = l, and from there the
-autonomous equation of W = log w, w = r^2 v^(1-m), in s = log r (_log_wpp,
-valid for any m) carries the tail to log r_max.  The paper's limits are
-statements in s, and the power-law tails that cost the r-form about 200
-accepted steps per decade are smooth there: the shrinking (n = 3, 5),
-steady and expanding reference runs to 1e4 take 305, 359, 458 and 5,091
-steps instead of 702, 878, 862 and 10,861.  r_h = l because just past the
-core v is flat, W_s = 2 + (1-m) r v'/v is close to 2, and relative control
-of W_s loses r v'/v: handing over at 0.1 l put the benchmark's worst error
-at 6e-9 (1.1e-9 at l; both on a grid of 550 points per decade).  The same
-loss, milder, sets the log phase's tolerance, LOG_TOL_FACTOR * rtol =
-rtol/100, as rtol and atol alike: at rtol/10 the worst gap between the two
-K0 routes of the expanding benchmark runs rose from 2.5e-9 to 2.0e-8, just
-past r_h at n = 8, where W_s - 2 is about -0.02; at rtol/30 it read 6.4e-9.
-The log phase fills its part of the grid from its own dense output,
-v = (e^W / r^2)^(1/(1-m)) and v' = (W_s - 2) v / ((1-m) r).
-Every other run (blow-up alpha < 0, beta <= 0; touch-down alpha > 0 > beta;
-alpha < 0 < beta; beta = 0) is the r-form alone.
+The r-form runs from r0 up to the cap v = 1e12 (BLOWUP_CAP), and two kinds
+of run hand it over to a second phase (in the units of the eta = 1 problem):
+
+  * alpha > 0, beta > 0, when l lies below r_max: at r_h = l the
+    autonomous equation of W = log w, w = r^2 v^(1-m), in s = log r
+    (_log_wpp, valid for any m) carries the tail to log r_max.  The paper's
+    limits are statements in s, and the power-law tails that cost the
+    r-form about 200 accepted steps per decade are smooth there: the
+    shrinking (n = 3, 5), steady and expanding reference runs to 1e4 take
+    305, 359, 458 and 5,091 steps instead of 702, 878, 862 and 10,861.
+    r_h = l because just past the core v is flat, W_s = 2 + (1-m) r v'/v is
+    close to 2, and relative control of W_s loses r v'/v: handing over at
+    0.1 l put the benchmark's worst error at 6e-9 (1.1e-9 at l; both on a
+    grid of 550 points per decade).  The same loss, milder, sets the log
+    phase's tolerance, LOG_TOL_FACTOR * rtol = rtol/100, as rtol and atol
+    alike: at rtol/10 the worst gap between the two K0 routes of the
+    expanding benchmark runs rose from 2.5e-9 to 2.0e-8, just past r_h at
+    n = 8, where W_s - 2 is about -0.02; at rtol/30 it read 6.4e-9.  The
+    variable Z = (1-m) log v, whose derivative is not pinned near 2, was
+    measured too: at rtol/100 it saved 7-9% of the steps at unchanged
+    accuracy, but at rtol/10 the expanding K0 gap still rose from 2.4e-9 to
+    1.1e-8 near r/l = 4e4, so it does not lift the factor.  The phase fills
+    its part of the grid from its own dense output,
+    v = (e^W / r^2)^(1/(1-m)) and v' = (W_s - 2) v / ((1-m) r).
+  * alpha < 0, beta <= 0, the blow-up regime of Theorem 1: near the blow-up
+    radius R_b, v ~ (R_b - r)^(-1/(1-m)) holds the r-form's steps in
+    proportion to the distance left, and 81% of its steps went to the climb
+    from v = 10 to the cap.  In the pressure P = v^-(1-m) that stretch is a
+    smooth approach to a zero, linear for beta < 0 and quadratic for
+    beta = 0.  So the r-form stops at its last accepted step below
+    v = PRESSURE_SWITCH = 100, and the equation of P (_pressure_pp) carries
+    the run from that step's state, at the same rtol and at atol times P
+    there, to the event P = BLOWUP_CAP^-(1-m): r* is still the radius where
+    v reaches the cap.  The handoff is an accepted step, not the event root,
+    so the pressure phase starts from the kernel's own state rather than
+    from the quartic dense output, whose error is larger.  The phase fills
+    its part of the grid from its own dense output, v = P^(-1/(1-m)) and
+    v' = -v P' / ((1-m) P), and adds points log-uniform in r* - r at
+    POINTS_PER_DECADE down to its last accepted step, since its steps
+    shrink with r* - r: without them v' read 5e-3 off at 0.999 r*.  The
+    switch sits at 100, not nearer 1, because the benchmark reads v' at
+    0.75 r*, where a switch at v = 2 put the worst error at 3.8e-9 (1.3e-9
+    at 100).  Over 162 points of the regime (n = 3, 5, 8, m from 0.1 to 1
+    times (n-2)/n, eta 1e-2 to 1e2) the steps fell from 155,403 to 65,109,
+    and r* moved closer to a DOP853 rtol-1e-13 reference (worst 8.3e-11,
+    was 1.1e-10).  alpha < 0 < beta is not helped: the pressure form still
+    ran out of steps there.
+
+Every other run (touch-down alpha > 0 > beta; alpha < 0 < beta; beta = 0
+with alpha >= 0) is the r-form alone.
 
 The stored grid is the union of the accepted steps of both phases and a
 log-uniform refinement at POINTS_PER_DECADE filled from the dense output.
@@ -80,7 +115,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_params import SolitonParams
+from .core_params import SolitonParams, _blowup_regime
 
 __all__ = [
     "ProfileStatus",
@@ -95,6 +130,7 @@ __all__ = [
 ]
 
 BLOWUP_CAP = 1e12          # v > cap * eta counts as blow-up
+PRESSURE_SWITCH = 100.0    # blow-up runs go on in the pressure from v ~ this * eta
 STEP_BUDGET = 10**6        # accepted steps before a _dopri5 run gives up
 DEFAULT_R0_SCALE = 1e-6
 # refinement density of the stored grid.  With the quintic value_at and the
@@ -272,6 +308,20 @@ def _vpp(n: int, m: float, alpha: float, beta: float):
     return f
 
 
+def _pressure_pp(n: int, m: float, alpha: float, beta: float):
+    """P'' of the profile equation in the pressure P = v^-(1-m) as a function
+    of (r, P, P'); v = P^(-1/(1-m)) blows up where P reaches zero."""
+    nan, one_m, n1 = math.nan, 1.0 - m, float(n - 1)
+    source = one_m * alpha / n1
+
+    def f(r, P, dP):
+        if P <= 0.0:
+            return nan  # rejects the trial step, as in _vpp
+        return dP / P * (dP / one_m - beta * r / n1) - n1 * dP / r + source
+
+    return f
+
+
 def _vpp_array(params: SolitonParams, r: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """v'' of the profile equation on arrays of (r, v, v')."""
     n, m = params.n, params.m
@@ -328,6 +378,12 @@ def _from_log(m: float, r, W, Ws):
     """(v, v') at radii r from the log-radius state (W, W_s) there."""
     v = (np.exp(W) / (r * r)) ** (1.0 / (1.0 - m))
     return v, (Ws - 2.0) * v / ((1.0 - m) * r)
+
+
+def _from_pressure(m: float, P, dP):
+    """(v, v') from the pressure state (P, P')."""
+    v = P ** (-1.0 / (1.0 - m))
+    return v, -v * dP / ((1.0 - m) * P)
 
 
 # Dormand & Prince (1980) 5(4) pair with Shampine's quartic dense output and
@@ -559,6 +615,12 @@ def _check_numerics(**values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _refinement(lo: float, hi: float) -> np.ndarray:
+    """np.geomspace(lo, hi) at POINTS_PER_DECADE, both ends included."""
+    decades = max(np.log10(hi / lo), 1e-9)
+    return np.geomspace(lo, hi, max(int(np.ceil(decades * POINTS_PER_DECADE)), 2))
+
+
 def solve_profile(
     params: SolitonParams,
     r_max: float,
@@ -568,12 +630,19 @@ def solve_profile(
 ) -> RadialProfile:
     """Integrate the profile equation from the series start to r_max.
 
-    With alpha > 0 and beta > 0 the r-form stops at r_h = eta^((m-1)/2)
-    when that lies below r_max, and the log-radius equation carries the run
-    on from the state there (see the module docstring).  The returned grid
-    unions the accepted adaptive steps with np.geomspace(r0, r_end) at
+    The kernel solves the eta = 1 problem in r / l and v / eta,
+    l = eta^((m-1)/2), and the profile is scaled back.  With alpha > 0 and
+    beta > 0 the r-form stops at r_h = l when that lies below r_max, and
+    the log-radius equation carries the run on; with alpha < 0 and
+    beta <= 0 it stops at its last accepted step below
+    v = PRESSURE_SWITCH * eta, and the pressure equation carries the run to
+    the cap (see the module docstring).  The returned grid unions the
+    accepted adaptive steps with np.geomspace(r0, r_end) at
     POINTS_PER_DECADE, filled from dense output, so later geometry
-    evaluations and quadratures work on stored points only.
+    evaluations and quadratures work on stored points only.  atol is
+    absolute in v (default 1e-30 * eta); the kernel applies atol / eta to
+    both components of the eta = 1 state, so the tolerance on v' is
+    atol / l, and the pressure phase scales it by P at the handoff.
     The solver reports whatever trajectory the initial data generates;
     it makes no uniqueness claim.
     """
@@ -585,60 +654,81 @@ def solve_profile(
         # (v ~ 3.5e-65 at n=3, alpha=0.5, beta=-1.5), and its ending depends on atol
         atol = 1e-30 * eta
     length = eta ** ((params.m - 1.0) / 2.0)
-    r0 = r0_scale * length
-    if r0 >= r_max:
-        raise ValueError(f"r0 = {r0!r} must be below r_max = {r_max!r}")
-    cap = BLOWUP_CAP * eta
+    if r0_scale * length >= r_max:
+        raise ValueError(f"r0 = {r0_scale * length!r} must be below r_max = {r_max!r}")
+    # the eta = 1 problem, in r / length and v / eta
     n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
-    r_h = length
-    log_tail = alpha > 0.0 and beta > 0.0 and r_h < r_max
+    r_stop, tol = r_max / length, atol / eta
+    log_tail = alpha > 0.0 and beta > 0.0 and 1.0 < r_stop
+    pressure = _blowup_regime(params)
+    switch = PRESSURE_SWITCH if pressure else BLOWUP_CAP
     traj = _dopri5(
         _vpp(n, m, alpha, beta),
-        r0,
-        series_start(params, r0),
-        r_h if log_tail else r_max,
+        r0_scale,
+        series_start(params.with_eta(1.0), r0_scale),
+        1.0 if log_tail else r_stop,
         rtol,
-        atol,
-        lambda v, dv: v - cap,
+        tol,
+        lambda v, dv: v - switch,
     )
     code, steps, tail = traj.status, traj.t, None
     v_end, dv_end = traj.y[:, -1].tolist()
     if log_tail and code == 0:
-        start = _log_start(m, r_h, v_end, dv_end)
+        r_h, start = 1.0, _log_start(m, 1.0, v_end, dv_end)
         if start is None:
             code = -3  # a handoff state the log form cannot take
         else:
-            tol = LOG_TOL_FACTOR * rtol
+            log_tol = LOG_TOL_FACTOR * rtol
             tail = _dopri5(
-                _log_wpp(n, m, alpha, beta), math.log(r_h), start, math.log(r_max), tol, tol
+                _log_wpp(n, m, alpha, beta), 0.0, start, math.log(r_stop), log_tol, log_tol
             )
             code = tail.status
             r_tail = np.exp(tail.t[1:])
             if code == 0:
-                r_tail[-1] = r_max
+                r_tail[-1] = r_stop
             steps = np.concatenate((steps, r_tail))
             v_end, dv_end = map(float, _from_log(m, steps[-1], *tail.y[:, -1]))
+    elif pressure and code == 1:
+        # from the last accepted step below the switch, not the event root
+        r_h, (v_h, dv_h) = float(steps[-2]), traj.y[:, -2].tolist()
+        p_h = v_h ** (m - 1.0)
+        cap = BLOWUP_CAP ** (m - 1.0)
+        tail = _dopri5(
+            _pressure_pp(n, m, alpha, beta),
+            r_h,
+            (p_h, (m - 1.0) * p_h * dv_h / v_h),
+            r_stop,
+            rtol,
+            tol * p_h,
+            lambda P, dP: cap - P,
+        )
+        code = tail.status
+        steps = np.concatenate((steps[:-1], tail.t[1:]))
+        v_end, dv_end = map(float, _from_pressure(m, *tail.y[:, -1]))
 
     r_end = steps[-1]
-    if code == 1 or (code == -1 and dv_end > 0.0 and v_end > eta):
+    if code == 1 or (code == -1 and dv_end > 0.0 and v_end > 1.0):
         # the cap, or a controller stall while v was still climbing
-        status = ProfileStatus("BlowUp", float(r_end))
+        status = ProfileStatus("BlowUp", float(length * r_end))
     elif code == 0:
         status = ProfileStatus("Global", float(r_max))
     else:
         # a stall without blow-up indicators, the step budget used up, or a
         # handoff state that is not positive and finite
-        status = ProfileStatus("StepFailure", float(r_end))
+        status = ProfileStatus("StepFailure", float(length * r_end))
 
-    decades = max(np.log10(r_end / r0), 1e-9)
-    n_refine = max(int(np.ceil(decades * POINTS_PER_DECADE)), 2)
-    grid = np.union1d(steps, np.geomspace(r0, r_end, n_refine))
+    grid = np.union1d(steps, _refinement(r0_scale, r_end))
     if tail is None:
         v, dv = traj(grid)
     else:
+        if not log_tail:
+            # the pressure phase's steps shrink with r* - r; so does this fill
+            gaps = _refinement(r_end - tail.t[-2], r_end - r_h)[1:-1]
+            grid = np.union1d(grid, r_end - gaps)
         head = int(np.searchsorted(grid, r_h, side="right"))
         r = grid[head:]
-        v, dv = np.concatenate((traj(grid[:head]), _from_log(m, r, *tail(np.log(r)))), axis=1)
+        fill = _from_log(m, r, *tail(np.log(r))) if log_tail else _from_pressure(m, *tail(r))
+        v, dv = np.concatenate((traj(grid[:head]), fill), axis=1)
 
     # defensive: truncate anything past a positivity loss
     bad = np.flatnonzero(v <= 0.0)
@@ -647,10 +737,12 @@ def solve_profile(
         if cut < 10:
             raise RuntimeError("profile lost positivity immediately; inspect parameters")
         grid, v, dv = grid[:cut], v[:cut], dv[:cut]
-        status = ProfileStatus("StepFailure", float(grid[-1]))
+        status = ProfileStatus("StepFailure", float(length * grid[-1]))
 
     step_indices = np.searchsorted(grid, steps[steps <= grid[-1]])
-    return RadialProfile(params, grid, v, dv, status, rtol, atol, step_indices)
+    r = length * grid
+    r[-1] = status.radius  # r_max / length * length can miss r_max by an ulp
+    return RadialProfile(params, r, eta * v, eta / length * dv, status, rtol, atol, step_indices)
 
 
 def _quintic_vpp(r: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
@@ -708,10 +800,17 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     (_quintic_vpp), or from the quadratic through v' where v is flat to 1e-9
     across them, and compares it with the equation's right side, normalized
     by |alpha v| + |beta r v'| plus a small floor.  On a BlowUp profile it
-    measures nothing: its maximum sits at the last few step points, where v
-    nears the cap, the steps are about 1e-11 apart and their chord slopes
-    carry little precision (4.07e3 and 2.74e3 on the n=3, m=0.2, beta=-1
-    blow-ups of the test suite).  The integral defect tests
+    is no check, and its value must not be read as one: its maximum sits at
+    the pressure phase's last step points, where v grows by orders of
+    magnitude across three of them and no quintic through (v, v') follows
+    it (5.7e8 and 4.1e10 on the n=3, m=0.2, beta=-1, alpha=-1 or -4
+    blow-ups of the test suite, whose integral defect reads 1.05e-9 and
+    1.84e-9; 4.07e3 and 2.74e3 when the r-form ran to the cap, with steps
+    1e-11 apart whose chord slopes carried little precision).  Taken in
+    P = v^-(1-m) instead, with P'' from the quintic through (P, P') and
+    normalised by the sum of the P equation's terms, the pressure phase's
+    steps of those runs read at most 3.0e-8 and 2.7e-8.  The integral
+    defect tests
 
         (n-1) r^(n-1) v^(m-1) v'  =  -beta r^n v + (n beta - alpha) * I(r),
         I(r) = integral of z^(n-1) v(z) from 0 to r,

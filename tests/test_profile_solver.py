@@ -1,17 +1,19 @@
 """Solver behavior: series start, statuses, blow-up detection, the step
-budget, the two-phase alpha, beta > 0 solve (r-form, then the log-radius
-equation) and its handoff, residual checks (including fault injection),
-serialization round-trips, the integration kernel, the Hermite evaluation
-and the event root against scipy's integrators, spline and brentq, the
-kernel's step points pinned to the bit, and its right-hand side and event
-fed Python floats only, whatever numeric type the inputs came in as."""
+budget, the two-phase solves (the r-form, then the log-radius equation for
+alpha, beta > 0 or the pressure equation for blow-ups) and their handoffs,
+the eta gauge and the (alpha, beta) scaling, residual checks (including
+fault injection), serialization round-trips, the integration kernel, the
+Hermite evaluation and the event root against scipy's integrators, spline
+and brentq, the kernel's step points pinned to the bit, and its right-hand
+side and event fed Python floats only, whatever numeric type the inputs
+came in as."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -153,7 +155,7 @@ _ODE_RESIDUAL_PINS = {
     "shrink5": 4.1291045768824595e-08,
     "steady": 3.9802108240011006e-07,
     "expand": 2.8154941466019866e-08,
-    "r0big": 6.487931038040662e-08,
+    "r0big": 5.911252022865856e-08,
 }
 
 
@@ -266,6 +268,31 @@ def test_vppp_is_the_derivative_of_the_equation():
         x, y, dy = rng.uniform(0.1, 10.0), rng.uniform(0.1, 2.0), rng.normal()
         got = ps._vppp_array(p, x, y, dy, ps._vpp_array(p, x, y, dy))
         assert got == pytest.approx(exact(x, y, dy, p.n, p.m, p.alpha, p.beta), rel=1e-12)
+
+
+def test_pressure_equation_is_the_profile_equation():
+    # the profile equation in v = P^(-1/(1-m)), solved for P'' by sympy,
+    # against _pressure_pp
+    import sympy
+
+    x, P, dP, ddP, n, m, a, b = sympy.symbols("x P dP ddP n m alpha beta")
+    r = sympy.Symbol("r", positive=True)
+    p = sympy.Function("P")(r)
+    v = p ** (-1 / (1 - m))
+    dv = v.diff(r)
+    vpp = (1 - m) * dv * dv / v - (n - 1) * dv / r - (a * v + b * r * dv) * v ** (1 - m) / (n - 1)
+    equation = (v.diff(r, 2) - vpp).subs({p.diff(r, 2): ddP, p.diff(r): dP, p: P}).subs(r, x)
+    (exact,) = sympy.solve(equation, ddP)
+    exact = sympy.lambdify((x, P, dP, n, m, a, b), exact)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        n_, m_ = int(rng.integers(3, 9)), rng.uniform(0.05, 0.7)
+        a_, b_ = -rng.uniform(0.5, 4.0), -rng.uniform(0.0, 1.5)
+        x_, P_, dP_ = rng.uniform(0.1, 10.0), rng.uniform(1e-6, 1.0), rng.normal()
+        got = ps._pressure_pp(n_, m_, a_, b_)(x_, P_, dP_)
+        assert got == pytest.approx(exact(x_, P_, dP_, n_, m_, a_, b_), rel=1e-10)
+    # P <= 0 rejects the trial step, as v <= 0 does in the r-form
+    assert math.isnan(ps._pressure_pp(3, 0.2, -1.0, -1.0)(1.0, 0.0, -1.0))
 
 
 def test_profile_constructor_guards():
@@ -522,11 +549,13 @@ def _rel(got, ref):
 
 @given(p=_symmetry_point())
 @settings(max_examples=25, deadline=None, derandomize=True)
+# a blow-up whose v' disagreed by 1.13e-10 while the kernel ran at eta
+@example(p=yl.make_params(n=6, m=0.5, alpha=-3.0, beta=0.0, eta=10.0))
 def test_eta_is_a_gauge(p):
-    # v_eta(r) = eta v_1(lam r), lam = eta^((1-m)/2); r0, atol, the blow-up
-    # cap and the log-radius handoff all scale with it, so the runs agree to
-    # roundoff though their steps drift apart (worst of these 25 examples, 13
-    # of them blow-ups: 6.9e-11 in v', 4.7e-15 in the end radius)
+    # v_eta(r) = eta v_1(lam r), lam = eta^((1-m)/2); solve_profile solves
+    # the eta = 1 problem and scales it, so the runs agree to roundoff (worst
+    # of the 25 drawn examples, 7 of them blow-ups: 3.8e-15 in v', 2.2e-16
+    # in the end radius)
     lam = p.eta ** ((1.0 - p.m) / 2.0)
     prof, prof_1, (v, dv), (v_1, dv_1) = _scaled_pair(p, p.with_eta(1.0), lam)
     assert _rel(p.eta * v_1, v) <= 1e-10
@@ -535,12 +564,42 @@ def test_eta_is_a_gauge(p):
     assert prof_1.status.radius == pytest.approx(lam * prof.status.radius, rel=1e-14, abs=0.0)
 
 
+@given(
+    n=st.integers(min_value=3, max_value=8),
+    m_frac=st.floats(min_value=0.1, max_value=1.0),
+    alpha=st.floats(min_value=-4.0, max_value=-0.5),
+    beta=st.floats(min_value=-1.5, max_value=0.0),
+    log_eta=st.floats(min_value=-2.0, max_value=2.0),
+)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_blowup_across_the_cone(n, m_frac, alpha, beta, log_eta):
+    # Theorem 1's regime at every m in (0, (n-2)/n]: the two-phase run (the
+    # r-form, then the pressure) against DOP853 at rtol 1e-13 up to the cap.
+    # Over 162 grid points of this cone the worst errors were 8.3e-11 in r*
+    # and 3.5e-9 / 3.3e-8 / 3.1e-7 at 0.9 / 0.99 / 0.999 r*; the r-form alone
+    # read 1.1e-10 and 6.7e-9 / 5.2e-8 / 3.9e-7
+    p = yl.make_params(n=n, m=m_frac * (n - 2) / n, alpha=alpha, beta=beta, eta=10.0**log_eta)
+    prof = yl.solve_profile(p, r_max=1e4)
+    assert prof.status.kind == "BlowUp"
+    r_star = prof.status.radius
+    bound = yl.blowup_certificate(p).radius_bound
+    assert bound is None or r_star <= bound * (1.0 + 1e-6)
+    fractions = np.array([0.9, 0.99, 0.999])
+    cap = _terminal(lambda r, y: y[0] - ps.BLOWUP_CAP * p.eta, 1)
+    ref = _scipy_solve(prof, 1e4, "DOP853", 1e-13, events=cap, t_eval=fractions * r_star)
+    assert r_star == pytest.approx(ref.t_events[0][0], rel=2e-10, abs=0.0)
+    v, dv = prof.value_at(fractions * r_star, derivative=True)
+    err = np.maximum(np.abs(v / ref.y[0] - 1.0), np.abs(dv / ref.y[1] - 1.0))
+    assert np.all(err <= [1e-8, 1e-7, 8e-7])
+
+
 @given(p=_symmetry_point(), log_c=st.floats(min_value=-0.7, max_value=0.7))
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_alpha_beta_scaling(p, log_c):
     # (alpha, beta) -> c (alpha, beta) maps v(r) to v(sqrt(c) r).  r0 does not
     # scale with c, so the runs take different steps (worst of these 25
-    # examples, 7 of them blow-ups: 8.8e-10 in v', 4.4e-16 in the blow-up radius)
+    # examples, 12 of them blow-ups: 5.3e-10 in v', 3.6e-14 in the blow-up
+    # radius)
     c = 10.0**log_c
     p_c = yl.make_params(n=p.n, m=p.m, alpha=c * p.alpha, beta=c * p.beta, eta=p.eta)
     lam = 1.0 / math.sqrt(c)
@@ -555,7 +614,7 @@ def test_alpha_beta_scaling(p, log_c):
 @pytest.mark.parametrize(
     "params, r_max, runs",
     [
-        (yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=-1.0), 100.0, 1),
+        (yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=-1.0), 100.0, 2),
         (yl.make_params(n=3, m=0.2, alpha=1.0, beta=-2.5, eta=1.0), 100.0, 1),
         (yl.make_params(n=3, m=0.2, beta=1.0, rho=-3.0, alpha=-1.25, eta=1.0), 30.0, 1),
         (yl.make_params(n=3, m=0.2, alpha=1.0, beta=0.0, eta=1.0), 100.0, 1),
@@ -568,44 +627,89 @@ def test_alpha_beta_scaling(p, log_c):
 )
 def test_log_tail_only_for_positive_alpha_and_beta(monkeypatch, params, r_max, runs):
     # alpha, beta > 0 with l = eta^((m-1)/2) < r_max: the r-form to l, then
-    # the log-radius equation; every other run is the r-form alone
-    kernel_fs, log_fs = [], []
-    kernel, log_wpp = ps._dopri5, ps._log_wpp
+    # the log-radius equation; a blow-up (alpha < 0, beta <= 0): the r-form,
+    # then the pressure equation; every other run is the r-form alone
+    kernel_fs, log_fs, pressure_fs = [], [], []
+    kernel = ps._dopri5
 
     def recording_kernel(f, *args):
         kernel_fs.append(f)
         return kernel(f, *args)
 
-    def recording_log_wpp(*args):
-        log_fs.append(log_wpp(*args))
-        return log_fs[-1]
+    def recording(make, made):
+        def run(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        return run
 
     monkeypatch.setattr(ps, "_dopri5", recording_kernel)
-    monkeypatch.setattr(ps, "_log_wpp", recording_log_wpp)
+    monkeypatch.setattr(ps, "_log_wpp", recording(ps._log_wpp, log_fs))
+    monkeypatch.setattr(ps, "_pressure_pp", recording(ps._pressure_pp, pressure_fs))
     prof = yl.solve_profile(params, r_max=r_max, rtol=1e-9)
     assert len(kernel_fs) == runs
-    assert log_fs == kernel_fs[1:]
-    if runs == 2:
+    blowup = params.alpha < 0.0 and params.beta <= 0.0
+    assert (pressure_fs, log_fs) == ((kernel_fs[1:], []) if blowup else ([], kernel_fs[1:]))
+    if blowup:
+        assert prof.status.kind == "BlowUp"
+    elif runs == 2:
         assert prof.status == yl.ProfileStatus("Global", r_max) and prof.r[-1] == r_max
         # the handoff radius is a step point of both phases
         r_h = params.eta ** ((params.m - 1.0) / 2.0)
         assert r_h in prof.r[prof.step_indices]
 
 
+def _scipy_pressure_solve(profile, r_h, r_end, method, rtol, **options):
+    """solve_ivp on the pressure equation in P = v^-(1-m) of an eta = 1
+    profile, from its state at r_h, with its own right-hand side and the
+    kernel's atol there (the profile's atol times P)."""
+    p = profile.params
+    n, m, alpha, beta = p.n, p.m, p.alpha, p.beta
+
+    def rhs(r, y):
+        P, dP = y
+        if P <= 0.0:
+            return [dP, np.nan]
+        return [dP, dP * dP / ((1.0 - m) * P) - beta * r * dP / ((n - 1) * P)
+                - (n - 1) * dP / r + (1.0 - m) * alpha / (n - 1)]
+
+    v, dv = profile.value_at(r_h, derivative=True)
+    P = v ** (m - 1.0)
+    return solve_ivp(
+        rhs, (r_h, r_end), [P, (m - 1.0) * P * dv / v], method=method, rtol=rtol,
+        atol=profile.atol * P, **options
+    )
+
+
+def _terminal(event, direction):
+    event.terminal, event.direction = True, direction
+    return event
+
+
 @pytest.mark.parametrize("alpha, beta", list(_C7_POINTS.values()), ids=list(_C7_POINTS))
 def test_blowup_radius_matches_scipy_event(alpha, beta):
+    # same method and controller, phase by phase (as _check_against_scipy
+    # for the log tail): scipy's RK45 on the r-form to the handoff, the last
+    # step below v = PRESSURE_SWITCH, and on the pressure equation from the
+    # state there to the cap.  RK45 on the r-form alone to the cap read up to
+    # 1.2e-11 from this two-phase radius (case3)
     p = yl.make_params(n=3, m=0.2, beta=beta, eta=1.0, alpha=alpha)
     prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
-    cap = ps.BLOWUP_CAP * p.eta
-
-    def hit_cap(r, y):
-        return y[0] - cap
-
-    hit_cap.terminal = True
-    hit_cap.direction = 1
-    ref = _scipy_solve(prof, 100.0, "RK45", 1e-9, events=hit_cap)
-    assert prof.status.kind == "BlowUp" and ref.status == 1
-    assert prof.status.radius == pytest.approx(ref.t_events[0][0], rel=1e-12, abs=0.0)
+    assert prof.status.kind == "BlowUp"
+    switch = _terminal(lambda r, y: y[0] - ps.PRESSURE_SWITCH, 1)
+    near = _scipy_solve(prof, 100.0, "RK45", 1e-9, events=switch)
+    assert near.status == 1
+    # after a terminal event solve_ivp ends on the root, so t[-2] is its last
+    # step; the two controllers' steps drift apart by about 1e-9 there
+    steps = prof.r[prof.step_indices]
+    r_h = steps[np.argmin(np.abs(steps - near.t[-2]))]
+    head = _scipy_solve(prof, r_h, "RK45", 1e-9)
+    v, dv = prof.value_at(r_h, derivative=True)
+    assert head.y[:, -1] == pytest.approx([v, dv], rel=1e-12, abs=0.0)
+    cap = _terminal(lambda r, y: y[0] - ps.BLOWUP_CAP ** (p.m - 1.0), -1)
+    tail = _scipy_pressure_solve(prof, r_h, 100.0, "RK45", 1e-9, events=cap)
+    assert tail.status == 1
+    assert prof.status.radius == pytest.approx(tail.t_events[0][0], rel=1e-12, abs=0.0)
 
 
 def _step_quartics(traj, every):
@@ -671,7 +775,8 @@ _KERNEL_RUNS = {
 # {i: float.hex of (t, y, y') at step point i}, the same of the end point:
 # r_end, the stall radius or the event root).  The alpha, beta > 0 profiles
 # run twice, the r-form to r_h = l = 1, then (s, W, W_s) from log r_h
-# to log R_MAX.
+# to log R_MAX.  So does the blow-up: the r-form up to its event v = 100,
+# then (r, P, P') from the step before it (point 241) up to the cap.
 _KERNEL_PINS = {
     "shrink3": (
         (
@@ -787,14 +892,24 @@ _KERNEL_PINS = {
     ),
     "blowup": (
         (
-            1075,
+            242,
             1,
             {
                 1: ("0x1.4407bf11f1d77p-19", "0x1.000000000088bp+0", "0x1.b00a5417ef6ffp-22"),
-                538: ("0x1.86c004251c964p+1", "0x1.5dc6340c03351p+18", "0x1.c419dceb11053p+33"),
-                1074: ("0x1.86c0fbb49a01cp+1", "0x1.c542b558afa6dp+39", "0x1.39cb1437d5d5fp+72"),
+                121: ("0x1.5da3d9f7de43dp+1", "0x1.1bc9014fb3781p+2", "0x1.b7c4fd951f217p+3"),
+                241: ("0x1.840cf9c2c065bp+1", "0x1.8ecd47239fc9ep+6", "0x1.68b30a5fc4508p+12"),
             },
-            ("0x1.86c0fbb49c799p+1", "0x1.d1a8b10c299fap+39", "0x1.4969844678a0fp+72"),
+            ("0x1.840eabf20d9b2p+1", "0x1.8fffffffffdbap+6", "0x1.6ab099d21b105p+12"),
+        ),
+        (
+            44,
+            1,
+            {
+                1: ("0x1.846653e74269cp+1", "0x1.684d026be4b6cp-6", "-0x1.2c24491e5f1b8p+0"),
+                22: ("0x1.86bca4f794265p+1", "0x1.53055ba774baep-13", "-0x1.387d6fdaa2f9dp+0"),
+                43: ("0x1.86c0fbb491913p+1", "0x1.34b0369e39c66p-32", "-0x1.389a62f3b4b34p+0"),
+            },
+            ("0x1.86c0fbb49ee06p+1", "0x1.142f240e7cf09p-32", "-0x1.389a62f414299p+0"),
         ),
     ),
     "log_dynamics": (
