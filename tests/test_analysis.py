@@ -157,5 +157,5 @@ def test_report_json_shape(expand_params):
     assert [rec["name"] for rec in doc["invariants"]] == list(MONITORS)
     for rec in doc["invariants"]:
         assert set(rec) == {"name", "applicable", "margin", "location", "threshold", "ok"}
-    # keys are emitted sorted so the document is byte-stable
-    assert yl.report_to_json(report) == json.dumps(doc, sort_keys=True, indent=1)
+    # compact, with sorted keys, so the document is byte-stable
+    assert yl.report_to_json(report) == json.dumps(doc, sort_keys=True)

@@ -365,6 +365,9 @@ def test_csv_json_roundtrip(tmp_path, shrink3_profile):
     assert back.atol == shrink3_profile.atol
     assert np.array_equal(back.step_indices, shrink3_profile.step_indices)
     assert back.params == shrink3_profile.params
+    # compact, with sorted keys, so the sidecar is byte-stable
+    text = json_path.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
 
 def test_solving_is_deterministic():
@@ -659,6 +662,29 @@ def test_log_tail_only_for_positive_alpha_and_beta(monkeypatch, params, r_max, r
         assert r_h in prof.r[prof.step_indices]
 
 
+def test_blowup_fill_radius_an_ulp_from_a_step(monkeypatch):
+    # a pressure-phase fill radius one ulp below the accepted step
+    # 3.8554302151138136 of the eta = 1 problem: l = 0.30535 maps both to
+    # 1.1772559105380453, and the profile kept the step and dropped the fill
+    p = yl.make_params(
+        n=3, m=0.2, alpha=-0.8635963944033904, beta=-0.4304154708889396, eta=19.409078551892218
+    )
+    trajs, kernel = [], ps._dopri5
+
+    def recording(*args):
+        trajs.append(kernel(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(ps, "_dopri5", recording)
+    prof = yl.solve_profile(p, r_max=1e4, rtol=1e-9)
+    assert prof.status.kind == "BlowUp"
+    assert np.all(np.diff(prof.r) > 0.0)
+    head, tail = trajs
+    assert 3.8554302151138136 in tail.t
+    steps = np.concatenate((head.t[:-1], tail.t[1:]))
+    assert np.array_equal(prof.r[prof.step_indices], p.eta ** ((p.m - 1.0) / 2.0) * steps)
+
+
 def _scipy_pressure_solve(profile, r_h, r_end, method, rtol, **options):
     """solve_ivp on the pressure equation in P = v^-(1-m) of an eta = 1
     profile, from its state at r_h, with its own right-hand side and the
@@ -794,10 +820,10 @@ _KERNEL_PINS = {
             0,
             {
                 1: ("0x1.4d9b45d4c5813p-9", "-0x1.c5983b2dc7bfcp-3", "0x1.9704e7f1eb3b2p+0"),
-                122: ("0x1.9e3f0cb0af676p+1", "0x1.b1190806ede85p-1", "-0x1.a9b4cf96c6ec1p-3"),
-                243: ("0x1.25dc33a57c3f5p+3", "0x1.684af0446e578p-1", "-0x1.968ebad9c01bap-10"),
+                122: ("0x1.9e3f0cad28fccp+1", "0x1.b1190809dc3abp-1", "-0x1.a9b4cf9a84bb5p-3"),
+                243: ("0x1.25dc33a5cde6bp+3", "0x1.684af0446c50fp-1", "-0x1.968ebaf15e5a0p-10"),
             },
-            ("0x1.26bb1bbb55516p+3", "0x1.6844f9303aa23p-1", "-0x1.d5fe8bc351273p-10"),
+            ("0x1.26bb1bbb55516p+3", "0x1.6844f9303aa25p-1", "-0x1.d5fe8bc3515ebp-10"),
         ),
     ),
     "shrink5": (
@@ -816,10 +842,10 @@ _KERNEL_PINS = {
             0,
             {
                 1: ("0x1.3bf9130e25e64p-9", "-0x1.161c61afa6212p-4", "0x1.dc0edf87f2ba6p+0"),
-                137: ("0x1.263779cfc63bfp+1", "0x1.37370ee9fc250p+1", "0x1.926f9babb5820p-3"),
-                273: ("0x1.23f0673fd14ecp+3", "0x1.3e114ef13b223p+1", "0x1.164421d9acd1fp-17"),
+                137: ("0x1.263779ca4006fp+1", "0x1.37370ee8e6404p+1", "0x1.926f9bd1d598cp-3"),
+                273: ("0x1.23f0674d1cfd7p+3", "0x1.3e114ef13b3f2p+1", "0x1.1644210ec6570p-17"),
             },
-            ("0x1.26bb1bbb55516p+3", "0x1.3e11549062e52p+1", "0x1.dc0014376bc56p-18"),
+            ("0x1.26bb1bbb55516p+3", "0x1.3e11549062e53p+1", "0x1.dc0014376c7a7p-18"),
         ),
     ),
     "steady": (
@@ -838,10 +864,10 @@ _KERNEL_PINS = {
             0,
             {
                 1: ("0x1.455b55433ec65p-9", "-0x1.30a30dda82a51p-3", "0x1.b79c99316ae9ap+0"),
-                199: ("0x1.0ceb30ec96907p+2", "0x1.33c6e85663f01p+1", "0x1.7c4cc199f859ap-3"),
-                398: ("0x1.264826581e12dp+3", "0x1.86e8ab34a42ddp+1", "0x1.8516f04deb676p-4"),
+                199: ("0x1.0ceb30ec48602p+2", "0x1.33c6e85646e6dp+1", "0x1.7c4cc19a54311p-3"),
+                398: ("0x1.26482659df189p+3", "0x1.86e8ab354ecb8p+1", "0x1.8516f04bdd6d9p-4"),
             },
-            ("0x1.26bb1bbb55516p+3", "0x1.871451f290e18p+1", "0x1.849076af2a2e6p-4"),
+            ("0x1.26bb1bbb55516p+3", "0x1.871451f290e1bp+1", "0x1.849076af2a2ddp-4"),
         ),
     ),
     "expand": (
@@ -860,10 +886,10 @@ _KERNEL_PINS = {
             0,
             {
                 1: ("0x1.3c8119837004ep-9", "-0x1.2cbbdf977ce08p-4", "0x1.da85b9d8e8cf0p+0"),
-                2517: ("0x1.03c593f7df4dfp+3", "0x1.20733e9c6759ep+3", "0x1.000bf6b291581p+0"),
-                5033: ("0x1.26bae5a35d20fp+3", "0x1.43698eb0c9904p+3", "0x1.000403018ec87p+0"),
+                2517: ("0x1.03c593f92c51cp+3", "0x1.20733e9db46cfp+3", "0x1.000bf6b290db7p+0"),
+                5033: ("0x1.26bae3cebfe92p+3", "0x1.43698cdc25022p+3", "0x1.00040301c9255p+0"),
             },
-            ("0x1.26bb1bbb55516p+3", "0x1.4369c4c99ac27p+3", "0x1.000402fac111ep+0"),
+            ("0x1.26bb1bbb55516p+3", "0x1.4369c4c99ac42p+3", "0x1.000402fac0a15p+0"),
         ),
     ),
     "negcurv": (
@@ -918,10 +944,10 @@ _KERNEL_PINS = {
             0,
             {
                 1: ("0x1.26be6297b2b4fp+1", "0x1.d871454eed0e4p-27", "0x1.205ad3be503f4p-12"),
-                166: ("0x1.7e66849596b73p+2", "0x1.3faa618ac590ap+1", "0x1.48700fddcf5d6p-7"),
-                331: ("0x1.b7db534060246p+3", "0x1.3e116da53275bp+1", "-0x1.369464a0585a1p-23"),
+                166: ("0x1.7e66848a00b2ep+2", "0x1.3faa618a8a1bap+1", "0x1.487011725d61ap-7"),
+                331: ("0x1.b7db53d70df7ap+3", "0x1.3e116da532700p+1", "-0x1.36946d95ca517p-23"),
             },
-            ("0x1.ba18a998fffa0p+3", "0x1.3e116d8e67c12p+1", "-0x1.52f13c68a1db0p-23"),
+            ("0x1.ba18a998fffa0p+3", "0x1.3e116d8e67c12p+1", "-0x1.52f13c734fd7cp-23"),
         ),
     ),
 }
