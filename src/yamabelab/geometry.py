@@ -28,15 +28,15 @@ independent at leading order.
 
 As a function of s = log r, w~(s) = w(e^s) obeys an autonomous second-order
 equation; w_log_dynamics integrates it for long-range continuation where
-direct r-integration would waste steps.  It runs W = log w~ on
-profile_solver._dopri5, through profile_solver._log_wpp, the equation
-solve_profile carries alpha, beta > 0 tails on, and stops at one terminal
-event when w~ collapses or W_s runs away.  analysis.w_equation_defect keeps
-its own copy of the equation, in w~ rather than W and in array arithmetic:
-it is the reference the stored profile, W-form tail included, is checked
-against, so it must not share _log_wpp's formula.  log_handoff and the defect
-both read (v, v') from the profile by value_at and build (w~, w~_s) with
-profile_solver._w_tilde.
+direct r-integration would waste steps.  It runs W = log w~ through
+profile_solver._log_wpp on the kernel profile_solver._log_kernel picks, the
+equation and kernel solve_profile carries alpha, beta > 0 tails on, and
+stops at one terminal event when w~ collapses or W_s runs away.
+analysis.w_equation_defect keeps its own copy of the equation, in w~ rather
+than W and in array arithmetic: it is the reference the stored profile,
+W-form tail included, is checked against, so it must not share _log_wpp's
+formula.  log_handoff and the defect both read (v, v') from the profile by
+value_at and build (w~, w~_s) with profile_solver._w_tilde.
 
 Self-similar solutions of u_t = (n-1)/m * Laplacian(u^m) are evaluated from
 the profile by the Forward/Backward/Eternal scalings.  Each kind forces rho
@@ -59,9 +59,9 @@ from .core_params import SolitonParams, _require_soliton, _soliton_alpha
 from .profile_solver import (
     RadialProfile,
     _check_numerics,
-    _dopri5,
     _hermite_ends,
     _hermite_weights,
+    _log_kernel,
     _log_wpp,
     _vpp_array,
     _w_tilde,
@@ -301,8 +301,8 @@ def w_log_dynamics(
     # a non-finite end would run the kernel to STEP_BUDGET
     if not (math.isfinite(s0) and math.isfinite(s1) and s0 < s1):
         raise ValueError(f"s_range must be finite and increasing, got {s_range!r}")
-    traj = _dopri5(
-        _log_wpp(params.n, params.m, params.alpha, params.beta),
+    traj = _log_kernel(params)(
+        _log_wpp(params),
         s0,
         (math.log(wt0), wts0 / wt0),
         s1,

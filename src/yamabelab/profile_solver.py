@@ -4,104 +4,68 @@ The second-order equation is integrated in the explicit form
 
     v'' = -(m-1) v'^2 / v - (n-1) v'/r - (alpha v + beta r v') v^(1-m) / (n-1)
 
-with state (v, v'), starting from a fourth-order series at a small radius
-r0 = r0_scale * l, l = eta^((m-1)/2), because the origin is a regular
-singular point of the r-form.  Every run solves the eta = 1 problem in
-r / l and v / eta and scales it back (r = l r^, v = eta v^, v' = (eta/l) v^'):
-eta is an exact gauge of the equation, so the eta factors of r0, the cap,
-the default atol and the handoff radii drop out of the kernel calls, and
-runs that differ only in eta take the same steps.  The steps come from a
-scalar Dormand-Prince 5(4) kernel with Shampine's quartic dense output that
-keeps the controller of scipy's RK45: initial step selection at error
-order 4, RMS error norm with scale atol + max(|y|, |y_new|) * rtol, safety
-factor 0.9, step factors clamped to [0.2, 10] (at most 1 right after a
-rejection), and a minimum step of 10 ulp(r).  It runs on plain floats: it
-converts its radii, initial state and tolerances with float() once per
-call, and SolitonParams stores floats, so no numpy scalar reaches the step
-loop, the right-hand side or the event root.  It is the package's only ODE
-stepper: it runs any y'' = f(t, y, y') up to one terminal event g(y, y')
-rising through zero, here the three phases below, and the log-radius
-equation that geometry.w_log_dynamics runs up to a stop of its own.  Its
-step loop is kept bit-stable: the same IEEE operations in the same order as
-RK45's tableau, with the constants bound to locals once per call and no
-min, max, abs or len call per step, so making a step cheaper never moves a
-result (test_kernel_bits_are_pinned in tests/test_profile_solver.py holds
-it to the bit).
+with state (v, v'), from a fourth-order series at r0 = r0_scale * l,
+l = eta^((m-1)/2), since the origin is a regular singular point.  Every run
+solves the eta = 1 problem in r / l and v / eta and scales it back: eta is an
+exact gauge, so runs that differ only in eta take the same steps.
 
-The r-form runs from r0 up to the cap v = 1e12 (BLOWUP_CAP), and two kinds
-of run hand it over to a second phase (in the units of the eta = 1 problem):
+Two scalar Runge-Kutta kernels take the steps, each with scipy's initial
+step, error norm and controller, a minimum step of 10 ulp(r), at most
+STEP_BUDGET accepted steps and one terminal event.  They run on plain floats
+(inputs converted once per call), and their loops are bit-stable
+(test_kernel_bits_are_pinned):
 
-  * alpha > 0, beta > 0, when l lies below r_max: at r_h = l the
-    autonomous equation of W = log w, w = r^2 v^(1-m), in s = log r
-    (_log_wpp, valid for any m) carries the tail to log r_max.  The paper's
-    limits are statements in s, and the power-law tails that cost the
-    r-form about 200 accepted steps per decade are smooth there: the
-    shrinking (n = 3, 5), steady and expanding reference runs to 1e4 take
-    305, 359, 458 and 5,091 steps instead of 702, 878, 862 and 10,861.
-    r_h = l because just past the core v is flat, W_s = 2 + (1-m) r v'/v is
-    close to 2, and relative control of W_s loses r v'/v: handing over at
-    0.1 l put the benchmark's worst error at 6e-9 (1.1e-9 at l; both on a
-    grid of 550 points per decade).  The same loss, milder, sets the log
-    phase's tolerance, LOG_TOL_FACTOR * rtol = rtol/100, as rtol and atol
-    alike: at rtol/10 the worst gap between the two K0 routes of the
-    expanding benchmark runs rose from 2.5e-9 to 2.0e-8, just past r_h at
-    n = 8, where W_s - 2 is about -0.02; at rtol/30 it read 6.4e-9.  The
-    variable Z = (1-m) log v, whose derivative is not pinned near 2, was
-    measured too: at rtol/100 it saved 7-9% of the steps at unchanged
-    accuracy, but at rtol/10 the expanding K0 gap still rose from 2.4e-9 to
-    1.1e-8 near r/l = 4e4, so it does not lift the factor.  The phase fills
-    its part of the grid from its own dense output,
-    v = (e^W / r^2)^(1/(1-m)) and v' = (W_s - 2) v / ((1-m) r).
-  * alpha < 0, beta <= 0, the blow-up regime of Theorem 1: near the blow-up
-    radius R_b, v ~ (R_b - r)^(-1/(1-m)) holds the r-form's steps in
-    proportion to the distance left, and 81% of its steps went to the climb
-    from v = 10 to the cap.  In the pressure P = v^-(1-m) that stretch is a
-    smooth approach to a zero, linear for beta < 0 and quadratic for
-    beta = 0.  So the r-form stops at its last accepted step below
-    v = PRESSURE_SWITCH = 100, and the equation of P (_pressure_pp) carries
-    the run from that step's state, at the same rtol and at atol times P
-    there, to the event P = BLOWUP_CAP^-(1-m): r* is still the radius where
-    v reaches the cap.  The handoff is an accepted step, not the event root,
-    so the pressure phase starts from the kernel's own state rather than
-    from the quartic dense output, whose error is larger.  The phase fills
-    its part of the grid from its own dense output, v = P^(-1/(1-m)) and
-    v' = -v P' / ((1-m) P), and adds points log-uniform in r* - r at
-    POINTS_PER_DECADE down to its last accepted step, since its steps
-    shrink with r* - r: without them v' read 5e-3 off at 0.999 r*.  The
-    switch sits at 100, not nearer 1, because the benchmark reads v' at
-    0.75 r*, where a switch at v = 2 put the worst error at 3.8e-9 (1.3e-9
-    at 100).  Over 162 points of the regime (n = 3, 5, 8, m from 0.1 to 1
-    times (n-2)/n, eta 1e-2 to 1e2) the steps fell from 155,403 to 65,109,
-    and r* moved closer to a DOP853 rtol-1e-13 reference (worst 8.3e-11,
-    was 1.1e-10).  alpha < 0 < beta is not helped: the pressure form still
-    ran out of steps there.
+  * _dopri5, Dormand-Prince 5(4) with a quartic dense output (scipy's RK45):
+    the r-form, the pressure phase and expanding log tails;
+  * _dop853, Prince-Dormand 8(5,3) with a 7th-order dense output (scipy's
+    DOP853): shrinking and steady log tails.
+
+_log_kernel picks the log tail's kernel, for solve_profile and
+geometry.w_log_dynamics alike, from the input alone: _dop853 where the tail
+does not grow (beta > 0 and c = (1-m) alpha - 2 beta >= 0, c read as rho
+for soliton parameters), _dopri5 otherwise.  At the tail's rtol / 100 the
+eighth-order pair takes 6,141 steps on the shrinking and steady tails of the
+verify_nonstiff benchmark's seed-3 ops 0-79, where _dopri5 took 28,672.  On
+expanding tails its steps are coarser than the integrating factor of
+geometry's K0 quadrature (worst K0 gap over expand_tail's seed-3 ops 0-39
+2.4e-9 -> 6.5e-7), and on the r-form it saved no time and broke
+pde_residual's step-halving order (1.9879 < 2), so both stay on _dopri5.
+
+The r-form runs from r0 up to the cap v = 1e12 (BLOWUP_CAP).  Two kinds of
+run hand it over (in the units of the eta = 1 problem):
+
+  * alpha > 0, beta > 0, when l lies below r_max: at r_h = l the autonomous
+    equation of W = log w, w = r^2 v^(1-m), in s = log r (_log_wpp, any m)
+    carries the tail to log r_max at LOG_TOL_FACTOR * rtol.  The paper's
+    limits are statements in s, and its power-law tails are smooth there.
+    Just past the core W_s = 2 + (1-m) r v'/v is close to 2, and relative
+    control of W_s loses r v'/v: that sets both r_h = l and the tolerance.
+  * alpha < 0, beta <= 0 (Theorem 1's blow-up regime): near the blow-up
+    radius v ~ (R_b - r)^(-1/(1-m)) holds the r-form's steps in proportion
+    to the distance left, while P = v^-(1-m) goes smoothly to zero.  So from
+    the r-form's last accepted step below v = PRESSURE_SWITCH the equation
+    of P (_pressure_pp) runs, at atol times P there, to the event
+    P = BLOWUP_CAP^-(1-m): r* is still where v reaches the cap.  Its part of
+    the grid adds points log-uniform in r* - r, as its steps shrink with it.
 
 Every other run (touch-down alpha > 0 > beta; alpha < 0 < beta; beta = 0
-with alpha >= 0) is the r-form alone.
-
-The stored grid is the union of the accepted steps of both phases and a
-log-uniform refinement at POINTS_PER_DECADE filled from the dense output.
-The identity checks integrate over it with the quintic Hermite rule
-(_hermite_ends, exact for quintics), which holds the integral defect and
-the K0 gap near 1e-9 on that grid.  The pointwise check takes v'' at the
-accepted steps in closed form (_quintic_vpp), with no linear solve.  Runs
-end in one of three statuses:
+with alpha >= 0) is the r-form alone.  The stored grid is the union of every
+phase's accepted steps and a log-uniform refinement at POINTS_PER_DECADE,
+each phase filled from its own dense output.  The identity checks integrate
+over it with the quintic Hermite rule (_hermite_ends); the pointwise check
+takes v'' from the quintic through three points (_quintic_vpp).  value_at
+reads v and v' from quintic Hermites whose v'' and v''' come from the
+equation (_vpp_array, _vppp_array).  Runs end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
                         underflowed while v was still rising,
     StepFailure(r_fail) the controller stalled without blow-up indicators,
-                        a _dopri5 run used up STEP_BUDGET accepted steps,
+                        a kernel run used up STEP_BUDGET accepted steps,
                         or the state at r_h was not positive and finite.
 
-Between grid points value_at reads v from the quintic Hermite through
-(v, v', v'') and v' from the one through (v', v'', v'''), v'' and v''' from
-the equation (_vpp_array, _vppp_array).  The log phase adds no knots near
-the radii where values are checked, so a cubic's own interpolation error
-would show: with the cubic through (v, v') on a grid of 550 points per
-decade the expanding benchmark's worst error read 4.20e-10 where the
-quintic read 3.50e-10.  Profiles are immutable; solving is a pure function
-of (params, numerics).
+Profiles are immutable; solving is a pure function of (params, numerics).
+CHANGES.md keeps the measurements behind the handoffs and tolerances.
 """
 
 from __future__ import annotations
@@ -131,7 +95,7 @@ __all__ = [
 
 BLOWUP_CAP = 1e12          # v > cap * eta counts as blow-up
 PRESSURE_SWITCH = 100.0    # blow-up runs go on in the pressure from v ~ this * eta
-STEP_BUDGET = 10**6        # accepted steps before a _dopri5 run gives up
+STEP_BUDGET = 10**6        # accepted steps before a kernel run gives up
 DEFAULT_R0_SCALE = 1e-6
 # refinement density of the stored grid.  With the quintic value_at and the
 # quintic Hermite rule, 100 points per decade hold the integral defect and
@@ -322,6 +286,15 @@ def _pressure_pp(n: int, m: float, alpha: float, beta: float):
     return f
 
 
+def _pressure_terms(params: SolitonParams, r, P, dP) -> np.ndarray:
+    """The four terms of _pressure_pp's P'' on arrays of (r, P, P'), stacked
+    along the first axis: P'^2/((1-m) P), -beta r P'/((n-1) P), -(n-1) P'/r
+    and (1-m) alpha/(n-1)."""
+    one_m, n1 = 1.0 - params.m, params.n - 1
+    source = np.full_like(P, one_m * params.alpha / n1)
+    return np.stack((dP * dP / (one_m * P), -params.beta * r * dP / (n1 * P), -n1 * dP / r, source))
+
+
 def _vpp_array(params: SolitonParams, r: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """v'' of the profile equation on arrays of (r, v, v')."""
     n, m = params.n, params.m
@@ -351,13 +324,31 @@ def _w_tilde(m: float, r, v, dv):
     return wt, wt * (2.0 + (1.0 - m) * r * dv / v)
 
 
-def _log_wpp(n: int, m: float, alpha: float, beta: float):
+def _log_c(params: SolitonParams) -> float:
+    """c = (1-m) alpha - 2 beta of the log-radius equation.  It is rho for
+    soliton parameters, and rho is taken then: the difference rounds to
+    +-2.2e-16 at rho = 0, so a steady tail would not solve the steady
+    equation."""
+    if params.rho is not None:
+        return params.rho
+    return (1.0 - params.m) * params.alpha - 2.0 * params.beta
+
+
+def _log_kernel(params: SolitonParams):
+    """The kernel of the log-radius equation, for solve_profile's tail and
+    geometry.w_log_dynamics alike: _dop853 where the tail does not grow
+    (beta > 0 and c = _log_c >= 0: shrinking and steady solitons), _dopri5
+    otherwise (see the module docstring)."""
+    return _dop853 if params.beta > 0.0 and _log_c(params) >= 0.0 else _dopri5
+
+
+def _log_wpp(params: SolitonParams):
     """W'' of the log-radius equation in W = log w~, s = log r, as a function
     of (s, W, W_s); it holds for any m, with e^W (c + beta W_s) =
-    (1-m) r^2 v^(1-m) (alpha + beta r v'/v)."""
-    # -m/(1-m) and 1/(n-1) folded: f runs ~6 times a step, so it multiplies
+    (1-m) r^2 v^(1-m) (alpha + beta r v'/v), c = _log_c(params)."""
+    n, m, beta, c = params.n, params.m, params.beta, _log_c(params)
+    # -m/(1-m) and 1/(n-1) folded: f runs 6-15 times a step, so it multiplies
     exp, k, inv_n1, n2 = math.exp, -m / (1.0 - m), 1.0 / (n - 1), float(n - 2)
-    c = (1.0 - m) * alpha - 2.0 * beta
 
     def f(s, W, Ws):
         d = Ws - 2.0
@@ -422,23 +413,126 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / _SQRT2
 
 
-def _quartic(t0, h, y0, q, r):
+def _sparse(shape, rows) -> np.ndarray:
+    """An array of the given shape from {row: {column: value}}, its nonzero entries."""
+    a = np.zeros(shape)
+    for i, row in rows.items():
+        a[i, list(row)] = list(row.values())
+    return a
+
+
+# Prince & Dormand's (1981) 8(5,3) pair with its 7th-order dense output, as
+# scipy.integrate.DOP853 holds it (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10).  Row 12 of A is the solution's weights b; stage 12 is f at the new
+# point, and stages 13-15 serve the dense output only.
+_A853 = _sparse((16, 16), {
+    1: {0: 0.05260015195876773},
+    2: {0: 0.0197250569845379, 1: 0.0591751709536137},
+    3: {0: 0.02958758547680685, 2: 0.08876275643042054},
+    4: {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    5: {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    7: {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+        5: -0.015319437748624402, 6: 0.008273789163814023},
+    8: {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726, 5: 27.59209969944671,
+        6: 20.154067550477894, 7: -43.48988418106996},
+    9: {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+        8: -0.020331201708508627},
+    10: {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+        5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505, 8: 2.4936055526796523,
+        9: -3.0467644718982196},
+    11: {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625, 5: -17.9589318631188,
+        6: 27.94888452941996, 7: -2.8589982771350235, 8: -8.87285693353063, 9: 12.360567175794303,
+        10: 0.6433927460157636},
+    12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+        7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+        10: 0.20136540080403034, 11: 0.04471061572777259},
+    13: {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+        8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+        11: 0.007567897660545699, 12: -0.008298},
+    14: {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+        7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+        12: -0.00034046500868740456, 13: 0.1413124436746325},
+    15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
+        8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
+        14: -9.15095847217987},
+})
+_C853 = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+])
+_D853 = _sparse((4, 16), {
+    0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
+        8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883,
+        11: 0.6315787787694688, 12: -0.08899033645133331, 13: 18.148505520854727,
+        14: -9.194632392478356, 15: -4.436036387594894},
+    1: {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
+        8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398,
+        11: -9.332130526430229, 12: 15.697238121770845, 13: -31.139403219565178,
+        14: -9.35292435884448, 15: 35.81684148639408},
+    2: {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
+        8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
+        12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716,
+        15: 11.99229113618279},
+    3: {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
+        8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
+        12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544,
+        15: -149.72683625798564},
+})
+_E5_853 = _sparse((1, 13), {
+    0: {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+        7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+        10: 0.08192320648511571, 11: -0.022355307863886294},
+})[0]
+_B853 = _A853[12, :12]
+_E3_853 = np.append(_B853, 0.0)
+_E3_853[[0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
+# The dense output y_old + h sum_j (K P)_j x^(j+1), x = (r - t_old)/h, is
+# linear in the 16 stages K: scipy's F_0 = dy = h sum b_i k_i, F_1 = h k_0 - dy,
+# F_2 = 2 dy - h (k_0 + k_12) and F_3..F_6 = h D K, and the integer matrix
+# expands its nested x (F_0 + (1-x) (F_1 + x (F_2 + (1-x) (...)))) in powers of x
+_B16, (_K0, _K12) = np.append(_B853, np.zeros(4)), np.eye(16)[[0, 12]]
+_P853 = (np.array([
+    [1, 1, 0, 0, 0, 0, 0],
+    [0, -1, 1, 1, 0, 0, 0],
+    [0, 0, -1, -2, 1, 1, 0],
+    [0, 0, 0, 1, -2, -3, 1],
+    [0, 0, 0, 0, 1, 3, -3],
+    [0, 0, 0, 0, 0, -1, 3],
+    [0, 0, 0, 0, 0, 0, -1],
+]) @ np.vstack((_B16, _K0 - _B16, 2.0 * _B16 - _K0 - _K12, _D853))).T
+# the kernel's constants as floats: A's nonzero entries row by row (b in row 12)
+_DOP853_CONSTANTS = (
+    _A853[np.nonzero(_A853)].tolist(),
+    _C853.tolist(),
+    _E5_853[np.nonzero(_E5_853)].tolist(),
+    _E3_853[np.nonzero(_E3_853)].tolist(),
+)
+
+
+def _dense(t0, h, y0, q, r):
     """Dense output y0 + h * sum_j q_j x^(j+1), x = (r - t0)/h, of one step;
-    q holds q_0 .. q_3 along its first axis (floats or arrays)."""
-    q0, q1, q2, q3 = q
+    q holds q_0, q_1, ... along its first axis (floats or arrays): four on a
+    _dopri5 step, seven on a _dop853 one.  The powers of x are summed in
+    ascending order, so a quartic keeps the bits of the written-out sum."""
     x = (r - t0) / h
-    x2 = x * x
-    x3 = x2 * x
-    return y0 + h * (q0 * x + q1 * x2 + q2 * x3 + q3 * (x3 * x))
+    power = x
+    total = q[0] * x
+    for qj in q[1:]:
+        power = power * x
+        total = total + qj * power
+    return y0 + h * total
 
 
 class _Trajectory(NamedTuple):
-    """Accepted steps of a _dopri5 run and their interpolants.
+    """Accepted steps of a _dopri5 or _dop853 run and their interpolants.
 
     t[i] and y[:, i] = (v, v') are the accepted radii and states; step i
-    starts at t[i], has size h[i] and quartic coefficients q[:, i] (2 x 4).
-    After an event, t[-1] and y[:, -1] are the event's root, which lies
-    inside the last step."""
+    starts at t[i], has size h[i] and dense-output coefficients q[:, i]
+    (2 x 4 on _dopri5, 2 x 7 on _dop853).  After an event, t[-1] and
+    y[:, -1] are the event's root, which lies inside the last step."""
 
     status: int  # 0 reached r_end, 1 event fired, -1 step underflow, -2 over budget
     t: np.ndarray
@@ -451,7 +545,7 @@ class _Trajectory(NamedTuple):
         from the step that ends there."""
         seg = np.clip(np.searchsorted(self.t, r) - 1, 0, len(self.h) - 1)
         q = np.moveaxis(self.q[:, seg], -1, 0)
-        return _quartic(self.t[seg], self.h[seg], self.y[:, seg], q, r)
+        return _dense(self.t[seg], self.h[seg], self.y[:, seg], q, r)
 
 
 def _bracketed_root(fun, a: float, b: float) -> float:
@@ -466,6 +560,45 @@ def _bracketed_root(fun, a: float, b: float) -> float:
         else:
             b, fb = mid, fm
     return a if abs(fa) < abs(fb) else b
+
+
+def _initial_step(f, t, v, dv, fv, r_end, rtol, atol, order) -> float:
+    """scipy's select_initial_step for an error estimator of the given order."""
+    sv = atol + abs(v) * rtol
+    sd = atol + abs(dv) * rtol
+    d0 = _rms(v / sv, dv / sd)
+    d1 = _rms(dv / sv, fv / sd)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, r_end - t)
+    dv1 = dv + h0 * fv
+    f1 = f(t + h0, v + h0 * dv, dv1)
+    d2 = _rms((dv1 - dv) / sv, (f1 - fv) / sd) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, r_end - t)
+
+
+def _trajectory(status, ts, vs, dvs, hs, ks, P, event) -> _Trajectory:
+    """The _Trajectory of a kernel's accepted steps: ks holds each step's
+    stages, its v' components then its f ones, and P maps the stages to the
+    dense-output coefficients.  After an event the last point is moved to the
+    root on the last step's dense output."""
+    q = (np.frombuffer(ks).reshape(-1, 2, len(P)) @ P).transpose(1, 0, 2)
+    traj = _Trajectory(status, np.frombuffer(ts), np.array((vs, dvs)), np.frombuffer(hs), q)
+    if status == 1:
+        # the last step read back as floats, so the bisection is scalar
+        t_old, h, v_old, dv_old = ts[-2], hs[-1], vs[-2], dvs[-2]
+        qv, qd = q[:, -1].tolist()
+
+        def state(r):
+            return _dense(t_old, h, v_old, qv, r), _dense(t_old, h, dv_old, qd, r)
+
+        root = _bracketed_root(lambda r: event(*state(r)), t_old, ts[-1])
+        traj.t[-1] = root
+        traj.y[:, -1] = state(root)
+    return traj
 
 
 def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajectory:
@@ -490,22 +623,7 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
     v, dv = map(float, y0)
     fv = f(t, v, dv)
     g = event(v, dv)
-
-    # initial step, error estimator order 4
-    sv = atol + abs(v) * rtol
-    sd = atol + abs(dv) * rtol
-    d0 = _rms(v / sv, dv / sd)
-    d1 = _rms(dv / sv, fv / sd)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, r_end - t)
-    dv1 = dv + h0 * fv
-    f1 = f(t + h0, v + h0 * dv, dv1)
-    d2 = _rms((dv1 - dv) / sv, (f1 - fv) / sd) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_ERR_EXPONENT
-    h_abs = min(100 * h0, h1, r_end - t)
+    h_abs = _initial_step(f, t, v, dv, fv, r_end, rtol, atol, 4)
 
     sqrt, ulp, sqrt2, budget = math.sqrt, math.ulp, _SQRT2, STEP_BUDGET
     safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXPONENT
@@ -592,20 +710,239 @@ def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajecto
             break
         t, v, dv, fv, g, av, adv = t_new, v_new, dv_new, f_new, g_new, av_new, adv_new
 
-    q = (np.frombuffer(ks).reshape(-1, 2, 7) @ _P).transpose(1, 0, 2)
-    traj = _Trajectory(status, np.frombuffer(ts), np.array((vs, dvs)), np.frombuffer(hs), q)
-    if status == 1:
-        # the last step read back as floats, so the bisection is scalar
-        t_old, h, v_old, dv_old = ts[-2], hs[-1], vs[-2], dvs[-2]
-        qv, qd = q[:, -1].tolist()
+    return _trajectory(status, ts, vs, dvs, hs, ks, _P, event)
 
-        def state(r):
-            return _quartic(t_old, h, v_old, qv, r), _quartic(t_old, h, dv_old, qd, r)
 
-        root = _bracketed_root(lambda r: event(*state(r)), t_old, ts[-1])
-        traj.t[-1] = root
-        traj.y[:, -1] = state(root)
-    return traj
+def _dop853(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajectory:
+    """Integrate v'' = f(r, v, v') as _dopri5 does, on Prince & Dormand's
+    8(5,3) pair.
+
+    It keeps scipy DOP853's initial step selection (error order 7), its error
+    norm h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) N) over the scaled fifth- and
+    third-order error estimates e5 and e3 of the N = 2 components, its
+    controller (safety 0.9, factors in [0.2, 10], at most 1 right after a
+    rejection, exponent -1/8) and its 7th-order dense output, whose three
+    extra stages run once per accepted step.  _dopri5's rules hold: floats
+    converted once per call, STEP_BUDGET read once per call, the 10-ulp
+    minimum step, one terminal event, and a bit-stable step loop."""
+    r_end, atol = float(r_end), float(atol)
+    rtol = max(float(rtol), 100 * _EPS)
+    t = float(r0)
+    v, dv = map(float, y0)
+    fv = f(t, v, dv)
+    g = event(v, dv)
+    h_abs = _initial_step(f, t, v, dv, fv, r_end, rtol, atol, 7)
+
+    sqrt, ulp, budget = math.sqrt, math.ulp, STEP_BUDGET
+    safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, -1 / 8
+    a, c, e5, e3 = _DOP853_CONSTANTS
+    (a1_0, a2_0, a2_1, a3_0, a3_2, a4_0, a4_2, a4_3, a5_0, a5_3, a5_4, a6_0, a6_3, a6_4, a6_5,
+     a7_0, a7_3, a7_4, a7_5, a7_6, a8_0, a8_3, a8_4, a8_5, a8_6, a8_7,
+     a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8, a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8,
+     a10_9, a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10,
+     b0, b5, b6, b7, b8, b9, b10, b11,
+     a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12,
+     a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13,
+     a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14) = a
+    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, c13, c14, c15 = c
+    e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = e5
+    e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = e3
+    ts, vs, dvs = array("d", [t]), array("d", [v]), array("d", [dv])
+    hs, ks = array("d"), array("d")
+    t_append, v_append, dv_append, h_append = ts.append, vs.append, dvs.append, hs.append
+    k_extend = ks.extend
+    steps = 0
+    av, adv = abs(v), abs(dv)
+    while True:
+        min_step = 10 * ulp(t)
+        if min_step > h_abs:
+            h_abs = min_step
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs
+            if r_end < t_new:
+                t_new = r_end
+            h = t_new - t
+            h_abs = h
+            # stage 0 is (dv, fv); stage k is (kkv, kkd)
+            k1v = dv + h * (a1_0 * fv)
+            k1d = f(t + c1 * h, v + h * (a1_0 * dv), k1v)
+            k2v = dv + h * (a2_0 * fv + a2_1 * k1d)
+            k2d = f(t + c2 * h, v + h * (a2_0 * dv + a2_1 * k1v), k2v)
+            k3v = dv + h * (a3_0 * fv + a3_2 * k2d)
+            k3d = f(t + c3 * h, v + h * (a3_0 * dv + a3_2 * k2v), k3v)
+            k4v = dv + h * (a4_0 * fv + a4_2 * k2d + a4_3 * k3d)
+            k4d = f(t + c4 * h, v + h * (a4_0 * dv + a4_2 * k2v + a4_3 * k3v), k4v)
+            k5v = dv + h * (a5_0 * fv + a5_3 * k3d + a5_4 * k4d)
+            k5d = f(t + c5 * h, v + h * (a5_0 * dv + a5_3 * k3v + a5_4 * k4v), k5v)
+            k6v = dv + h * (a6_0 * fv + a6_3 * k3d + a6_4 * k4d + a6_5 * k5d)
+            k6d = f(t + c6 * h, v + h * (a6_0 * dv + a6_3 * k3v + a6_4 * k4v + a6_5 * k5v), k6v)
+            k7v = dv + h * (a7_0 * fv + a7_3 * k3d + a7_4 * k4d + a7_5 * k5d + a7_6 * k6d)
+            k7d = f(
+                t + c7 * h,
+                v + h * (a7_0 * dv + a7_3 * k3v + a7_4 * k4v + a7_5 * k5v + a7_6 * k6v),
+                k7v,
+            )
+            k8v = dv + h * (
+                a8_0 * fv + a8_3 * k3d + a8_4 * k4d + a8_5 * k5d + a8_6 * k6d + a8_7 * k7d
+            )
+            k8d = f(
+                t + c8 * h,
+                v + h * (
+                    a8_0 * dv + a8_3 * k3v + a8_4 * k4v + a8_5 * k5v + a8_6 * k6v + a8_7 * k7v
+                ),
+                k8v,
+            )
+            k9v = dv + h * (
+                a9_0 * fv + a9_3 * k3d + a9_4 * k4d + a9_5 * k5d + a9_6 * k6d + a9_7 * k7d
+                + a9_8 * k8d
+            )
+            k9d = f(
+                t + c9 * h,
+                v + h * (
+                    a9_0 * dv + a9_3 * k3v + a9_4 * k4v + a9_5 * k5v + a9_6 * k6v + a9_7 * k7v
+                    + a9_8 * k8v
+                ),
+                k9v,
+            )
+            k10v = dv + h * (
+                a10_0 * fv + a10_3 * k3d + a10_4 * k4d + a10_5 * k5d + a10_6 * k6d
+                + a10_7 * k7d + a10_8 * k8d + a10_9 * k9d
+            )
+            k10d = f(
+                t + c10 * h,
+                v + h * (
+                    a10_0 * dv + a10_3 * k3v + a10_4 * k4v + a10_5 * k5v + a10_6 * k6v
+                    + a10_7 * k7v + a10_8 * k8v + a10_9 * k9v
+                ),
+                k10v,
+            )
+            k11v = dv + h * (
+                a11_0 * fv + a11_3 * k3d + a11_4 * k4d + a11_5 * k5d + a11_6 * k6d
+                + a11_7 * k7d + a11_8 * k8d + a11_9 * k9d + a11_10 * k10d
+            )
+            k11d = f(
+                t + c11 * h,
+                v + h * (
+                    a11_0 * dv + a11_3 * k3v + a11_4 * k4v + a11_5 * k5v + a11_6 * k6v
+                    + a11_7 * k7v + a11_8 * k8v + a11_9 * k9v + a11_10 * k10v
+                ),
+                k11v,
+            )
+            v_new = v + h * (
+                b0 * dv + b5 * k5v + b6 * k6v + b7 * k7v + b8 * k8v + b9 * k9v + b10 * k10v
+                + b11 * k11v
+            )
+            dv_new = dv + h * (
+                b0 * fv + b5 * k5d + b6 * k6d + b7 * k7d + b8 * k8d + b9 * k9d + b10 * k10d
+                + b11 * k11d
+            )
+            f_new = f(t + h, v_new, dv_new)
+            # the scales use max(|y|, |y_new|), which is |y| when y_new is NaN
+            av_new = -v_new if v_new < 0.0 else v_new
+            adv_new = -dv_new if dv_new < 0.0 else dv_new
+            sv = atol + (av_new if av_new > av else av) * rtol
+            sd = atol + (adv_new if adv_new > adv else adv) * rtol
+            e5v = (
+                e5_0 * dv + e5_5 * k5v + e5_6 * k6v + e5_7 * k7v + e5_8 * k8v + e5_9 * k9v
+                + e5_10 * k10v + e5_11 * k11v
+            ) / sv
+            e5d = (
+                e5_0 * fv + e5_5 * k5d + e5_6 * k6d + e5_7 * k7d + e5_8 * k8d + e5_9 * k9d
+                + e5_10 * k10d + e5_11 * k11d
+            ) / sd
+            e3v = (
+                e3_0 * dv + e3_5 * k5v + e3_6 * k6v + e3_7 * k7v + e3_8 * k8v + e3_9 * k9v
+                + e3_10 * k10v + e3_11 * k11v
+            ) / sv
+            e3d = (
+                e3_0 * fv + e3_5 * k5d + e3_6 * k6d + e3_7 * k7d + e3_8 * k8d + e3_9 * k9d
+                + e3_10 * k10d + e3_11 * k11d
+            ) / sd
+            n5 = e5v * e5v + e5d * e5d
+            n3 = e3v * e3v + e3d * e3d
+            if n5 == 0.0 and n3 == 0.0:
+                err = 0.0
+            else:
+                err = h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)
+            if err < 1.0:
+                if err == 0.0:
+                    factor = max_factor
+                else:
+                    factor = safety * err**exponent
+                    if factor > max_factor:
+                        factor = max_factor
+                if rejected and factor > 1.0:
+                    factor = 1.0
+                h_abs *= factor
+                break
+            # a NaN error norm shrinks by min_factor
+            factor = safety * err**exponent
+            h_abs *= factor if factor > min_factor else min_factor
+            rejected = True
+        else:
+            status = -1
+            break
+        # the dense output's stages, from the accepted step's (stage 12 is
+        # (dv_new, f_new))
+        k13v = dv + h * (
+            a13_0 * fv + a13_6 * k6d + a13_7 * k7d + a13_8 * k8d + a13_9 * k9d + a13_10 * k10d
+            + a13_11 * k11d + a13_12 * f_new
+        )
+        k13d = f(
+            t + c13 * h,
+            v + h * (
+                a13_0 * dv + a13_6 * k6v + a13_7 * k7v + a13_8 * k8v + a13_9 * k9v
+                + a13_10 * k10v + a13_11 * k11v + a13_12 * dv_new
+            ),
+            k13v,
+        )
+        k14v = dv + h * (
+            a14_0 * fv + a14_5 * k5d + a14_6 * k6d + a14_7 * k7d + a14_10 * k10d
+            + a14_11 * k11d + a14_12 * f_new + a14_13 * k13d
+        )
+        k14d = f(
+            t + c14 * h,
+            v + h * (
+                a14_0 * dv + a14_5 * k5v + a14_6 * k6v + a14_7 * k7v + a14_10 * k10v
+                + a14_11 * k11v + a14_12 * dv_new + a14_13 * k13v
+            ),
+            k14v,
+        )
+        k15v = dv + h * (
+            a15_0 * fv + a15_5 * k5d + a15_6 * k6d + a15_7 * k7d + a15_8 * k8d
+            + a15_12 * f_new + a15_13 * k13d + a15_14 * k14d
+        )
+        k15d = f(
+            t + c15 * h,
+            v + h * (
+                a15_0 * dv + a15_5 * k5v + a15_6 * k6v + a15_7 * k7v + a15_8 * k8v
+                + a15_12 * dv_new + a15_13 * k13v + a15_14 * k14v
+            ),
+            k15v,
+        )
+        t_append(t_new)
+        v_append(v_new)
+        dv_append(dv_new)
+        h_append(h)
+        k_extend((
+            dv, k1v, k2v, k3v, k4v, k5v, k6v, k7v, k8v, k9v, k10v, k11v, dv_new, k13v, k14v, k15v,
+            fv, k1d, k2d, k3d, k4d, k5d, k6d, k7d, k8d, k9d, k10d, k11d, f_new, k13d, k14d, k15d,
+        ))
+        steps += 1
+        g_new = event(v_new, dv_new)
+        if g <= 0.0 <= g_new:
+            status = 1
+            break
+        if t_new >= r_end:
+            status = 0
+            break
+        if steps >= budget:
+            status = -2
+            break
+        t, v, dv, fv, g, av, adv = t_new, v_new, dv_new, f_new, g_new, av_new, adv_new
+
+    return _trajectory(status, ts, vs, dvs, hs, ks, _P853, event)
 
 
 def _check_numerics(**values) -> None:
@@ -680,8 +1017,8 @@ def solve_profile(
             code = -3  # a handoff state the log form cannot take
         else:
             log_tol = LOG_TOL_FACTOR * rtol
-            tail = _dopri5(
-                _log_wpp(n, m, alpha, beta), 0.0, start, math.log(r_stop), log_tol, log_tol
+            tail = _log_kernel(params)(
+                _log_wpp(params), 0.0, start, math.log(r_stop), log_tol, log_tol
             )
             code = tail.status
             r_tail = np.exp(tail.t[1:])
@@ -806,18 +1143,27 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     points from the quintic through (v, v') at each and its two neighbours
     (_quintic_vpp), or from the quadratic through v' where v is flat to 1e-9
     across them, and compares it with the equation's right side, normalized
-    by |alpha v| + |beta r v'| plus a small floor.  On a BlowUp profile it
-    is no check, and its value must not be read as one: its maximum sits at
-    the pressure phase's last step points, where v grows by orders of
-    magnitude across three of them and no quintic through (v, v') follows
-    it (5.7e8 and 4.1e10 on the n=3, m=0.2, beta=-1, alpha=-1 or -4
-    blow-ups of the test suite, whose integral defect reads 1.05e-9 and
-    1.84e-9; 4.07e3 and 2.74e3 when the r-form ran to the cap, with steps
-    1e-11 apart whose chord slopes carried little precision).  Taken in
-    P = v^-(1-m) instead, with P'' from the quintic through (P, P') and
-    normalised by the sum of the P equation's terms, the pressure phase's
-    steps of those runs read at most 3.0e-8 and 2.7e-8.  The integral
-    defect tests
+    by |alpha v| + |beta r v'| plus a small floor.  Two kinds of profile are
+    read elsewhere past the core r = l = eta^((m-1)/2):
+
+      * a log tail on _dop853 (_log_kernel) at its refinement lattice points,
+        not at its steps, which lie 4-7x farther apart than _dopri5's, so
+        that the quintic through three of them is truncation-limited (C8's
+        n = 3 and n = 5 profiles read 7.8e-5 and 2.2e-5 at the steps, 6.0e-8
+        and 1.0e-8 at the lattice).  Its steps are then checked by the
+        integral identity only.
+      * a BlowUp profile in the blow-up regime, from l, or from the pressure
+        handoff (the last step point below PRESSURE_SWITCH * eta) if that
+        comes first, in P = v^-(1-m): P'' from the quintic through (P, P')
+        against the P equation, normalised by the sum of its terms'
+        magnitudes (_pressure_terms).  In v the pressure phase's last steps,
+        across which v grows by orders of magnitude, read 5.7e8 and 4.1e10
+        on the n=3, m=0.2, beta=-1, alpha=-1 or -4 blow-ups of the test
+        suite; in P they read at most 3.0e-8 and 2.7e-8, and the r-form's
+        steps past l, at 1.6e-8 or less, where in v they read up to 1.0e-5.
+        Those profiles read 8.2e-8 and 4.0e-7, at r-form steps near r0.
+
+    The integral defect tests
 
         (n-1) r^(n-1) v^(m-1) v'  =  -beta r^n v + (n beta - alpha) * I(r),
         I(r) = integral of z^(n-1) v(z) from 0 to r,
@@ -839,7 +1185,13 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     if len(si) < 3:
         raise ValueError(f"residuals need at least 3 accepted step points, got {len(si)}")
     vpp = _vpp_array(p, r, v, dv)
-    rs, vs, dvs, vpp_ode = r[si], v[si], dv[si], vpp[si]
+    length, points = p.eta ** ((m - 1.0) / 2.0), si
+    if _log_kernel(p) is _dop853:
+        # the r-form's steps up to l, then the tail's lattice points
+        lattice = np.ones(len(r), dtype=bool)
+        lattice[si] = False
+        points = np.concatenate((si[r[si] <= length], np.flatnonzero(lattice & (r > length))))
+    rs, vs, dvs, vpp_ode = r[points], v[points], dv[points], vpp[points]
     # where v is flat to roundoff across a triple the closed form cancels
     # catastrophically; there dv still has full relative precision and the
     # local steps are tiny, so differentiate dv by the quadratic instead
@@ -849,7 +1201,18 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     vpp_data = np.where(flat, np.gradient(dvs, rs, edge_order=2), _quintic_vpp(rs, vs, dvs))
     floor = 1e-3 * p.eta * max(1.0, abs(alpha) + abs(beta))
     den = np.abs(alpha * vs) + np.abs(beta * rs * dvs) + floor
-    max_ode = float(np.max(np.abs(vpp_data - vpp_ode) / den))
+    defect = np.abs(vpp_data - vpp_ode) / den
+    if profile.status.kind == "BlowUp" and _blowup_regime(p):
+        # past the core r = l, or from the pressure handoff (the last step
+        # point below the switch) if that comes first, in P = v^-(1-m)
+        handoff = np.flatnonzero(vs < PRESSURE_SWITCH * p.eta)[-1]
+        k = min(int(np.count_nonzero(rs <= length)), int(handoff))
+        P = vs ** (m - 1.0)
+        dP = (m - 1.0) * P * dvs / vs
+        terms = _pressure_terms(p, rs, P, dP)
+        in_p = np.abs(_quintic_vpp(rs, P, dP) - terms.sum(axis=0)) / np.abs(terms).sum(axis=0)
+        defect = np.concatenate((defect[:k], in_p[k:]))
+    max_ode = float(np.max(defect))
 
     rn1 = r ** (n - 1)
     lhs = (n - 1) * rn1 * v ** (m - 1.0) * dv

@@ -256,8 +256,10 @@ def test_log_continuation_matches_direct_tail(shrink3_profile, shrink3_geometry)
 
 
 def _solve_ivp_w_log_dynamics(params, s_range, w_init):
-    """The continuation as it ran on scipy's solve_ivp(RK45), with two
-    terminal events, before it moved onto the package's own kernel."""
+    """The continuation as it ran on scipy's solve_ivp, with two terminal
+    events, before it moved onto the package's own kernels, on the method the
+    package's rule picks: DOP853 for shrinking and steady (rho >= 0) tails,
+    RK45 for expanding ones."""
     from scipy.integrate import solve_ivp
 
     n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
@@ -287,8 +289,10 @@ def _solve_ivp_w_log_dynamics(params, s_range, w_init):
 
     s0, s1 = s_range
     wt0, wts0 = w_init
+    method = "DOP853" if ps._log_kernel(params) is ps._dop853 else "RK45"
+    assert (method == "DOP853") == (params.rho >= 0.0)
     sol = solve_ivp(
-        rhs, (s0, s1), (math.log(wt0), wts0 / wt0), method="RK45", rtol=1e-10,
+        rhs, (s0, s1), (math.log(wt0), wts0 / wt0), method=method, rtol=1e-10,
         atol=1e-12, dense_output=True, events=(collapse, runaway),
     )
     count = max(int(math.ceil((sol.t[-1] - s0) * 40)), 2)

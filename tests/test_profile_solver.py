@@ -10,6 +10,7 @@ came in as."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from scipy.integrate import solve_ivp
 
 import yamabelab as yl
 from conftest import R_MAX, RTOL, _params, perturb_profile
-from yamabelab import geometry
 from yamabelab import profile_solver as ps
 
 
@@ -147,12 +147,11 @@ def test_residuals_on_reference(shrink3_profile):
 # max_ode_residual as the batched 6x6 quintic solve gave it, which the
 # closed form replaced; r0big is n=4, beta=1.2, rho=0.7, eta=3 to r_max 1e3
 # from r0_scale 1e-2, whose first step triple is not flat.  shrink5's
-# maximum lies in the log-radius phase of its two-phase run (4.15e-9 with
-# the r-form to r_max), whose step points lie about 0.3 r apart, where the
-# quintic through three of them is truncation-limited
+# maximum lies in its DOP853 log-radius tail, read on the refinement lattice
+# (4.13e-8 on the DOPRI5 tail's steps, 4.15e-9 with the r-form to r_max)
 _ODE_RESIDUAL_PINS = {
     "shrink3": 6.028386144378151e-08,
-    "shrink5": 4.1291045768824595e-08,
+    "shrink5": 1.0238019561135276e-08,
     "steady": 3.9802108240011006e-07,
     "expand": 2.8154941466019866e-08,
     "r0big": 5.911252022865856e-08,
@@ -470,14 +469,18 @@ def _check_against_scipy(n, beta, k, log_eta, r_max):
     assert np.all(np.abs(dv - dv_ref) <= 1e-6 * np.abs(dv_ref))
 
     # same method and controller: the accepted steps of each phase match
-    # scipy's RK45, the r-form to r_h and the log-radius equation from the
-    # state there, at LOG_TOL_FACTOR * rtol as rtol and atol
+    # scipy's, RK45 on the r-form to r_h, and on the log-radius equation from
+    # the state there, at LOG_TOL_FACTOR * rtol as rtol and atol, the method
+    # the package's own rule picks: DOP853 for shrinking and steady tails,
+    # RK45 for expanding ones
     rk45 = _scipy_solve(prof, r_h, "RK45", prof.rtol)
     assert abs(head - (len(rk45.t) - 1)) <= 0.02 * head
-    log_rk45 = _scipy_log_solve(
-        prof, r_h, math.log(prof.status.radius), "RK45", ps.LOG_TOL_FACTOR * prof.rtol
+    method = "DOP853" if ps._log_kernel(p) is ps._dop853 else "RK45"
+    assert (method == "DOP853") == (k >= 0.0)
+    log_ref = _scipy_log_solve(
+        prof, r_h, math.log(prof.status.radius), method, ps.LOG_TOL_FACTOR * prof.rtol
     )
-    assert abs(tail - (len(log_rk45.t) - 1)) <= 0.02 * tail
+    assert abs(tail - (len(log_ref.t) - 1)) <= 0.02 * tail
 
 
 _cone = dict(
@@ -614,30 +617,29 @@ def test_alpha_beta_scaling(p, log_c):
         assert prof_c.status.radius == pytest.approx(lam * prof.status.radius, rel=1e-12, abs=0.0)
 
 
+_R_FORM, _TAIL = ("_dopri5",), ("_dopri5", "_dop853")
+
+
 @pytest.mark.parametrize(
-    "params, r_max, runs",
+    "params, r_max, kernels",
     [
-        (yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=-1.0), 100.0, 2),
-        (yl.make_params(n=3, m=0.2, alpha=1.0, beta=-2.5, eta=1.0), 100.0, 1),
-        (yl.make_params(n=3, m=0.2, beta=1.0, rho=-3.0, alpha=-1.25, eta=1.0), 30.0, 1),
-        (yl.make_params(n=3, m=0.2, alpha=1.0, beta=0.0, eta=1.0), 100.0, 1),
-        (_params(3, 1.0, 1.0), 0.5, 1),
-        (_params(3, 1.0, 1.0), 100.0, 2),
-        (_params(3, 1.0, 0.0).with_eta(7.0), 100.0, 2),
-        (_params(5, 1.0, -1.0).with_eta(0.01), 100.0, 2),
+        (yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=-1.0), 100.0, _R_FORM * 2),
+        (yl.make_params(n=3, m=0.2, alpha=1.0, beta=-2.5, eta=1.0), 100.0, _R_FORM),
+        (yl.make_params(n=3, m=0.2, beta=1.0, rho=-3.0, alpha=-1.25, eta=1.0), 30.0, _R_FORM),
+        (yl.make_params(n=3, m=0.2, alpha=1.0, beta=0.0, eta=1.0), 100.0, _R_FORM),
+        (_params(3, 1.0, 1.0), 0.5, _R_FORM),
+        (_params(3, 1.0, 1.0), 100.0, _TAIL),
+        (_params(3, 1.0, 0.0).with_eta(7.0), 100.0, _TAIL),
+        (_params(5, 1.0, -1.0).with_eta(0.01), 100.0, _R_FORM * 2),
     ],
     ids=["blowup", "touchdown", "negcurv", "beta0", "below-l", "shrink", "steady", "expand"],
 )
-def test_log_tail_only_for_positive_alpha_and_beta(monkeypatch, params, r_max, runs):
+def test_log_tail_only_for_positive_alpha_and_beta(monkeypatch, params, r_max, kernels):
     # alpha, beta > 0 with l = eta^((m-1)/2) < r_max: the r-form to l, then
-    # the log-radius equation; a blow-up (alpha < 0, beta <= 0): the r-form,
-    # then the pressure equation; every other run is the r-form alone
-    kernel_fs, log_fs, pressure_fs = [], [], []
-    kernel = ps._dopri5
-
-    def recording_kernel(f, *args):
-        kernel_fs.append(f)
-        return kernel(f, *args)
+    # the log-radius equation, on _dop853 for shrinking and steady tails and
+    # on _dopri5 for expanding ones; a blow-up (alpha < 0, beta <= 0): the
+    # r-form, then the pressure equation; every other run is the r-form alone
+    runs, log_fs, pressure_fs = _recording_kernels(monkeypatch), [], []
 
     def recording(make, made):
         def run(*args):
@@ -646,20 +648,108 @@ def test_log_tail_only_for_positive_alpha_and_beta(monkeypatch, params, r_max, r
 
         return run
 
-    monkeypatch.setattr(ps, "_dopri5", recording_kernel)
     monkeypatch.setattr(ps, "_log_wpp", recording(ps._log_wpp, log_fs))
     monkeypatch.setattr(ps, "_pressure_pp", recording(ps._pressure_pp, pressure_fs))
     prof = yl.solve_profile(params, r_max=r_max, rtol=1e-9)
-    assert len(kernel_fs) == runs
+    assert tuple(name for name, _ in runs) == kernels
+    tail_fs = [f for _, f in runs[1:]]
     blowup = params.alpha < 0.0 and params.beta <= 0.0
-    assert (pressure_fs, log_fs) == ((kernel_fs[1:], []) if blowup else ([], kernel_fs[1:]))
+    assert (pressure_fs, log_fs) == ((tail_fs, []) if blowup else ([], tail_fs))
     if blowup:
         assert prof.status.kind == "BlowUp"
-    elif runs == 2:
+    elif len(kernels) == 2:
         assert prof.status == yl.ProfileStatus("Global", r_max) and prof.r[-1] == r_max
         # the handoff radius is a step point of both phases
         r_h = params.eta ** ((params.m - 1.0) / 2.0)
         assert r_h in prof.r[prof.step_indices]
+
+
+def _recording_kernels(monkeypatch):
+    """Patches both kernels to record (kernel name, right-hand side) per run
+    into the returned list."""
+    runs = []
+
+    def recording(name):
+        kernel = getattr(ps, name)
+
+        def run(f, *args):
+            runs.append((name, f))
+            return kernel(f, *args)
+
+        return run
+
+    for name in ("_dopri5", "_dop853"):
+        monkeypatch.setattr(ps, name, recording(name))
+    return runs
+
+
+def test_steady_tails_run_on_dop853(monkeypatch):
+    # every steady point of the verify_nonstiff benchmark at seeds 0-3 (32
+    # per seed): c = rho = 0 exactly, where (1-m) alpha - 2 beta rounded to
+    # +-2.2e-16 or 4.4e-16 on 17 of the 128, 8 of them below zero
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import VerifyNonstiff
+
+    runs = _recording_kernels(monkeypatch)
+    for seed in range(4):
+        workload = VerifyNonstiff(seed, None)
+        for i in range(3, workload.fixed_ops, 5):
+            point = workload.point(i)
+            assert point.rho == 0.0
+            p = point.params()
+            assert ps._log_c(p) == 0.0
+            runs.clear()
+            yl.solve_profile(p, r_max=point.r_max, rtol=1e-9)
+            assert [name for name, _ in runs] == ["_dopri5", "_dop853"]
+
+
+def test_dop853_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    for got, want in [
+        (ps._A853, ref.A), (ps._B853, ref.B), (ps._C853, ref.C), (ps._E3_853, ref.E3),
+        (ps._E5_853, ref.E5), (ps._D853, ref.D),
+    ]:
+        assert np.array_equal(got, want)
+    # each node is its row's sum, to rounding
+    assert np.allclose(ps._A853.sum(axis=1), ps._C853, rtol=0.0, atol=8 * ps._EPS)
+
+
+def test_dop853_dense_output_is_scipys():
+    # the folded stage -> coefficient matrix against scipy's nested form
+    # x (F_0 + (1-x) (F_1 + x (F_2 + ...))) on random stages of one step
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    from scipy.integrate._ivp.rk import Dop853DenseOutput
+
+    rng = np.random.default_rng(7)
+    K, h, y_old = rng.normal(size=(16, 2)), 0.3, np.array([1.5, -0.5])
+    dy = h * K[:12].T @ ref.B
+    F = np.vstack((dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[12]), h * ref.D @ K))
+    x = np.linspace(0.0, 1.0, 11)
+    want = Dop853DenseOutput(0.0, h, y_old, F)(h * x)
+    got = ps._dense(0.0, h, y_old[:, None], (K.T @ ps._P853).T[:, :, None], h * x)
+    # F reaches 133 here, and the two forms differ by 8e-14
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(F))
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -4.0])
+def test_blowup_residual_reads_the_pressure(alpha):
+    # past the core l = 1 the blow-up profile is read in P = v^-(1-m): its
+    # pressure steps read at most 3.0e-8 (alpha = -1) and 2.7e-8 (-4), and
+    # the maximum, 8.2e-8 and 4.0e-7, sits at r-form steps near the origin.
+    # In v every step read it 5.7e8 and 4.1e10
+    p = yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=alpha)
+    prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
+    assert prof.status.kind == "BlowUp"
+    clean = yl.residuals(prof).max_ode_residual
+    assert clean < 1e-6
+    # a 1 ppm bump on a pressure step an eighth of the way from the handoff
+    # to the cap reads 4.8e-5 and 6.1e-5 in P
+    si = prof.step_indices
+    handoff = int(np.flatnonzero(prof.v[si] < ps.PRESSURE_SWITCH)[-1])
+    bump = int(si[handoff + (len(si) - handoff) // 8])
+    bad = perturb_profile(prof, bump, 1.0 + 1e-6)
+    assert yl.residuals(bad).max_ode_residual > 100.0 * clean
 
 
 def test_blowup_fill_radius_an_ulp_from_a_step(monkeypatch):
@@ -741,9 +831,9 @@ def test_blowup_radius_matches_scipy_event(alpha, beta):
 def _step_quartics(traj, every):
     """(t_old, t_new, v on the step) for every so-many steps of a run."""
     for k in range(0, len(traj.h), every):
-        # _quartic takes the four coefficients along the first axis
+        # _dense takes the four coefficients along the first axis
         t0, h, y0, q = traj.t[k], traj.h[k], traj.y[:, k], traj.q[:, k].T
-        yield t0, t0 + h, lambda r: ps._quartic(t0, h, y0, q, r)[0]
+        yield t0, t0 + h, lambda r: ps._dense(t0, h, y0, q, r)[0]
 
 
 @pytest.mark.parametrize(
@@ -797,12 +887,14 @@ _KERNEL_RUNS = {
     ),
 }
 
-# per _dopri5 run of the case, in call order: (accepted steps, status,
+# per kernel run of the case, in call order: (accepted steps, status,
 # {i: float.hex of (t, y, y') at step point i}, the same of the end point:
 # r_end, the stall radius or the event root).  The alpha, beta > 0 profiles
 # run twice, the r-form to r_h = l = 1, then (s, W, W_s) from log r_h
-# to log R_MAX.  So does the blow-up: the r-form up to its event v = 100,
-# then (r, P, P') from the step before it (point 241) up to the cap.
+# to log R_MAX, on _dop853 for shrink3, shrink5 and steady and on _dopri5
+# for expand; log_dynamics (rho = 1) runs on _dop853.  So does the blow-up
+# run twice: the r-form up to its event v = 100, then (r, P, P') from the
+# step before it (point 241) up to the cap.
 _KERNEL_PINS = {
     "shrink3": (
         (
@@ -816,14 +908,14 @@ _KERNEL_PINS = {
             ("0x1.0000000000000p+0", "0x1.8238bc3108c76p-1", "-0x1.8a500d9c87d1cp-2"),
         ),
         (
-            244,
+            35,
             0,
             {
-                1: ("0x1.4d9b45d4c5813p-9", "-0x1.c5983b2dc7bfcp-3", "0x1.9704e7f1eb3b2p+0"),
-                122: ("0x1.9e3f0cad28fccp+1", "0x1.b1190809dc3abp-1", "-0x1.a9b4cf9a84bb5p-3"),
-                243: ("0x1.25dc33a5cde6bp+3", "0x1.684af0446c50fp-1", "-0x1.968ebaf15e5a0p-10"),
+                1: ("0x1.87bd6b45879f1p-6", "-0x1.805801767124dp-3", "0x1.934e8f6a313f2p+0"),
+                17: ("0x1.50961eeb7b762p+1", "0x1.f4f28937e53ecp-1", "-0x1.bc664793bc13ap-3"),
+                34: ("0x1.20919b6382f75p+3", "0x1.685b4b1a76c0dp-1", "0x1.7d447d26c0440p-14"),
             },
-            ("0x1.26bb1bbb55516p+3", "0x1.6844f9303aa25p-1", "-0x1.d5fe8bc3515ebp-10"),
+            ("0x1.26bb1bbb55516p+3", "0x1.6844f9302938dp-1", "-0x1.d5fe8bc083965p-10"),
         ),
     ),
     "shrink5": (
@@ -838,14 +930,14 @@ _KERNEL_PINS = {
             ("0x1.0000000000000p+0", "0x1.c315d54290e08p-1", "-0x1.b95567fdbfaebp-3"),
         ),
         (
-            274,
+            45,
             0,
             {
-                1: ("0x1.3bf9130e25e64p-9", "-0x1.161c61afa6212p-4", "0x1.dc0edf87f2ba6p+0"),
-                137: ("0x1.263779ca4006fp+1", "0x1.37370ee8e6404p+1", "0x1.926f9bd1d598cp-3"),
-                273: ("0x1.23f0674d1cfd7p+3", "0x1.3e114ef13b3f2p+1", "0x1.1644210ec6570p-17"),
+                1: ("0x1.7aaabe7a14834p-6", "-0x1.e2a6a022ec0fcp-6", "0x1.daa59dae7a556p+0"),
+                22: ("0x1.47b852aea9ee5p+1", "0x1.3c273bf234ea5p+1", "0x1.ae9f9acd12800p-4"),
+                44: ("0x1.1b4114dbb0a83p+3", "0x1.3e11370460785p+1", "0x1.b34f01d2cc41cp-17"),
             },
-            ("0x1.26bb1bbb55516p+3", "0x1.3e11549062e53p+1", "0x1.dc0014376c7a7p-18"),
+            ("0x1.26bb1bbb55516p+3", "0x1.3e1154906263bp+1", "0x1.dc0021dc4d41ap-18"),
         ),
     ),
     "steady": (
@@ -860,14 +952,14 @@ _KERNEL_PINS = {
             ("0x1.0000000000000p+0", "0x1.a6de1384190e8p-1", "-0x1.29ae9f77eaddbp-2"),
         ),
         (
-            399,
+            100,
             0,
             {
-                1: ("0x1.455b55433ec65p-9", "-0x1.30a30dda82a51p-3", "0x1.b79c99316ae9ap+0"),
-                199: ("0x1.0ceb30ec48602p+2", "0x1.33c6e85646e6dp+1", "0x1.7c4cc19a54311p-3"),
-                398: ("0x1.26482659df189p+3", "0x1.86e8ab354ecb8p+1", "0x1.8516f04bdd6d9p-4"),
+                1: ("0x1.81a82c95f5032p-6", "-0x1.cd9afb48ab178p-4", "0x1.b50092b968542p+0"),
+                50: ("0x1.723d15c90ce9ap+2", "0x1.5490866eb698bp+1", "0x1.22d826041ddacp-3"),
+                99: ("0x1.24b07fac442b9p+3", "0x1.864d66a6a0553p+1", "0x1.86f6c8f655517p-4"),
             },
-            ("0x1.26bb1bbb55516p+3", "0x1.871451f290e1bp+1", "0x1.849076af2a2ddp-4"),
+            ("0x1.26bb1bbb55516p+3", "0x1.871451f290f93p+1", "0x1.849076aeea53ap-4"),
         ),
     ),
     "expand": (
@@ -940,14 +1032,14 @@ _KERNEL_PINS = {
     ),
     "log_dynamics": (
         (
-            332,
+            58,
             0,
             {
-                1: ("0x1.26be6297b2b4fp+1", "0x1.d871454eed0e4p-27", "0x1.205ad3be503f4p-12"),
-                166: ("0x1.7e66848a00b2ep+2", "0x1.3faa618a8a1bap+1", "0x1.487011725d61ap-7"),
-                331: ("0x1.b7db53d70df7ap+3", "0x1.3e116da532700p+1", "-0x1.36946d95ca517p-23"),
+                1: ("0x1.26be6297b2b4fp+1", "0x1.d871454eed106p-27", "0x1.205ad3be503f7p-12"),
+                29: ("0x1.747798fafba2ep+2", "0x1.3f58965e654eep+1", "0x1.78475c765ac54p-6"),
+                57: ("0x1.b38f656616941p+3", "0x1.3e116dc97dfeep+1", "-0x1.bb4731c2e0608p-24"),
             },
-            ("0x1.ba18a998fffa0p+3", "0x1.3e116d8e67c12p+1", "-0x1.52f13c734fd7cp-23"),
+            ("0x1.ba18a998fffa0p+3", "0x1.3e116d8e68093p+1", "-0x1.52f1529b4e52cp-23"),
         ),
     ),
 }
@@ -968,8 +1060,8 @@ def test_kernel_bits_are_pinned(monkeypatch, case):
 
         return run
 
-    monkeypatch.setattr(ps, "_dopri5", recording(ps._dopri5))
-    monkeypatch.setattr(geometry, "_dopri5", recording(geometry._dopri5))
+    for kernel in ("_dopri5", "_dop853"):
+        monkeypatch.setattr(ps, kernel, recording(getattr(ps, kernel)))
     _KERNEL_RUNS[case]()
     assert len(trajs) == len(_KERNEL_PINS[case])
     for traj, (steps, status, points, end) in zip(trajs, _KERNEL_PINS[case]):
@@ -1039,9 +1131,8 @@ def test_kernel_runs_on_floats_whatever_the_input(monkeypatch, case):
     included, see and return Python floats only, and the outputs are the
     float inputs' outputs to the bit."""
     calls = []
-    kernel = _float_only(ps._dopri5, calls)
-    for module in (ps, geometry):
-        monkeypatch.setattr(module, "_dopri5", kernel)
+    for kernel in ("_dopri5", "_dop853"):
+        monkeypatch.setattr(ps, kernel, _float_only(getattr(ps, kernel), calls))
     outputs = [
         [x.hex() for a in _NUMPY_INPUT_RUNS[case](num) for x in np.ravel(a).tolist()]
         for num in (float, np.float64)
@@ -1051,15 +1142,27 @@ def test_kernel_runs_on_floats_whatever_the_input(monkeypatch, case):
 
 
 def test_step_budget_ends_in_step_failure(monkeypatch):
-    # alpha < 0 < beta stiffens as v grows: 1.58 M steps to r = 40
-    monkeypatch.setattr(ps, "STEP_BUDGET", 50_000)
-    p = yl.make_params(n=3, m=0.2, beta=1.0, alpha=-4.0, eta=1.0)
-    prof = yl.solve_profile(p, r_max=40.0, rtol=1e-9)
-    assert prof.status.kind == "StepFailure"
-    assert prof.status.radius == prof.r[-1] < 40.0
-    assert len(prof.step_indices) == 50_001
-    # v is still rising, so a stall here would have counted as blow-up
-    assert prof.dv[-1] > 0.0 and prof.v[-1] > p.eta
+    runs = _recording_kernels(monkeypatch)
+    # (kernel of the run that uses up the budget, params, r_max, budget, step
+    # points): alpha < 0 < beta stiffens as v grows, 1.58 M steps to r = 40;
+    # a steady tail's steps grow like s^2, 5,177 of them to r = 1e100 after
+    # the r-form's 59 to l = 1
+    cases = [
+        ("_dopri5", yl.make_params(n=3, m=0.2, beta=1.0, alpha=-4.0, eta=1.0), 40.0, 50_000,
+         50_001),
+        ("_dop853", _params(3, 1.0, 0.0), 1e100, 200, 59 + 1 + 200),
+    ]
+    for kernel, p, r_max, budget, steps in cases:
+        monkeypatch.setattr(ps, "STEP_BUDGET", budget)
+        runs.clear()
+        prof = yl.solve_profile(p, r_max=r_max, rtol=1e-9)
+        assert runs[-1][0] == kernel
+        assert prof.status.kind == "StepFailure"
+        assert prof.status.radius == prof.r[-1] < r_max
+        assert len(prof.step_indices) == steps
+        if kernel == "_dopri5":
+            # v is still rising, so a stall here would have counted as blow-up
+            assert prof.dv[-1] > 0.0 and prof.v[-1] > p.eta
 
 
 def test_stall_while_rising_is_blowup(monkeypatch):
