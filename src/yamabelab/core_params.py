@@ -301,6 +301,11 @@ def predictions(params: SolitonParams, strict: bool = False) -> TheoreticalPredi
     return pred
 
 
+def _length_scale(params: SolitonParams) -> float:
+    """l = eta^((m-1)/2): the eta profile is eta times the eta = 1 one at r / l."""
+    return params.eta ** ((params.m - 1.0) / 2.0)
+
+
 def _blowup_regime(params: SolitonParams) -> bool:
     """alpha < 0, beta <= 0: no global solution exists, the profile blows up."""
     return params.alpha < 0.0 and params.beta <= 0.0
@@ -318,5 +323,5 @@ def blowup_certificate(params: SolitonParams) -> BlowupCertificate:
         return BlowupCertificate(case_tag="Case3")
     case_tag = "Case1" if n * beta > alpha else "Case2"
     C1 = min(abs(alpha) / n, abs(beta)) / (n - 1)
-    radius_bound = math.sqrt(2.0 / (C1 * (1.0 - m))) * params.eta ** ((m - 1.0) / 2.0)
+    radius_bound = math.sqrt(2.0 / (C1 * (1.0 - m))) * _length_scale(params)
     return BlowupCertificate(case_tag=case_tag, C1=C1, radius_bound=radius_bound)

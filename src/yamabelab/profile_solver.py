@@ -1,13 +1,15 @@
 """Adaptive integration of the radial profile equation.
 
-The second-order equation is integrated in the explicit form
+The second-order equation is integrated in y = v^gamma (_power_pp), gamma != 0,
 
-    v'' = -(m-1) v'^2 / v - (n-1) v'/r - (alpha v + beta r v') v^(1-m) / (n-1)
+    y'' = (1 - m/gamma) y'^2/y - (n-1) y'/r
+          - (gamma alpha y + beta r y') y^((1-m)/gamma) / (n-1),
 
-with state (v, v'), from a fourth-order series at r0 = r0_scale * l,
-l = eta^((m-1)/2), since the origin is a regular singular point.  Every run
-solves the eta = 1 problem in r / l and v / eta and scales it back: eta is an
-exact gauge, so runs that differ only in eta take the same steps.
+with state (y, y').  The r-form is gamma = 1, y = v; it starts from a
+fourth-order series at r0 = r0_scale * l, l = eta^((m-1)/2), since the origin
+is a regular singular point.  Every run solves the eta = 1 problem in r / l
+and v / eta and scales it back: eta is an exact gauge, so runs that differ
+only in eta take the same steps.
 
 Two scalar Runge-Kutta kernels take the steps, each with scipy's initial
 step, error norm and controller, a minimum step of 10 ulp(r), at most
@@ -43,9 +45,9 @@ run hand it over (in the units of the eta = 1 problem):
   * alpha < 0, beta <= 0 (Theorem 1's blow-up regime): near the blow-up
     radius v ~ (R_b - r)^(-1/(1-m)) holds the r-form's steps in proportion
     to the distance left, while P = v^-(1-m) goes smoothly to zero.  So from
-    the r-form's last accepted step below v = PRESSURE_SWITCH the equation
-    of P (_pressure_pp) runs, at atol times P there, to the event
-    P = BLOWUP_CAP^-(1-m): r* is still where v reaches the cap.  Its part of
+    the r-form's last accepted step below v = PRESSURE_SWITCH the same
+    equation at gamma = m - 1, in P, runs at atol times P there to the event
+    P = BLOWUP_CAP^gamma: r* is still where v reaches the cap.  Its part of
     the grid adds points log-uniform in r* - r, as its steps shrink with it.
 
 Every other run (touch-down alpha > 0 > beta; alpha < 0 < beta; beta = 0
@@ -79,7 +81,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_params import SolitonParams, _blowup_regime
+from .core_params import SolitonParams, _blowup_regime, _length_scale
 
 __all__ = [
     "ProfileStatus",
@@ -257,39 +259,26 @@ def series_start(params: SolitonParams, r0: float) -> tuple[float, float]:
     return params.eta + 0.5 * v2 * r0 * r0, v2 * r0
 
 
-def _vpp(n: int, m: float, alpha: float, beta: float):
-    """v'' of the profile equation as a function of (r, v, v')."""
-    # one_m is also -(m - 1.0) to the bit; n - 1 is exact as a float
-    nan, one_m, n1 = math.nan, 1.0 - m, float(n - 1)
+def _power_pp(n: int, m: float, alpha: float, beta: float, gamma: float):
+    """y'' of the profile equation in y = v^gamma (the module docstring's
+    form) as a function of (r, y, y').  At gamma = 1 the folded constants are
+    1 - m, alpha and 1 - m to the bit; n - 1 is exact as a float."""
+    nan, a, ga, e, n1 = math.nan, 1.0 - m / gamma, gamma * alpha, (1.0 - m) / gamma, float(n - 1)
 
-    def f(r, v, dv):
-        if v <= 0.0:
+    def f(r, y, dy):
+        if y <= 0.0:
             # NaN makes the error norm NaN, so the trial step is rejected
             # instead of taking a complex power
             return nan
-        return one_m * dv * dv / v - n1 * dv / r - (alpha * v + beta * r * dv) * v**one_m / n1
-
-    return f
-
-
-def _pressure_pp(n: int, m: float, alpha: float, beta: float):
-    """P'' of the profile equation in the pressure P = v^-(1-m) as a function
-    of (r, P, P'); v = P^(-1/(1-m)) blows up where P reaches zero."""
-    nan, one_m, n1 = math.nan, 1.0 - m, float(n - 1)
-    source = one_m * alpha / n1
-
-    def f(r, P, dP):
-        if P <= 0.0:
-            return nan  # rejects the trial step, as in _vpp
-        return dP / P * (dP / one_m - beta * r / n1) - n1 * dP / r + source
+        return a * dy * dy / y - n1 * dy / r - (ga * y + beta * r * dy) * y**e / n1
 
     return f
 
 
 def _pressure_terms(params: SolitonParams, r, P, dP) -> np.ndarray:
-    """The four terms of _pressure_pp's P'' on arrays of (r, P, P'), stacked
-    along the first axis: P'^2/((1-m) P), -beta r P'/((n-1) P), -(n-1) P'/r
-    and (1-m) alpha/(n-1)."""
+    """The four terms of the pressure equation, _power_pp at gamma = m - 1,
+    on arrays of (r, P, P'), stacked along the first axis: P'^2/((1-m) P),
+    -beta r P'/((n-1) P), -(n-1) P'/r and (1-m) alpha/(n-1)."""
     one_m, n1 = 1.0 - params.m, params.n - 1
     source = np.full_like(P, one_m * params.alpha / n1)
     return np.stack((dP * dP / (one_m * P), -params.beta * r * dP / (n1 * P), -n1 * dP / r, source))
@@ -372,10 +361,16 @@ def _from_log(m: float, r, W, Ws):
     return v, (Ws - 2.0) * v / ((1.0 - m) * r)
 
 
-def _from_pressure(m: float, P, dP):
-    """(v, v') from the pressure state (P, P')."""
-    v = P ** (-1.0 / (1.0 - m))
-    return v, -v * dP / ((1.0 - m) * P)
+def _to_power(gamma: float, v, dv):
+    """(y, y') = (v^gamma, gamma v^gamma v'/v) of the state (v, v')."""
+    y = v**gamma
+    return y, gamma * y * dv / v
+
+
+def _from_power(gamma: float, y, dy):
+    """(v, v') from the state (y, y') of y = v^gamma."""
+    v = y ** (1.0 / gamma)
+    return v, v * dy / (gamma * y)
 
 
 # Dormand & Prince (1980) 5(4) pair with Shampine's quartic dense output and
@@ -991,7 +986,7 @@ def solve_profile(
         # relative there; a touch-down run (alpha > 0 > beta) passes below it
         # (v ~ 3.5e-65 at n=3, alpha=0.5, beta=-1.5), and its ending depends on atol
         atol = 1e-30 * eta
-    length = eta ** ((params.m - 1.0) / 2.0)
+    length = _length_scale(params)
     if r0_scale * length >= r_max:
         raise ValueError(f"r0 = {r0_scale * length!r} must be below r_max = {r_max!r}")
     # the eta = 1 problem, in r / length and v / eta
@@ -1001,7 +996,7 @@ def solve_profile(
     pressure = _blowup_regime(params)
     switch = PRESSURE_SWITCH if pressure else BLOWUP_CAP
     traj = _dopri5(
-        _vpp(n, m, alpha, beta),
+        _power_pp(n, m, alpha, beta, 1.0),
         r0_scale,
         series_start(params.with_eta(1.0), r0_scale),
         1.0 if log_tail else r_stop,
@@ -1028,13 +1023,13 @@ def solve_profile(
             v_end, dv_end = map(float, _from_log(m, steps[-1], *tail.y[:, -1]))
     elif pressure and code == 1:
         # from the last accepted step below the switch, not the event root
-        r_h, (v_h, dv_h) = float(steps[-2]), traj.y[:, -2].tolist()
-        p_h = v_h ** (m - 1.0)
-        cap = BLOWUP_CAP ** (m - 1.0)
+        r_h, gamma = float(steps[-2]), m - 1.0
+        p_h, dp_h = _to_power(gamma, *traj.y[:, -2].tolist())
+        cap = BLOWUP_CAP**gamma
         tail = _dopri5(
-            _pressure_pp(n, m, alpha, beta),
+            _power_pp(n, m, alpha, beta, gamma),
             r_h,
-            (p_h, (m - 1.0) * p_h * dv_h / v_h),
+            (p_h, dp_h),
             r_stop,
             rtol,
             tol * p_h,
@@ -1042,7 +1037,7 @@ def solve_profile(
         )
         code = tail.status
         steps = np.concatenate((steps[:-1], tail.t[1:]))
-        v_end, dv_end = map(float, _from_pressure(m, *tail.y[:, -1]))
+        v_end, dv_end = map(float, _from_power(gamma, *tail.y[:, -1]))
 
     r_end = steps[-1]
     if code == 1 or (code == -1 and dv_end > 0.0 and v_end > 1.0):
@@ -1065,7 +1060,7 @@ def solve_profile(
             grid = np.union1d(grid, r_end - gaps)
         head = int(np.searchsorted(grid, r_h, side="right"))
         r = grid[head:]
-        fill = _from_log(m, r, *tail(np.log(r))) if log_tail else _from_pressure(m, *tail(r))
+        fill = _from_log(m, r, *tail(np.log(r))) if log_tail else _from_power(gamma, *tail(r))
         v, dv = np.concatenate((traj(grid[:head]), fill), axis=1)
 
     # defensive: truncate anything past a positivity loss
@@ -1155,7 +1150,7 @@ def residuals(profile: RadialProfile) -> ResidualReport:
       * a BlowUp profile in the blow-up regime, from l, or from the pressure
         handoff (the last step point below PRESSURE_SWITCH * eta) if that
         comes first, in P = v^-(1-m): P'' from the quintic through (P, P')
-        against the P equation, normalised by the sum of its terms'
+        against the gamma = m - 1 equation, normalised by the sum of its terms'
         magnitudes (_pressure_terms).  In v the pressure phase's last steps,
         across which v grows by orders of magnitude, read 5.7e8 and 4.1e10
         on the n=3, m=0.2, beta=-1, alpha=-1 or -4 blow-ups of the test
@@ -1185,7 +1180,7 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     if len(si) < 3:
         raise ValueError(f"residuals need at least 3 accepted step points, got {len(si)}")
     vpp = _vpp_array(p, r, v, dv)
-    length, points = p.eta ** ((m - 1.0) / 2.0), si
+    length, points = _length_scale(p), si
     if _log_kernel(p) is _dop853:
         # the r-form's steps up to l, then the tail's lattice points
         lattice = np.ones(len(r), dtype=bool)
@@ -1207,8 +1202,7 @@ def residuals(profile: RadialProfile) -> ResidualReport:
         # point below the switch) if that comes first, in P = v^-(1-m)
         handoff = np.flatnonzero(vs < PRESSURE_SWITCH * p.eta)[-1]
         k = min(int(np.count_nonzero(rs <= length)), int(handoff))
-        P = vs ** (m - 1.0)
-        dP = (m - 1.0) * P * dvs / vs
+        P, dP = _to_power(m - 1.0, vs, dvs)
         terms = _pressure_terms(p, rs, P, dP)
         in_p = np.abs(_quintic_vpp(rs, P, dP) - terms.sum(axis=0)) / np.abs(terms).sum(axis=0)
         defect = np.concatenate((defect[:k], in_p[k:]))

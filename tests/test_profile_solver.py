@@ -21,6 +21,7 @@ from scipy.integrate import solve_ivp
 import yamabelab as yl
 from conftest import R_MAX, RTOL, _params, perturb_profile
 from yamabelab import profile_solver as ps
+from yamabelab.core_params import _length_scale
 
 
 def test_series_start_matches_equation_coefficient():
@@ -269,29 +270,37 @@ def test_vppp_is_the_derivative_of_the_equation():
         assert got == pytest.approx(exact(x, y, dy, p.n, p.m, p.alpha, p.beta), rel=1e-12)
 
 
-def test_pressure_equation_is_the_profile_equation():
-    # the profile equation in v = P^(-1/(1-m)), solved for P'' by sympy,
-    # against _pressure_pp
+def test_power_equation_is_the_profile_equation():
+    # the profile equation in v = y^(1/gamma), solved for y'' by sympy with
+    # gamma a symbol, against _power_pp at gamma = 1 (the r-form), m - 1 (the
+    # pressure), m and a random value; and _from_power inverts _to_power
     import sympy
 
-    x, P, dP, ddP, n, m, a, b = sympy.symbols("x P dP ddP n m alpha beta")
-    r = sympy.Symbol("r", positive=True)
-    p = sympy.Function("P")(r)
-    v = p ** (-1 / (1 - m))
+    x, y, dy, ddy, n, m, a, b = sympy.symbols("x y dy ddy n m alpha beta")
+    r, g = sympy.Symbol("r", positive=True), sympy.Symbol("gamma", nonzero=True)
+    f = sympy.Function("y")(r)
+    v = f ** (1 / g)
     dv = v.diff(r)
     vpp = (1 - m) * dv * dv / v - (n - 1) * dv / r - (a * v + b * r * dv) * v ** (1 - m) / (n - 1)
-    equation = (v.diff(r, 2) - vpp).subs({p.diff(r, 2): ddP, p.diff(r): dP, p: P}).subs(r, x)
-    (exact,) = sympy.solve(equation, ddP)
-    exact = sympy.lambdify((x, P, dP, n, m, a, b), exact)
+    equation = (v.diff(r, 2) - vpp).subs({f.diff(r, 2): ddy, f.diff(r): dy, f: y}).subs(r, x)
+    (exact,) = sympy.solve(equation, ddy)
+    exact = sympy.lambdify((x, y, dy, n, m, a, b, g), exact)
     rng = np.random.default_rng(13)
     for _ in range(20):
         n_, m_ = int(rng.integers(3, 9)), rng.uniform(0.05, 0.7)
-        a_, b_ = -rng.uniform(0.5, 4.0), -rng.uniform(0.0, 1.5)
-        x_, P_, dP_ = rng.uniform(0.1, 10.0), rng.uniform(1e-6, 1.0), rng.normal()
-        got = ps._pressure_pp(n_, m_, a_, b_)(x_, P_, dP_)
-        assert got == pytest.approx(exact(x_, P_, dP_, n_, m_, a_, b_), rel=1e-10)
-    # P <= 0 rejects the trial step, as v <= 0 does in the r-form
-    assert math.isnan(ps._pressure_pp(3, 0.2, -1.0, -1.0)(1.0, 0.0, -1.0))
+        a_, b_ = rng.normal(scale=2.0), rng.normal()
+        x_, v_, dv_ = rng.uniform(0.1, 10.0), rng.uniform(0.1, 1e3), rng.normal(scale=10.0)
+        for gamma in (1.0, m_ - 1.0, m_, rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)):
+            y_, dy_ = ps._to_power(gamma, v_, dv_)
+            got = ps._power_pp(n_, m_, a_, b_, gamma)(x_, y_, dy_)
+            assert got == pytest.approx(exact(x_, y_, dy_, n_, m_, a_, b_, gamma), rel=1e-10)
+            # y^(1/gamma) carries y's rounding times 1/|gamma|
+            ulps = 4.0 * (1.0 + 1.0 / abs(gamma)) * np.finfo(float).eps
+            back = ps._from_power(gamma, y_, dy_)
+            assert back == pytest.approx((v_, dv_), rel=ulps, abs=0.0)
+    # y <= 0 rejects the trial step, in the r-form and the pressure alike
+    for gamma in (1.0, -0.8):
+        assert math.isnan(ps._power_pp(3, 0.2, -1.0, -1.0, gamma)(1.0, 0.0, -1.0))
 
 
 def test_profile_constructor_guards():
@@ -638,23 +647,25 @@ def test_log_tail_only_for_positive_alpha_and_beta(monkeypatch, params, r_max, k
     # alpha, beta > 0 with l = eta^((m-1)/2) < r_max: the r-form to l, then
     # the log-radius equation, on _dop853 for shrinking and steady tails and
     # on _dopri5 for expanding ones; a blow-up (alpha < 0, beta <= 0): the
-    # r-form, then the pressure equation; every other run is the r-form alone
-    runs, log_fs, pressure_fs = _recording_kernels(monkeypatch), [], []
+    # r-form (gamma = 1), then the pressure (gamma = m - 1); every other run
+    # is the r-form alone
+    runs, made = _recording_kernels(monkeypatch), []
 
-    def recording(make, made):
+    def recording(make, phase):
         def run(*args):
-            made.append(make(*args))
-            return made[-1]
+            made.append((phase(*args), make(*args)))
+            return made[-1][1]
 
         return run
 
-    monkeypatch.setattr(ps, "_log_wpp", recording(ps._log_wpp, log_fs))
-    monkeypatch.setattr(ps, "_pressure_pp", recording(ps._pressure_pp, pressure_fs))
+    monkeypatch.setattr(ps, "_log_wpp", recording(ps._log_wpp, lambda params: "log"))
+    monkeypatch.setattr(ps, "_power_pp", recording(ps._power_pp, lambda *args: args[-1]))
     prof = yl.solve_profile(params, r_max=r_max, rtol=1e-9)
     assert tuple(name for name, _ in runs) == kernels
-    tail_fs = [f for _, f in runs[1:]]
+    assert [f for _, f in runs] == [f for _, f in made]
     blowup = params.alpha < 0.0 and params.beta <= 0.0
-    assert (pressure_fs, log_fs) == ((tail_fs, []) if blowup else ([], tail_fs))
+    phases = [1.0, params.m - 1.0] if blowup else [1.0, "log"]
+    assert [phase for phase, _ in made] == phases[: len(kernels)]
     if blowup:
         assert prof.status.kind == "BlowUp"
     elif len(kernels) == 2:
@@ -753,26 +764,37 @@ def test_blowup_residual_reads_the_pressure(alpha):
 
 
 def test_blowup_fill_radius_an_ulp_from_a_step(monkeypatch):
-    # a pressure-phase fill radius one ulp below the accepted step
-    # 3.8554302151138136 of the eta = 1 problem: l = 0.30535 maps both to
-    # 1.1772559105380453, and the profile kept the step and dropped the fill
-    p = yl.make_params(
-        n=3, m=0.2, alpha=-0.8635963944033904, beta=-0.4304154708889396, eta=19.409078551892218
-    )
-    trajs, kernel = [], ps._dopri5
+    # a pressure-phase fill radius one ulp below an accepted step of the
+    # eta = 1 problem, where l = eta^((m-1)/2) maps both to one float: the
+    # profile keeps the step and drops the fill.  l = 0.693 keeps the steps
+    # near r* = 3.05 in [2, 4), 0.693 ulp apart, and 17 of the pressure
+    # phase's 42 steps round together with their lower neighbour
+    p = yl.make_params(n=3, m=0.2, alpha=-1.0, beta=-1.0, eta=2.5)
+    length = _length_scale(p)
+    trajs, below, kernel, refinement = [], [], ps._dopri5, ps._refinement
 
     def recording(*args):
         trajs.append(kernel(*args))
         return trajs[-1]
 
+    def with_neighbour(lo, hi):
+        grid = refinement(lo, hi)
+        if not below:
+            # the grid's first refinement, once both phases have run
+            for t in trajs[-1].t[1:-1].tolist():
+                if length * math.nextafter(t, 0.0) == length * t:
+                    below.append(math.nextafter(t, 0.0))
+                    return np.union1d(grid, below)
+        return grid
+
     monkeypatch.setattr(ps, "_dopri5", recording)
+    monkeypatch.setattr(ps, "_refinement", with_neighbour)
     prof = yl.solve_profile(p, r_max=1e4, rtol=1e-9)
-    assert prof.status.kind == "BlowUp"
+    assert prof.status.kind == "BlowUp" and len(trajs) == 2 and below
     assert np.all(np.diff(prof.r) > 0.0)
     head, tail = trajs
-    assert 3.8554302151138136 in tail.t
     steps = np.concatenate((head.t[:-1], tail.t[1:]))
-    assert np.array_equal(prof.r[prof.step_indices], p.eta ** ((p.m - 1.0) / 2.0) * steps)
+    assert np.array_equal(prof.r[prof.step_indices], length * steps)
 
 
 def _scipy_pressure_solve(profile, r_h, r_end, method, rtol, **options):
@@ -846,8 +868,8 @@ def test_bracketed_root_matches_brentq(alpha, beta, rho):
     p = yl.make_params(n=3, m=0.2, beta=beta, rho=rho, alpha=alpha, eta=1.0)
     r0 = 1e-6
     traj = ps._dopri5(
-        ps._vpp(p.n, p.m, p.alpha, p.beta), r0, yl.series_start(p, r0), 100.0, 1e-9, 1e-30,
-        lambda v, dv: v - ps.BLOWUP_CAP,
+        ps._power_pp(p.n, p.m, p.alpha, p.beta, 1.0), r0, yl.series_start(p, r0), 100.0, 1e-9,
+        1e-30, lambda v, dv: v - ps.BLOWUP_CAP,
     )
     checked = 0
     for a, b, v_of in _step_quartics(traj, max(len(traj.h) // 40, 1)):
@@ -1020,14 +1042,14 @@ _KERNEL_PINS = {
             ("0x1.840eabf20d9b2p+1", "0x1.8fffffffffdbap+6", "0x1.6ab099d21b105p+12"),
         ),
         (
-            44,
+            43,
             1,
             {
-                1: ("0x1.846653e74269cp+1", "0x1.684d026be4b6cp-6", "-0x1.2c24491e5f1b8p+0"),
-                22: ("0x1.86bca4f794265p+1", "0x1.53055ba774baep-13", "-0x1.387d6fdaa2f9dp+0"),
-                43: ("0x1.86c0fbb491913p+1", "0x1.34b0369e39c66p-32", "-0x1.389a62f3b4b34p+0"),
+                1: ("0x1.846653e74269dp+1", "0x1.684d026be4ad6p-6", "-0x1.2c24491e5f1bdp+0"),
+                21: ("0x1.86ba888fa58ddp+1", "0x1.f7eb981c2cee2p-13", "-0x1.386fb5997d89ep+0"),
+                42: ("0x1.86c0fbb496d06p+1", "0x1.27dfdd71981dap-32", "-0x1.389a62f3da692p+0"),
             },
-            ("0x1.86c0fbb49ee06p+1", "0x1.142f240e7cf09p-32", "-0x1.389a62f414299p+0"),
+            ("0x1.86c0fbb49ee06p+1", "0x1.142f23f5fa299p-32", "-0x1.389a62f4143c8p+0"),
         ),
     ),
     "log_dynamics": (
@@ -1179,10 +1201,10 @@ def test_stall_at_touchdown_is_step_failure_and_rejects_nonpositive_stages(monke
     # alpha > 0 > beta drives v down to zero at a finite radius, where
     # every trial step reaches v <= 0 until the step size underflows
     trial_v = []
-    real_vpp = ps._vpp
+    real_pp = ps._power_pp
 
-    def recording_vpp(*args):
-        f = real_vpp(*args)
+    def recording_pp(*args):
+        f = real_pp(*args)
 
         def g(r, v, dv):
             trial_v.append(v)
@@ -1190,7 +1212,7 @@ def test_stall_at_touchdown_is_step_failure_and_rejects_nonpositive_stages(monke
 
         return g
 
-    monkeypatch.setattr(ps, "_vpp", recording_vpp)
+    monkeypatch.setattr(ps, "_power_pp", recording_pp)
     p = yl.make_params(n=3, m=0.2, alpha=1.0, beta=-2.5, eta=1.0)
     prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
     assert prof.status.kind == "StepFailure"
