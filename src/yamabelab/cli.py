@@ -279,6 +279,14 @@ def _sweep_point(point: dict, numerics: dict) -> dict:
     return row
 
 
+def _csv_field(text: str) -> str:
+    """csv's minimal quoting: a field holding a comma, a quote, CR or LF is
+    quoted, its quotes doubled; every other field is written as is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_sweep(args, values: dict, numerics: dict) -> int:
     out = _output_dir(values)
     grids = _grid(values, sweep=True)
@@ -291,7 +299,7 @@ def _cmd_sweep(args, values: dict, numerics: dict) -> int:
     with open(out / "sweep.csv", "w") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(row[col] for col in SWEEP_COLUMNS) + "\n")
+            fh.write(",".join(_csv_field(row[col]) for col in SWEEP_COLUMNS) + "\n")
 
     n_pass = sum(r["overall"] in ("Pass", "Certified", "Detected") for r in rows)
     n_inc = sum(r["overall"] == "Inconclusive" for r in rows)

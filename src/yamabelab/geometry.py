@@ -333,8 +333,8 @@ def extrapolate_origin(r: np.ndarray, y: np.ndarray) -> float:
     if len(r) < 3:
         raise ValueError("need at least 3 grid points")
     targets = r[0] * np.array([1.0, math.sqrt(10.0), 10.0])
-    idx = np.unique(np.minimum(np.searchsorted(r, targets), len(r) - 1))
-    if len(idx) < 3:  # a grid spanning less than a decade
+    idx = np.minimum(np.searchsorted(r, targets), len(r) - 1)
+    if not idx[0] < idx[1] < idx[2]:  # a grid spanning less than a decade
         idx = np.arange(3)
     ri, yi = r[idx], y[idx]
     x = (ri / ri[-1]) ** 2

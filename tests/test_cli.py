@@ -4,11 +4,14 @@ Exit convention: 0 success/Pass, 1 Fail or numeric failure, 2 usage error.
 """
 
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import yamabelab as yl
 from yamabelab import cli
@@ -277,9 +280,20 @@ def test_sweep_row_with_invalid_eta_carries_error(tmp_path):
     rows = list(csv.DictReader(open(tmp_path / "sweep.csv")))
     by_eta = {row["eta"]: row for row in rows}
     assert by_eta["-1"]["status"] == "Error"
-    assert by_eta["-1"]["error"].startswith("ValueError: invalid parameters: eta-positive")
+    # the message holds a comma: quoted, it stays one field
+    assert by_eta["-1"]["error"] == (
+        "ValueError: invalid parameters: eta-positive: need eta > 0, got -1.0")
+    assert all(None not in row for row in rows)
     assert by_eta["1"]["error"] == ""
     assert by_eta["1"]["overall"] == "Certified"
+
+
+@given(st.lists(st.text(), min_size=2, max_size=4))
+def test_sweep_fields_are_quoted_as_csv_quotes_them(fields):
+    # csv quotes CR and LF under its default "\r\n" line end, the sweep writes "\n"
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    assert ",".join(map(cli._csv_field, fields)) + "\r\n" == buf.getvalue()
 
 
 def test_sweep_requires_grid_keys():

@@ -797,6 +797,21 @@ def test_blowup_fill_radius_an_ulp_from_a_step(monkeypatch):
     assert np.array_equal(prof.r[prof.step_indices], length * steps)
 
 
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(st.lists(_positive, min_size=1, max_size=8).flatmap(lambda shared: st.lists(
+    st.lists(st.sampled_from(shared) | _positive, min_size=1, max_size=40),
+    min_size=1, max_size=3)))
+def test_sorted_union_is_union1d_bit_for_bit(parts):
+    # the stored grid's merge of steps and fill lattices, which share values
+    arrays = [np.array(part) for part in parts]
+    expected = arrays[0]
+    for array in arrays[1:]:
+        expected = np.union1d(expected, array)
+    assert ps._sorted_union(arrays).tobytes() == np.unique(expected).tobytes()
+
+
 def _scipy_pressure_solve(profile, r_h, r_end, method, rtol, **options):
     """solve_ivp on the pressure equation in P = v^-(1-m) of an eta = 1
     profile, from its state at r_h, with its own right-hand side and the
@@ -1276,6 +1291,39 @@ def _drop_row(csv, doc):
     csv.write_text("".join(lines[:-1]))
 
 
+def _rewrite_rows(csv, edit):
+    header, *rows = csv.read_text().splitlines()
+    csv.write_text("\n".join([header, *map(edit, rows)]) + "\n")
+
+
+def _extra_column(csv, doc):
+    _rewrite_rows(csv, lambda row: row + ",0")
+
+
+def _two_columns(csv, doc):
+    _rewrite_rows(csv, lambda row: row.rsplit(",", 1)[0])
+
+
+def _set_field(csv, col, text):
+    header, *rows = csv.read_text().splitlines()
+    fields = rows[5].split(",")
+    fields[col] = text
+    rows[5] = ",".join(fields)
+    csv.write_text("\n".join([header, *rows]) + "\n")
+
+
+def _nan_slope(csv, doc):
+    _set_field(csv, 2, "nan")
+
+
+def _inf_slope(csv, doc):
+    _set_field(csv, 2, "inf")
+
+
+def _inf_value(csv, doc):
+    _set_field(csv, 1, "inf")
+
+
 def _skip_first_step(csv, doc):
     doc["step_indices"][0] = 1
 
@@ -1349,6 +1397,11 @@ def _string_status(csv, doc):
     [
         (_corrupt_header, "CSV header"),
         (_drop_row, "grid_points"),
+        (_extra_column, "rows of 4 columns, expected"),
+        (_two_columns, "rows of 2 columns, expected"),
+        (_nan_slope, "must be finite"),
+        (_inf_slope, "must be finite"),
+        (_inf_value, "must be finite"),
         (_skip_first_step, "start at 0"),
         (_repeat_step, "strictly increasing"),
         (_step_past_grid, "outside the grid"),
