@@ -11,27 +11,22 @@ is a regular singular point.  Every run solves the eta = 1 problem in r / l
 and v / eta and scales it back: eta is an exact gauge, so runs that differ
 only in eta take the same steps.
 
-Two scalar Runge-Kutta kernels take the steps, each with scipy's initial
-step, error norm and controller, a minimum step of 10 ulp(r), at most
-STEP_BUDGET accepted steps and one terminal event.  They run on plain floats
-(inputs converted once per call), and their loops are bit-stable
-(test_kernel_bits_are_pinned):
-
-  * _dopri5, Dormand-Prince 5(4) with a quartic dense output (scipy's RK45):
-    the r-form, the pressure phase and expanding log tails;
-  * _dop853, Prince-Dormand 8(5,3) with a 7th-order dense output (scipy's
-    DOP853): shrinking and steady log tails.
-
-_log_kernel picks the log tail's kernel, for solve_profile and
-geometry.w_log_dynamics alike, from the input alone: _dop853 where the tail
-does not grow (beta > 0 and c = (1-m) alpha - 2 beta >= 0, c read as rho
-for soliton parameters), _dopri5 otherwise.  At the tail's rtol / 100 the
-eighth-order pair takes 6,141 steps on the shrinking and steady tails of the
-verify_nonstiff benchmark's seed-3 ops 0-79, where _dopri5 took 28,672.  On
-expanding tails its steps are coarser than the integrating factor of
-geometry's K0 quadrature (worst K0 gap over expand_tail's seed-3 ops 0-39
-2.4e-9 -> 6.5e-7), and on the r-form it saved no time and broke
-pde_residual's step-halving order (1.9879 < 2), so both stay on _dopri5.
+Two scalar Runge-Kutta pairs take the steps on plain floats, with scipy's
+initial step, error norm and controller, a 10 ulp(r) minimum step, at most
+STEP_BUDGET accepted steps and one terminal event: _dopri5 (Dormand-Prince
+5(4), quartic dense output, scipy's RK45) on the r-form, the pressure phase
+and expanding log tails, whose steps must resolve geometry's K0 quadrature;
+_dop853 (Prince-Dormand 8(5,3), 7th-order dense output, scipy's DOP853) on
+log tails that do not grow (_log_kernel): 6,141 steps on verify_nonstiff's
+seed-3 ops 0-79 where _dopri5 took 28,672.  Both run one step-loop template
+(_LOOP), filled in from the method's tableau (_Method) and generated once
+per (method, equation) on first use (_loop_source).  Each right side has one
+home, a template with named constants (_Equation); the generated stages
+write it out, so no stage pays a Python call, and a plain callable gets the
+same loop with stages that call it: the two take the same steps to the bit.
+Each step is recorded by one struct pack (array.extend took about 0.65 us a
+call).  Against the hand-written loops, the 40 expand_tail seed-3 log tails
+took 28% less kernel time; a loop costs 1-4 ms to compile, once per process.
 
 The r-form runs from r0 up to the cap v = 1e12 (BLOWUP_CAP).  Two kinds of
 run hand it over (in the units of the eta = 1 problem):
@@ -74,9 +69,9 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
+from struct import Struct
 from typing import NamedTuple
 
 import numpy as np
@@ -132,6 +127,9 @@ class RadialProfile:
 
     step_indices marks the subset of grid points that were accepted
     integrator steps; points between them were filled from dense output.
+    The constructor checks the shape: 1-D r, v and v' of one length, at least
+    2; r finite, positive and strictly increasing, v positive, v' finite;
+    integer step indices that start at 0, rise strictly and stay on the grid.
     Arrays are read-only and q and w are computed once, on first access;
     nothing else is stored on the profile after construction.
     """
@@ -147,15 +145,28 @@ class RadialProfile:
         atol: float,
         step_indices: np.ndarray,
     ):
-        r = np.asarray(r, dtype=float)
-        v = np.asarray(v, dtype=float)
-        dv = np.asarray(dv, dtype=float)
+        r, v, dv = (np.asarray(a, dtype=float) for a in (r, v, dv))
+        steps = np.asarray(step_indices)
+        if r.ndim != 1 or v.shape != r.shape or dv.shape != r.shape or len(r) < 2:
+            raise ValueError("r, v and v' must be 1-D arrays of one length, at least 2")
+        # with strict increase, a positive first and a finite last radius
+        # make every radius positive and finite
+        if not (r[0] > 0.0 and math.isfinite(r[-1])):
+            raise ValueError("grid radii must be positive and finite")
         if not np.all(np.diff(r) > 0.0):
             raise ValueError("grid radii must be strictly increasing")
         if not np.all(v > 0.0):
             raise ValueError("profile values must stay positive")
         if not (np.isfinite(v).all() and np.isfinite(dv).all()):
             raise ValueError("profile values and derivatives must be finite")
+        if steps.ndim != 1 or (steps.size and steps.dtype.kind not in "iu"):
+            raise ValueError("step_indices must be a 1-D array of integers")
+        if steps.size == 0 or steps[0] != 0:
+            raise ValueError("step_indices must start at 0")
+        if np.any(np.diff(steps) <= 0):
+            raise ValueError("step_indices must be strictly increasing")
+        if steps[-1] >= len(r):
+            raise ValueError("step_indices fall outside the grid")
         self.params = params
         self.r = _frozen(r)
         self.v = _frozen(v)
@@ -163,7 +174,7 @@ class RadialProfile:
         self.status = status
         self.rtol = float(rtol)
         self.atol = float(atol)
-        self.step_indices = _frozen(np.asarray(step_indices, dtype=int))
+        self.step_indices = _frozen(steps.astype(int))
 
     @property
     def r0(self) -> float:
@@ -261,20 +272,56 @@ def series_start(params: SolitonParams, r0: float) -> tuple[float, float]:
     return params.eta + 0.5 * v2 * r0 * r0, v2 * r0
 
 
+class _Equation(NamedTuple):
+    """A right side y'' = f(r, y, y') as source, its one home: statements
+    over the argument names (_ for one it does not read) and the named
+    constants, the last of them an expression whose value is y''.  _rhs
+    makes the function that evaluates it, and the generated step loops write
+    the same statements, in the same order, into every stage."""
+
+    name: str
+    args: tuple[str, str, str]
+    constants: tuple[str, ...]
+    body: tuple[str, ...]
+
+
+# the profile equation in y = v^gamma.  At y <= 0 it is NaN, which makes the
+# error norm NaN, so the trial step is rejected instead of taking a complex power
+_POWER = _Equation("power", ("r", "y", "dy"), ("a", "ga", "e", "n1", "beta"), (
+    "nan if y <= 0.0 else a * dy * dy / y - n1 * dy / r - (ga * y + beta * r * dy) * y**e / n1",
+))
+# the log-radius equation in W = log w~, s = log r (_log_wpp)
+_LOG = _Equation("log", ("_", "W", "Ws"), ("k", "n2", "c", "beta", "inv_n1"), (
+    "d = Ws - 2.0",
+    "k * (d * d) - n2 * d - exp(W) * (c + beta * Ws) * inv_n1",
+))
+
+
+def _rhs(equation: _Equation, *values):
+    """equation's right side as a function of its three arguments, at these
+    values of its constants; it carries equation and values, so a kernel can
+    write it into its stages."""
+
+    def source():
+        return "\n".join([
+            f"def make({', '.join(equation.constants)}):",
+            "    exp, nan = math.exp, math.nan",
+            f"    def f({', '.join(equation.args)}):",
+            *("        " + line for line in equation.body[:-1]),
+            f"        return {equation.body[-1]}",
+            "    return f",
+        ])
+
+    f = _generated(equation.name, source)(*values)
+    f.equation, f.values = equation, values
+    return f
+
+
 def _power_pp(n: int, m: float, alpha: float, beta: float, gamma: float):
     """y'' of the profile equation in y = v^gamma (the module docstring's
     form) as a function of (r, y, y').  At gamma = 1 the folded constants are
     1 - m, alpha and 1 - m to the bit; n - 1 is exact as a float."""
-    nan, a, ga, e, n1 = math.nan, 1.0 - m / gamma, gamma * alpha, (1.0 - m) / gamma, float(n - 1)
-
-    def f(r, y, dy):
-        if y <= 0.0:
-            # NaN makes the error norm NaN, so the trial step is rejected
-            # instead of taking a complex power
-            return nan
-        return a * dy * dy / y - n1 * dy / r - (ga * y + beta * r * dy) * y**e / n1
-
-    return f
+    return _rhs(_POWER, 1.0 - m / gamma, gamma * alpha, (1.0 - m) / gamma, float(n - 1), beta)
 
 
 def _pressure_terms(params: SolitonParams, r, P, dP) -> np.ndarray:
@@ -336,16 +383,10 @@ def _log_kernel(params: SolitonParams):
 def _log_wpp(params: SolitonParams):
     """W'' of the log-radius equation in W = log w~, s = log r, as a function
     of (s, W, W_s); it holds for any m, with e^W (c + beta W_s) =
-    (1-m) r^2 v^(1-m) (alpha + beta r v'/v), c = _log_c(params)."""
-    n, m, beta, c = params.n, params.m, params.beta, _log_c(params)
-    # -m/(1-m) and 1/(n-1) folded: f runs 6-15 times a step, so it multiplies
-    exp, k, inv_n1, n2 = math.exp, -m / (1.0 - m), 1.0 / (n - 1), float(n - 2)
-
-    def f(s, W, Ws):
-        d = Ws - 2.0
-        return k * (d * d) - n2 * d - exp(W) * (c + beta * Ws) * inv_n1
-
-    return f
+    (1-m) r^2 v^(1-m) (alpha + beta r v'/v), c = _log_c(params).  -m/(1-m)
+    and 1/(n-1) are folded, so each stage multiplies."""
+    n, m = params.n, params.m
+    return _rhs(_LOG, -m / (1.0 - m), float(n - 2), _log_c(params), params.beta, 1.0 / (n - 1))
 
 
 def _log_start(m: float, r: float, v: float, dv: float):
@@ -375,41 +416,6 @@ def _from_power(gamma: float, y, dy):
     return v, v * dy / (gamma * y)
 
 
-# Dormand & Prince (1980) 5(4) pair with Shampine's quartic dense output and
-# the step controller of scipy.integrate.RK45 (Hairer, Norsett & Wanner,
-# Solving ODEs I, II.4-II.6).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    -71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
-)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERR_EXPONENT = -1 / 5  # -1/(error estimator order + 1)
-_EPS = float(np.finfo(float).eps)
-_SQRT2 = 2**0.5
-
-
-def _rms(a: float, b: float) -> float:
-    # a * a, not a ** 2, which raises OverflowError on floats
-    return math.sqrt(a * a + b * b) / _SQRT2
-
-
 def _sparse(shape, rows) -> np.ndarray:
     """An array of the given shape from {row: {column: value}}, its nonzero entries."""
     a = np.zeros(shape)
@@ -418,10 +424,58 @@ def _sparse(shape, rows) -> np.ndarray:
     return a
 
 
+class _Method(NamedTuple):
+    """An explicit Runge-Kutta pair as _loop_source reads it.  Stage 0 is f
+    at the step's start; row `last` of a holds the weights b, and stage `last`
+    is f at the new point; later rows serve the dense output only.  error
+    sets err from sums {key}v, {key}d of the stages' y' and f parts under
+    weights[key]; dense maps the stages to the dense-output coefficients;
+    order is the error estimator's (the exponent is -1/(order + 1))."""
+
+    name: str
+    a: np.ndarray
+    c: np.ndarray
+    last: int
+    order: int
+    error: str
+    weights: dict
+    dense: np.ndarray
+
+
+# Dormand & Prince (1980) 5(4) pair with Shampine's quartic dense output, the
+# error norm of scipy.integrate.RK45 (Hairer, Norsett & Wanner, Solving ODEs
+# I, II.4-II.6)
+_DOPRI5 = _Method(
+    "dopri5",
+    _sparse((7, 7), {
+        1: {0: 1 / 5},
+        2: {0: 3 / 40, 1: 9 / 40},
+        3: {0: 44 / 45, 1: -56 / 15, 2: 32 / 9},
+        4: {0: 19372 / 6561, 1: -25360 / 2187, 2: 64448 / 6561, 3: -212 / 729},
+        5: {0: 9017 / 3168, 1: -355 / 33, 2: 46732 / 5247, 3: 49 / 176, 4: -5103 / 18656},
+        6: {0: 35 / 384, 2: 500 / 1113, 3: 125 / 192, 4: -2187 / 6784, 5: 11 / 84},
+    }),
+    np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1]),
+    6,
+    4,
+    """ev = h * ({ev}) / sv
+ed = h * ({ed}) / sd
+err = sqrt(ev * ev + ed * ed) / 1.4142135623730951""",
+    {"e": np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])},
+    np.array([
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]),
+)
+
 # Prince & Dormand's (1981) 8(5,3) pair with its 7th-order dense output, as
 # scipy.integrate.DOP853 holds it (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.10).  Row 12 of A is the solution's weights b; stage 12 is f at the new
-# point, and stages 13-15 serve the dense output only.
+# II.10)
 _A853 = _sparse((16, 16), {
     1: {0: 0.05260015195876773},
     2: {0: 0.0197250569845379, 1: 0.0591751709536137},
@@ -455,11 +509,6 @@ _A853 = _sparse((16, 16), {
         8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
         14: -9.15095847217987},
 })
-_C853 = np.array([
-    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
-    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
-    1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
-])
 _D853 = _sparse((4, 16), {
     0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
         8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883,
@@ -478,42 +527,171 @@ _D853 = _sparse((4, 16), {
         12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544,
         15: -149.72683625798564},
 })
-_E5_853 = _sparse((1, 13), {
-    0: {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
-        7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
-        10: 0.08192320648511571, 11: -0.022355307863886294},
-})[0]
-_B853 = _A853[12, :12]
-_E3_853 = np.append(_B853, 0.0)
+_E5_853 = np.array([
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0,
+])
+_E3_853 = np.append(_A853[12, :12], 0.0)
 _E3_853[[0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
 # The dense output y_old + h sum_j (K P)_j x^(j+1), x = (r - t_old)/h, is
 # linear in the 16 stages K: scipy's F_0 = dy = h sum b_i k_i, F_1 = h k_0 - dy,
 # F_2 = 2 dy - h (k_0 + k_12) and F_3..F_6 = h D K, and the integer matrix
 # expands its nested x (F_0 + (1-x) (F_1 + x (F_2 + (1-x) (...)))) in powers of x
-_B16, (_K0, _K12) = np.append(_B853, np.zeros(4)), np.eye(16)[[0, 12]]
-_P853 = (np.array([
-    [1, 1, 0, 0, 0, 0, 0],
-    [0, -1, 1, 1, 0, 0, 0],
-    [0, 0, -1, -2, 1, 1, 0],
-    [0, 0, 0, 1, -2, -3, 1],
-    [0, 0, 0, 0, 1, 3, -3],
-    [0, 0, 0, 0, 0, -1, 3],
-    [0, 0, 0, 0, 0, 0, -1],
-]) @ np.vstack((_B16, _K0 - _B16, 2.0 * _B16 - _K0 - _K12, _D853))).T
-# the kernel's constants as floats: A's nonzero entries row by row (b in row 12)
-_DOP853_CONSTANTS = (
-    _A853[np.nonzero(_A853)].tolist(),
-    _C853.tolist(),
-    _E5_853[np.nonzero(_E5_853)].tolist(),
-    _E3_853[np.nonzero(_E3_853)].tolist(),
+_B16, (_K0, _K12) = _A853[12], np.eye(16)[[0, 12]]
+_DOP853 = _Method(
+    "dop853",
+    _A853,
+    np.array([
+        0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+        0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+        1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+    ]),
+    12,
+    7,
+    # scipy's h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) N) over the scaled fifth-
+    # and third-order estimates of the N = 2 components
+    """e5v = ({e5v}) / sv
+e5d = ({e5d}) / sd
+e3v = ({e3v}) / sv
+e3d = ({e3d}) / sd
+n5 = e5v * e5v + e5d * e5d
+n3 = e3v * e3v + e3d * e3d
+err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)""",
+    {"e5": _E5_853, "e3": _E3_853},
+    (np.array([
+        [1, 1, 0, 0, 0, 0, 0],
+        [0, -1, 1, 1, 0, 0, 0],
+        [0, 0, -1, -2, 1, 1, 0],
+        [0, 0, 0, 1, -2, -3, 1],
+        [0, 0, 0, 0, 1, 3, -3],
+        [0, 0, 0, 0, 0, -1, 3],
+        [0, 0, 0, 0, 0, 0, -1],
+    ]) @ np.vstack((_B16, _K0 - _B16, 2.0 * _B16 - _K0 - _K12, _D853))).T,
 )
+
+# The step loop of every method and right side, with scipy's controller (safety
+# 0.9, factors in [0.2, 10], at most 1 after a rejection); _loop_source fills in
+# the stages, the error norm and the dense-only stages
+_LOOP = """def loop(f, event, t, v, dv, fv, g, h_abs, r_end, rtol, atol{constants}):
+    sqrt, ulp, exp, nan, budget = math.sqrt, math.ulp, math.exp, math.nan, STEP_BUDGET
+    record, pack = bytearray(), Struct("{width}d").pack
+    steps, av, adv = 0, abs(v), abs(dv)
+    while True:
+        min_step = 10 * ulp(t)
+        if min_step > h_abs:
+            h_abs = min_step
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs
+            if r_end < t_new:
+                t_new = r_end
+            h = t_new - t
+            h_abs = h{stages}
+            # the scales use max(|y|, |y_new|), which is |y| when y_new is NaN
+            av_new = -v_new if v_new < 0.0 else v_new
+            adv_new = -dv_new if dv_new < 0.0 else dv_new
+            sv = atol + (av_new if av_new > av else av) * rtol
+            sd = atol + (adv_new if adv_new > adv else adv) * rtol{error}
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else 0.9 * err ** {exponent!r}
+                if factor > 10.0:
+                    factor = 10.0
+                if rejected and factor > 1.0:
+                    factor = 1.0
+                h_abs *= factor
+                break
+            # a NaN error norm (a stage where y'' is NaN) shrinks by 0.2
+            factor = 0.9 * err ** {exponent!r}
+            h_abs *= factor if factor > 0.2 else 0.2
+            rejected = True
+        else:
+            status = -1
+            break{dense}
+        record += pack(t_new, v_new, dv_new, h, {record})
+        steps += 1
+        g_new = event(v_new, dv_new)
+        if g <= 0.0 <= g_new:
+            status = 1
+            break
+        if t_new >= r_end:
+            status = 0
+            break
+        if steps >= budget:
+            status = -2
+            break
+        t, v, dv, fv, g, av, adv = t_new, v_new, dv_new, f_new, g_new, av_new, adv_new
+    return status, record
+"""
+
+
+def _weighted(weights: np.ndarray, names) -> str:
+    """sum_j weights[j] * names[j] over the nonzero weights, in stage order."""
+    terms = [f"{w!r} * {name}" for w, name in zip(weights.tolist(), names) if w != 0.0]
+    return " + ".join(terms).replace(" + -", " - ")
+
+
+def _apply(equation: _Equation | None, args, out: str) -> list[str]:
+    """Statements that set out to the right side at the argument expressions:
+    a call of f, or the equation's body with its arguments bound (all but
+    those it names _, which it does not read)."""
+    if equation is None:
+        return [f"{out} = f({', '.join(args)})"]
+    bind = [f"{name} = {x}" for name, x in zip(equation.args, args) if name != "_"]
+    return [*bind, *equation.body[:-1], f"{out} = {equation.body[-1]}"]
+
+
+def _loop_source(method: _Method, equation: _Equation | None) -> str:
+    """The step loop of method, its stages calling f (equation None) or
+    writing out equation's body."""
+    a, c, last = method.a, method.c.tolist(), method.last
+    names = [(f"k{i}v", f"k{i}d") for i in range(len(a))]
+    names[0], names[last] = ("dv", "fv"), ("dv_new", "f_new")
+    ys, fs = zip(*names)
+
+    def stage(i):
+        head, r, y = [], f"t + {c[i]!r} * h", f"v + h * ({_weighted(a[i], ys)})"
+        if i == last:  # the new point: its v is kept
+            head, r, y = [f"v_new = {y}"], "t + h", "v_new"
+        dy = f"{ys[i]} = dv + h * ({_weighted(a[i], fs)})"
+        return [*head, dy, *_apply(equation, (r, y, ys[i]), fs[i])]
+
+    def block(lines, indent):
+        return "".join("\n" + " " * indent + line for line in lines)
+
+    sums = {}
+    for key, w in method.weights.items():
+        sums[key + "v"], sums[key + "d"] = _weighted(w, ys), _weighted(w, fs)
+    return _LOOP.format(
+        constants="".join(", " + name for name in equation.constants) if equation else "",
+        stages=block([line for i in range(1, last + 1) for line in stage(i)], 12),
+        error=block(method.error.format(**sums).splitlines(), 12),
+        exponent=-1 / (method.order + 1),
+        dense=block([line for i in range(last + 1, len(a)) for line in stage(i)], 8),
+        record=", ".join(ys + fs),
+        width=4 + 2 * len(a),
+    )
+
+
+# the source of every generated function by name, added on first use
+_GENERATED: dict[str, str] = {}
+_COMPILED: dict = {}
+
+
+def _generated(name: str, build):
+    """The function that the source build() defines, generated and compiled
+    once, on first use.  It runs in this module's globals, so a loop reads
+    STEP_BUDGET as it is when the loop is called."""
+    if name not in _COMPILED:
+        _GENERATED[name] = source = build()
+        namespace = {}
+        exec(compile(source, f"<{name}>", "exec"), globals(), namespace)
+        _COMPILED[name] = namespace.popitem()[1]
+    return _COMPILED[name]
 
 
 def _dense(t0, h, y0, q, r):
-    """Dense output y0 + h * sum_j q_j x^(j+1), x = (r - t0)/h, of one step;
-    q holds q_0, q_1, ... along its first axis (floats or arrays): four on a
-    _dopri5 step, seven on a _dop853 one.  The powers of x are summed in
-    ascending order, so a quartic keeps the bits of the written-out sum."""
+    """Dense output y0 + h * sum_j q_j x^(j+1), x = (r - t0)/h, of one step,
+    summed in ascending powers; q holds the q_j along its first axis."""
     x = (r - t0) / h
     power = x
     total = q[0] * x
@@ -523,13 +701,20 @@ def _dense(t0, h, y0, q, r):
     return y0 + h * total
 
 
-class _Trajectory(NamedTuple):
-    """Accepted steps of a _dopri5 or _dop853 run and their interpolants.
+_EPS = float(np.finfo(float).eps)
+_SQRT2 = 2**0.5
 
-    t[i] and y[:, i] = (v, v') are the accepted radii and states; step i
-    starts at t[i], has size h[i] and dense-output coefficients q[:, i]
-    (2 x 4 on _dopri5, 2 x 7 on _dop853).  After an event, t[-1] and
-    y[:, -1] are the event's root, which lies inside the last step."""
+
+def _rms(a: float, b: float) -> float:
+    # a * a, not a ** 2, which raises OverflowError on floats
+    return math.sqrt(a * a + b * b) / _SQRT2
+
+
+class _Trajectory(NamedTuple):
+    """Accepted steps of a kernel run: radii t[i], states y[:, i] = (v, v');
+    step i starts at t[i], has size h[i] and dense-output coefficients
+    q[:, i] (2 x 4 on _dopri5, 2 x 7 on _dop853).  After an event, t[-1] and
+    y[:, -1] are the event's root, inside the last step."""
 
     status: int  # 0 reached r_end, 1 event fired, -1 step underflow, -2 over budget
     t: np.ndarray
@@ -577,369 +762,55 @@ def _initial_step(f, t, v, dv, fv, r_end, rtol, atol, order) -> float:
     return min(100 * h0, h1, r_end - t)
 
 
-def _trajectory(status, ts, vs, dvs, hs, ks, P, event) -> _Trajectory:
-    """The _Trajectory of a kernel's accepted steps: ks holds each step's
-    stages, its v' components then its f ones, and P maps the stages to the
-    dense-output coefficients.  After an event the last point is moved to the
-    root on the last step's dense output."""
-    q = (np.frombuffer(ks).reshape(-1, 2, len(P)) @ P).transpose(1, 0, 2)
-    traj = _Trajectory(status, np.frombuffer(ts), np.array((vs, dvs)), np.frombuffer(hs), q)
+def _trajectory(start, status, record, P, event) -> _Trajectory:
+    """The _Trajectory of a kernel's accepted steps from start = (t, v, v'):
+    record holds a row of floats per step, its new (t, v, v'), its size and
+    its stages, their v' components then their f ones, and P maps the stages
+    to the dense-output coefficients.  After an event the last point is moved
+    to the root on the last step's dense output."""
+    rows = np.frombuffer(record).reshape(-1, 4 + 2 * len(P))
+    q = (rows[:, 4:].reshape(-1, 2, len(P)) @ P).transpose(1, 0, 2)
+    ends = np.column_stack((start + (0.0,), rows[:, :4].T))
+    traj = _Trajectory(status, ends[0], ends[1:3], ends[3, 1:], q)
     if status == 1:
         # the last step read back as floats, so the bisection is scalar
-        t_old, h, v_old, dv_old = ts[-2], hs[-1], vs[-2], dvs[-2]
+        (t_old, v_old, dv_old, _), (t_new, *_, h) = ends[:, -2:].T.tolist()
         qv, qd = q[:, -1].tolist()
 
         def state(r):
             return _dense(t_old, h, v_old, qv, r), _dense(t_old, h, dv_old, qd, r)
 
-        root = _bracketed_root(lambda r: event(*state(r)), t_old, ts[-1])
+        root = _bracketed_root(lambda r: event(*state(r)), t_old, t_new)
         traj.t[-1] = root
         traj.y[:, -1] = state(root)
     return traj
 
 
-def _dopri5(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajectory:
-    """Integrate v'' = f(r, v, v') from (v, v')(r0) = y0 towards r_end.
-
-    Scalar Dormand-Prince 5(4) with scipy RK45's initial step selection,
-    controller and error norm, so it accepts the same steps.  Stops early
-    when the terminal event(v, v') goes from <= 0 to >= 0 across an accepted
-    step (its root on that step's quartic by _bracketed_root), when the step
-    size falls below 10 ulp(r), or after STEP_BUDGET accepted steps.
-
-    The step loop does RK45's floating-point operations in RK45's order.
-    abs, min, max and _rms are written out inline and give the builtins'
-    values, NaN included; STEP_BUDGET is read once per call.  r0, y0, r_end,
-    rtol and atol are converted with float() once per call, a lossless
-    conversion that keeps numpy-scalar arithmetic (about 3x slower per
-    step) out of the loop; f and event then see Python floats as long as
-    their own constants are floats."""
+def _integrate(method: _Method, f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0):
+    """Integrate v'' = f(r, v, v') from (v, v')(r0) = y0 towards r_end on
+    method's generated loop (with f's equation in its stages if f carries
+    one), taking scipy's steps with scipy's operations in scipy's order.
+    Stops early when the terminal event(v, v') goes from <= 0 to >= 0 across
+    an accepted step (its root on that step's dense output), when the step
+    size falls below 10 ulp(r), or after STEP_BUDGET accepted steps.  The
+    inputs go through float() once: numpy scalars made a step 3x slower."""
     r_end, atol = float(r_end), float(atol)
     rtol = max(float(rtol), 100 * _EPS)
     t = float(r0)
     v, dv = map(float, y0)
     fv = f(t, v, dv)
     g = event(v, dv)
-    h_abs = _initial_step(f, t, v, dv, fv, r_end, rtol, atol, 4)
-
-    sqrt, ulp, sqrt2, budget = math.sqrt, math.ulp, _SQRT2, STEP_BUDGET
-    safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _ERR_EXPONENT
-    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
-    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
-    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
-    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
-    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
-    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
-    ts, vs, dvs = array("d", [t]), array("d", [v]), array("d", [dv])
-    hs, ks = array("d"), array("d")
-    t_append, v_append, dv_append, h_append = ts.append, vs.append, dvs.append, hs.append
-    k_extend = ks.extend
-    steps = 0
-    av, adv = abs(v), abs(dv)
-    while True:
-        min_step = 10 * ulp(t)
-        if min_step > h_abs:
-            h_abs = min_step
-        rejected = False
-        while h_abs >= min_step:
-            t_new = t + h_abs
-            if r_end < t_new:
-                t_new = r_end
-            h = t_new - t
-            h_abs = h
-            # stage 1 is (dv, fv)
-            k2v = dv + h * (a21 * fv)
-            k2d = f(t + c2 * h, v + h * (a21 * dv), k2v)
-            k3v = dv + h * (a31 * fv + a32 * k2d)
-            k3d = f(t + c3 * h, v + h * (a31 * dv + a32 * k2v), k3v)
-            k4v = dv + h * (a41 * fv + a42 * k2d + a43 * k3d)
-            k4d = f(t + c4 * h, v + h * (a41 * dv + a42 * k2v + a43 * k3v), k4v)
-            k5v = dv + h * (a51 * fv + a52 * k2d + a53 * k3d + a54 * k4d)
-            k5d = f(t + c5 * h, v + h * (a51 * dv + a52 * k2v + a53 * k3v + a54 * k4v), k5v)
-            k6v = dv + h * (a61 * fv + a62 * k2d + a63 * k3d + a64 * k4d + a65 * k5d)
-            k6d = f(
-                t + h, v + h * (a61 * dv + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v), k6v
-            )
-            v_new = v + h * (b1 * dv + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
-            dv_new = dv + h * (b1 * fv + b3 * k3d + b4 * k4d + b5 * k5d + b6 * k6d)
-            f_new = f(t + h, v_new, dv_new)
-            ev = h * (e1 * dv + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * dv_new)
-            ed = h * (e1 * fv + e3 * k3d + e4 * k4d + e5 * k5d + e6 * k6d + e7 * f_new)
-            # the scales use max(|y|, |y_new|), which is |y| when y_new is NaN
-            av_new = -v_new if v_new < 0.0 else v_new
-            adv_new = -dv_new if dv_new < 0.0 else dv_new
-            ev /= atol + (av_new if av_new > av else av) * rtol
-            ed /= atol + (adv_new if adv_new > adv else adv) * rtol
-            err = sqrt(ev * ev + ed * ed) / sqrt2
-            if err < 1.0:
-                if err == 0.0:
-                    factor = max_factor
-                else:
-                    factor = safety * err**exponent
-                    if factor > max_factor:
-                        factor = max_factor
-                if rejected and factor > 1.0:
-                    factor = 1.0
-                h_abs *= factor
-                break
-            # a NaN error norm (a stage with v <= 0) shrinks by min_factor
-            factor = safety * err**exponent
-            h_abs *= factor if factor > min_factor else min_factor
-            rejected = True
-        else:
-            status = -1
-            break
-        t_append(t_new)
-        v_append(v_new)
-        dv_append(dv_new)
-        h_append(h)
-        k_extend((dv, k2v, k3v, k4v, k5v, k6v, dv_new, fv, k2d, k3d, k4d, k5d, k6d, f_new))
-        steps += 1
-        g_new = event(v_new, dv_new)
-        if g <= 0.0 <= g_new:
-            status = 1
-            break
-        if t_new >= r_end:
-            status = 0
-            break
-        if steps >= budget:
-            status = -2
-            break
-        t, v, dv, fv, g, av, adv = t_new, v_new, dv_new, f_new, g_new, av_new, adv_new
-
-    return _trajectory(status, ts, vs, dvs, hs, ks, _P, event)
+    h_abs = _initial_step(f, t, v, dv, fv, r_end, rtol, atol, method.order)
+    equation = getattr(f, "equation", None)
+    name = f"{method.name} {equation.name if equation else 'call'}"
+    loop = _generated(name, lambda: _loop_source(method, equation))
+    run = loop(f, event, t, v, dv, fv, g, h_abs, r_end, rtol, atol, *getattr(f, "values", ()))
+    return _trajectory((t, v, dv), *run, method.dense, event)
 
 
-def _dop853(f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0) -> _Trajectory:
-    """Integrate v'' = f(r, v, v') as _dopri5 does, on Prince & Dormand's
-    8(5,3) pair.
-
-    It keeps scipy DOP853's initial step selection (error order 7), its error
-    norm h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) N) over the scaled fifth- and
-    third-order error estimates e5 and e3 of the N = 2 components, its
-    controller (safety 0.9, factors in [0.2, 10], at most 1 right after a
-    rejection, exponent -1/8) and its 7th-order dense output, whose three
-    extra stages run once per accepted step.  _dopri5's rules hold: floats
-    converted once per call, STEP_BUDGET read once per call, the 10-ulp
-    minimum step, one terminal event, and a bit-stable step loop."""
-    r_end, atol = float(r_end), float(atol)
-    rtol = max(float(rtol), 100 * _EPS)
-    t = float(r0)
-    v, dv = map(float, y0)
-    fv = f(t, v, dv)
-    g = event(v, dv)
-    h_abs = _initial_step(f, t, v, dv, fv, r_end, rtol, atol, 7)
-
-    sqrt, ulp, budget = math.sqrt, math.ulp, STEP_BUDGET
-    safety, min_factor, max_factor, exponent = _SAFETY, _MIN_FACTOR, _MAX_FACTOR, -1 / 8
-    a, c, e5, e3 = _DOP853_CONSTANTS
-    (a1_0, a2_0, a2_1, a3_0, a3_2, a4_0, a4_2, a4_3, a5_0, a5_3, a5_4, a6_0, a6_3, a6_4, a6_5,
-     a7_0, a7_3, a7_4, a7_5, a7_6, a8_0, a8_3, a8_4, a8_5, a8_6, a8_7,
-     a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8, a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8,
-     a10_9, a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10,
-     b0, b5, b6, b7, b8, b9, b10, b11,
-     a13_0, a13_6, a13_7, a13_8, a13_9, a13_10, a13_11, a13_12,
-     a14_0, a14_5, a14_6, a14_7, a14_10, a14_11, a14_12, a14_13,
-     a15_0, a15_5, a15_6, a15_7, a15_8, a15_12, a15_13, a15_14) = a
-    _, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _, c13, c14, c15 = c
-    e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = e5
-    e3_0, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11 = e3
-    ts, vs, dvs = array("d", [t]), array("d", [v]), array("d", [dv])
-    hs, ks = array("d"), array("d")
-    t_append, v_append, dv_append, h_append = ts.append, vs.append, dvs.append, hs.append
-    k_extend = ks.extend
-    steps = 0
-    av, adv = abs(v), abs(dv)
-    while True:
-        min_step = 10 * ulp(t)
-        if min_step > h_abs:
-            h_abs = min_step
-        rejected = False
-        while h_abs >= min_step:
-            t_new = t + h_abs
-            if r_end < t_new:
-                t_new = r_end
-            h = t_new - t
-            h_abs = h
-            # stage 0 is (dv, fv); stage k is (kkv, kkd)
-            k1v = dv + h * (a1_0 * fv)
-            k1d = f(t + c1 * h, v + h * (a1_0 * dv), k1v)
-            k2v = dv + h * (a2_0 * fv + a2_1 * k1d)
-            k2d = f(t + c2 * h, v + h * (a2_0 * dv + a2_1 * k1v), k2v)
-            k3v = dv + h * (a3_0 * fv + a3_2 * k2d)
-            k3d = f(t + c3 * h, v + h * (a3_0 * dv + a3_2 * k2v), k3v)
-            k4v = dv + h * (a4_0 * fv + a4_2 * k2d + a4_3 * k3d)
-            k4d = f(t + c4 * h, v + h * (a4_0 * dv + a4_2 * k2v + a4_3 * k3v), k4v)
-            k5v = dv + h * (a5_0 * fv + a5_3 * k3d + a5_4 * k4d)
-            k5d = f(t + c5 * h, v + h * (a5_0 * dv + a5_3 * k3v + a5_4 * k4v), k5v)
-            k6v = dv + h * (a6_0 * fv + a6_3 * k3d + a6_4 * k4d + a6_5 * k5d)
-            k6d = f(t + c6 * h, v + h * (a6_0 * dv + a6_3 * k3v + a6_4 * k4v + a6_5 * k5v), k6v)
-            k7v = dv + h * (a7_0 * fv + a7_3 * k3d + a7_4 * k4d + a7_5 * k5d + a7_6 * k6d)
-            k7d = f(
-                t + c7 * h,
-                v + h * (a7_0 * dv + a7_3 * k3v + a7_4 * k4v + a7_5 * k5v + a7_6 * k6v),
-                k7v,
-            )
-            k8v = dv + h * (
-                a8_0 * fv + a8_3 * k3d + a8_4 * k4d + a8_5 * k5d + a8_6 * k6d + a8_7 * k7d
-            )
-            k8d = f(
-                t + c8 * h,
-                v + h * (
-                    a8_0 * dv + a8_3 * k3v + a8_4 * k4v + a8_5 * k5v + a8_6 * k6v + a8_7 * k7v
-                ),
-                k8v,
-            )
-            k9v = dv + h * (
-                a9_0 * fv + a9_3 * k3d + a9_4 * k4d + a9_5 * k5d + a9_6 * k6d + a9_7 * k7d
-                + a9_8 * k8d
-            )
-            k9d = f(
-                t + c9 * h,
-                v + h * (
-                    a9_0 * dv + a9_3 * k3v + a9_4 * k4v + a9_5 * k5v + a9_6 * k6v + a9_7 * k7v
-                    + a9_8 * k8v
-                ),
-                k9v,
-            )
-            k10v = dv + h * (
-                a10_0 * fv + a10_3 * k3d + a10_4 * k4d + a10_5 * k5d + a10_6 * k6d
-                + a10_7 * k7d + a10_8 * k8d + a10_9 * k9d
-            )
-            k10d = f(
-                t + c10 * h,
-                v + h * (
-                    a10_0 * dv + a10_3 * k3v + a10_4 * k4v + a10_5 * k5v + a10_6 * k6v
-                    + a10_7 * k7v + a10_8 * k8v + a10_9 * k9v
-                ),
-                k10v,
-            )
-            k11v = dv + h * (
-                a11_0 * fv + a11_3 * k3d + a11_4 * k4d + a11_5 * k5d + a11_6 * k6d
-                + a11_7 * k7d + a11_8 * k8d + a11_9 * k9d + a11_10 * k10d
-            )
-            k11d = f(
-                t + c11 * h,
-                v + h * (
-                    a11_0 * dv + a11_3 * k3v + a11_4 * k4v + a11_5 * k5v + a11_6 * k6v
-                    + a11_7 * k7v + a11_8 * k8v + a11_9 * k9v + a11_10 * k10v
-                ),
-                k11v,
-            )
-            v_new = v + h * (
-                b0 * dv + b5 * k5v + b6 * k6v + b7 * k7v + b8 * k8v + b9 * k9v + b10 * k10v
-                + b11 * k11v
-            )
-            dv_new = dv + h * (
-                b0 * fv + b5 * k5d + b6 * k6d + b7 * k7d + b8 * k8d + b9 * k9d + b10 * k10d
-                + b11 * k11d
-            )
-            f_new = f(t + h, v_new, dv_new)
-            # the scales use max(|y|, |y_new|), which is |y| when y_new is NaN
-            av_new = -v_new if v_new < 0.0 else v_new
-            adv_new = -dv_new if dv_new < 0.0 else dv_new
-            sv = atol + (av_new if av_new > av else av) * rtol
-            sd = atol + (adv_new if adv_new > adv else adv) * rtol
-            e5v = (
-                e5_0 * dv + e5_5 * k5v + e5_6 * k6v + e5_7 * k7v + e5_8 * k8v + e5_9 * k9v
-                + e5_10 * k10v + e5_11 * k11v
-            ) / sv
-            e5d = (
-                e5_0 * fv + e5_5 * k5d + e5_6 * k6d + e5_7 * k7d + e5_8 * k8d + e5_9 * k9d
-                + e5_10 * k10d + e5_11 * k11d
-            ) / sd
-            e3v = (
-                e3_0 * dv + e3_5 * k5v + e3_6 * k6v + e3_7 * k7v + e3_8 * k8v + e3_9 * k9v
-                + e3_10 * k10v + e3_11 * k11v
-            ) / sv
-            e3d = (
-                e3_0 * fv + e3_5 * k5d + e3_6 * k6d + e3_7 * k7d + e3_8 * k8d + e3_9 * k9d
-                + e3_10 * k10d + e3_11 * k11d
-            ) / sd
-            n5 = e5v * e5v + e5d * e5d
-            n3 = e3v * e3v + e3d * e3d
-            if n5 == 0.0 and n3 == 0.0:
-                err = 0.0
-            else:
-                err = h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)
-            if err < 1.0:
-                if err == 0.0:
-                    factor = max_factor
-                else:
-                    factor = safety * err**exponent
-                    if factor > max_factor:
-                        factor = max_factor
-                if rejected and factor > 1.0:
-                    factor = 1.0
-                h_abs *= factor
-                break
-            # a NaN error norm shrinks by min_factor
-            factor = safety * err**exponent
-            h_abs *= factor if factor > min_factor else min_factor
-            rejected = True
-        else:
-            status = -1
-            break
-        # the dense output's stages, from the accepted step's (stage 12 is
-        # (dv_new, f_new))
-        k13v = dv + h * (
-            a13_0 * fv + a13_6 * k6d + a13_7 * k7d + a13_8 * k8d + a13_9 * k9d + a13_10 * k10d
-            + a13_11 * k11d + a13_12 * f_new
-        )
-        k13d = f(
-            t + c13 * h,
-            v + h * (
-                a13_0 * dv + a13_6 * k6v + a13_7 * k7v + a13_8 * k8v + a13_9 * k9v
-                + a13_10 * k10v + a13_11 * k11v + a13_12 * dv_new
-            ),
-            k13v,
-        )
-        k14v = dv + h * (
-            a14_0 * fv + a14_5 * k5d + a14_6 * k6d + a14_7 * k7d + a14_10 * k10d
-            + a14_11 * k11d + a14_12 * f_new + a14_13 * k13d
-        )
-        k14d = f(
-            t + c14 * h,
-            v + h * (
-                a14_0 * dv + a14_5 * k5v + a14_6 * k6v + a14_7 * k7v + a14_10 * k10v
-                + a14_11 * k11v + a14_12 * dv_new + a14_13 * k13v
-            ),
-            k14v,
-        )
-        k15v = dv + h * (
-            a15_0 * fv + a15_5 * k5d + a15_6 * k6d + a15_7 * k7d + a15_8 * k8d
-            + a15_12 * f_new + a15_13 * k13d + a15_14 * k14d
-        )
-        k15d = f(
-            t + c15 * h,
-            v + h * (
-                a15_0 * dv + a15_5 * k5v + a15_6 * k6v + a15_7 * k7v + a15_8 * k8v
-                + a15_12 * dv_new + a15_13 * k13v + a15_14 * k14v
-            ),
-            k15v,
-        )
-        t_append(t_new)
-        v_append(v_new)
-        dv_append(dv_new)
-        h_append(h)
-        k_extend((
-            dv, k1v, k2v, k3v, k4v, k5v, k6v, k7v, k8v, k9v, k10v, k11v, dv_new, k13v, k14v, k15v,
-            fv, k1d, k2d, k3d, k4d, k5d, k6d, k7d, k8d, k9d, k10d, k11d, f_new, k13d, k14d, k15d,
-        ))
-        steps += 1
-        g_new = event(v_new, dv_new)
-        if g <= 0.0 <= g_new:
-            status = 1
-            break
-        if t_new >= r_end:
-            status = 0
-            break
-        if steps >= budget:
-            status = -2
-            break
-        t, v, dv, fv, g, av, adv = t_new, v_new, dv_new, f_new, g_new, av_new, adv_new
-
-    return _trajectory(status, ts, vs, dvs, hs, ks, _P853, event)
+# Dormand-Prince 5(4) as scipy's RK45, Prince-Dormand 8(5,3) as its DOP853;
+# each is called as (f, r0, y0, r_end, rtol, atol[, event])
+_dopri5, _dop853 = partial(_integrate, _DOPRI5), partial(_integrate, _DOP853)
 
 
 def _check_numerics(**values) -> None:
@@ -971,23 +842,16 @@ def solve_profile(
     atol: float | None = None,
     r0_scale: float = DEFAULT_R0_SCALE,
 ) -> RadialProfile:
-    """Integrate the profile equation from the series start to r_max.
-
-    The kernel solves the eta = 1 problem in r / l and v / eta,
-    l = eta^((m-1)/2), and the profile is scaled back.  With alpha > 0 and
-    beta > 0 the r-form stops at r_h = l when that lies below r_max, and
-    the log-radius equation carries the run on; with alpha < 0 and
-    beta <= 0 it stops at its last accepted step below
-    v = PRESSURE_SWITCH * eta, and the pressure equation carries the run to
-    the cap (see the module docstring).  The returned grid unions the
-    accepted adaptive steps with np.geomspace(r0, r_end) at
-    POINTS_PER_DECADE, filled from dense output, so later geometry
-    evaluations and quadratures work on stored points only.  atol is
-    absolute in v (default 1e-30 * eta); the kernel applies atol / eta to
-    both components of the eta = 1 state, so the tolerance on v' is
-    atol / l, and the pressure phase scales it by P at the handoff.
-    The solver reports whatever trajectory the initial data generates;
-    it makes no uniqueness claim.
+    """Integrate the profile equation from the series start to r_max, in the
+    phases the module docstring describes, as the eta = 1 problem in r / l
+    and v / eta scaled back.  The returned grid unions the accepted steps
+    with np.geomspace(r0, r_end) at POINTS_PER_DECADE, filled from dense
+    output, so geometry and quadratures work on stored points only.  atol is
+    absolute in v (default 1e-30 * eta): the kernel applies atol / eta to
+    both components of the eta = 1 state, so atol / l to v', and the
+    pressure phase scales it by P at the handoff.  The solver reports
+    whatever trajectory the initial data generates; it makes no uniqueness
+    claim.
     """
     _check_numerics(r_max=r_max, rtol=rtol, atol=atol, r0_scale=r0_scale)
     eta = params.eta
@@ -1151,22 +1015,16 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     by |alpha v| + |beta r v'| plus a small floor.  Two kinds of profile are
     read elsewhere past the core r = l = eta^((m-1)/2):
 
-      * a log tail on _dop853 (_log_kernel) at its refinement lattice points,
-        not at its steps, which lie 4-7x farther apart than _dopri5's, so
-        that the quintic through three of them is truncation-limited (C8's
-        n = 3 and n = 5 profiles read 7.8e-5 and 2.2e-5 at the steps, 6.0e-8
-        and 1.0e-8 at the lattice).  Its steps are then checked by the
+      * a log tail on _dop853 (_log_kernel) at its refinement lattice points:
+        its steps lie 4-7x farther apart than _dopri5's, too far for the
+        quintic through three of them.  Its steps are then checked by the
         integral identity only.
       * a BlowUp profile in the blow-up regime, from l, or from the pressure
         handoff (the last step point below PRESSURE_SWITCH * eta) if that
         comes first, in P = v^-(1-m): P'' from the quintic through (P, P')
         against the gamma = m - 1 equation, normalised by the sum of its terms'
-        magnitudes (_pressure_terms).  In v the pressure phase's last steps,
-        across which v grows by orders of magnitude, read 5.7e8 and 4.1e10
-        on the n=3, m=0.2, beta=-1, alpha=-1 or -4 blow-ups of the test
-        suite; in P they read at most 3.0e-8 and 2.7e-8, and the r-form's
-        steps past l, at 1.6e-8 or less, where in v they read up to 1.0e-5.
-        Those profiles read 8.2e-8 and 4.0e-7, at r-form steps near r0.
+        magnitudes (_pressure_terms).  In v, across which v grows by orders
+        of magnitude, the last steps read up to 4.1e10; in P, 3.0e-8 or less.
 
     The integral defect tests
 
@@ -1297,9 +1155,8 @@ def load_profile(csv_path, json_path) -> RadialProfile:
     wrong JSON type (naming its key) or invalid params, an unknown status
     kind, or a status radius, rtol or atol that is not positive and finite;
     when the CSV header is not r,v,dv, the row count is not grid_points, a
-    row is not three columns wide or v or v' is not finite; or when the
-    step indices are not integers that start at 0, increase strictly and
-    stay on the grid."""
+    row is not three columns wide, or when the step indices are not JSON
+    integers; RadialProfile checks the rest of the shape."""
     with open(json_path) as fh:
         doc = json.load(fh)
     pd, status = _sidecar_field(doc, "params", dict), _sidecar_field(doc, "status", dict)
@@ -1324,13 +1181,6 @@ def load_profile(csv_path, json_path) -> RadialProfile:
                          f"expected grid_points = {grid_points} rows of 3")
     if not all(type(i) is int for i in steps):
         raise ValueError("step_indices must be integers")
-    steps = np.asarray(steps, dtype=int)
-    if steps.size == 0 or steps[0] != 0:
-        raise ValueError("step_indices must start at 0")
-    if np.any(np.diff(steps) <= 0):
-        raise ValueError("step_indices must be strictly increasing")
-    if steps[-1] >= len(data):
-        raise ValueError("step_indices fall outside the grid")
     return RadialProfile(
         params, data[:, 0], data[:, 1], data[:, 2], ProfileStatus(kind, radius), rtol, atol, steps
     )

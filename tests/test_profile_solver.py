@@ -314,6 +314,29 @@ def test_profile_constructor_guards():
     v = np.array([1.0, -1.0, 1.0])
     with pytest.raises(ValueError, match="positive"):
         yl.RadialProfile(p, r, v, ones, status, 1e-9, 1e-12, np.array([0]))
+    # each of these was accepted once: value_at(1.0) read 1.0 on the short v,
+    # and nan on the inf and one-point grids
+    shape, first = "1-D arrays of one length, at least 2", np.array([0])
+    for r, v, dv, steps, message in [
+        (r, ones[:2], ones, first, shape),
+        (r, ones, ones[:2], first, shape),
+        (r[:1], ones[:1], ones[:1], first, shape),
+        (np.stack((r, r)), np.ones((2, 3)), np.ones((2, 3)), first, shape),
+        (np.array([0.1, 0.2, math.inf]), ones, ones, first, "positive and finite"),
+        (np.array([-1.0, 0.2, 0.3]), ones, ones, first, "positive and finite"),
+        (np.array([0.0, 0.2, 0.3]), ones, ones, first, "positive and finite"),
+        (np.array([0.1, math.nan, 0.3]), ones, ones, first, "strictly increasing"),
+        (r, ones, ones, np.array([0, 2, 1]), "step_indices must be strictly increasing"),
+        (r, ones, ones, np.array([1, 2]), "step_indices must start at 0"),
+        (r, ones, ones, np.array([], dtype=int), "step_indices must start at 0"),
+        (r, ones, ones, np.array([0, 3]), "step_indices fall outside the grid"),
+        (r, ones, ones, np.array([0.0, 1.5]), "step_indices must be a 1-D array of integers"),
+        (r, ones, ones, np.array([[0, 1]]), "step_indices must be a 1-D array of integers"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            yl.RadialProfile(p, r, v, dv, status, 1e-9, 1e-12, steps)
+    prof = yl.RadialProfile(p, r, ones, ones, status, 1e-9, 1e-12, [0, 2])
+    assert prof.step_indices.tolist() == [0, 2] and prof.step_indices.dtype == int
 
 
 def test_solve_profile_input_validation():
@@ -715,15 +738,28 @@ def test_steady_tails_run_on_dop853(monkeypatch):
 
 
 def test_dop853_tableau_is_scipys():
+    # the arrays the step-loop generator reads; D enters through the dense
+    # matrix, which the next test checks
     from scipy.integrate._ivp import dop853_coefficients as ref
 
+    method = ps._DOP853
     for got, want in [
-        (ps._A853, ref.A), (ps._B853, ref.B), (ps._C853, ref.C), (ps._E3_853, ref.E3),
-        (ps._E5_853, ref.E5), (ps._D853, ref.D),
+        (method.a, ref.A), (method.a[method.last, :method.last], ref.B), (method.c, ref.C),
+        (method.weights["e3"], ref.E3), (method.weights["e5"], ref.E5), (ps._D853, ref.D),
     ]:
         assert np.array_equal(got, want)
     # each node is its row's sum, to rounding
-    assert np.allclose(ps._A853.sum(axis=1), ps._C853, rtol=0.0, atol=8 * ps._EPS)
+    assert np.allclose(method.a.sum(axis=1), method.c, rtol=0.0, atol=8 * ps._EPS)
+
+
+def test_dopri5_tableau_is_scipys():
+    from scipy.integrate import RK45
+
+    method = ps._DOPRI5
+    assert np.array_equal(method.a[:6, :5], RK45.A) and np.array_equal(method.a[6, :6], RK45.B)
+    assert np.array_equal(method.c, np.append(RK45.C, 1.0))
+    assert np.array_equal(method.weights["e"], RK45.E) and np.array_equal(method.dense, RK45.P)
+    assert method.last == 6 and RK45.error_estimator_order == method.order
 
 
 def test_dop853_dense_output_is_scipys():
@@ -738,7 +774,7 @@ def test_dop853_dense_output_is_scipys():
     F = np.vstack((dy, h * K[0] - dy, 2 * dy - h * (K[0] + K[12]), h * ref.D @ K))
     x = np.linspace(0.0, 1.0, 11)
     want = Dop853DenseOutput(0.0, h, y_old, F)(h * x)
-    got = ps._dense(0.0, h, y_old[:, None], (K.T @ ps._P853).T[:, :, None], h * x)
+    got = ps._dense(0.0, h, y_old[:, None], (K.T @ ps._DOP853.dense).T[:, :, None], h * x)
     # F reaches 133 here, and the two forms differ by 8e-14
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(F))
 
@@ -1108,6 +1144,58 @@ def test_kernel_bits_are_pinned(monkeypatch, case):
         assert tuple(float(x).hex() for x in (traj.t[-1], *traj.y[:, -1])) == end
 
 
+@given(
+    n=st.integers(3, 8),
+    m_frac=st.floats(0.05, 0.95),
+    alpha=st.floats(-2.0, 2.0).filter(lambda a: abs(a) > 0.05),
+    beta=st.floats(-2.0, 2.0).filter(lambda b: abs(b) > 0.05),
+    form=st.sampled_from(["r-form", "pressure", "log"]),
+    kernel=st.sampled_from(["_dopri5", "_dop853"]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_inlined_loop_takes_the_call_loops_steps(n, m_frac, alpha, beta, form, kernel):
+    # the loop with the equation written into its stages against the loop
+    # that calls it (the same f behind a plain lambda): the same steps,
+    # states, sizes and dense coefficients, to the bit, whatever the ending
+    m = m_frac * (n - 2) / n
+    if form == "log":
+        f, r0, y0, r_end = ps._log_wpp(yl.SolitonParams(n, m, alpha, beta, 1.0)), 0.0, (0.0, 2.5), 8.0
+        event = lambda W, Ws: -1.0
+    else:
+        gamma = 1.0 if form == "r-form" else m - 1.0
+        f, r0, r_end = ps._power_pp(n, m, alpha, beta, gamma), 1e-3, 30.0
+        y0 = ps._to_power(gamma, 1.0, -alpha * r0 / (n * (n - 1)))
+        cap = ps.BLOWUP_CAP**gamma
+        event = (lambda y, dy: y - cap) if gamma > 0.0 else (lambda y, dy: cap - y)
+    assert f.equation is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ps, "STEP_BUDGET", 3000)
+        runs = [
+            getattr(ps, kernel)(g, r0, y0, r_end, 1e-9, 1e-12, event)
+            for g in (f, lambda r, y, dy: f(r, y, dy))
+        ]
+    inlined, called = runs
+    assert inlined.status == called.status
+    for a, b in zip(inlined[1:], called[1:]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_generated_loops_are_readable():
+    # each loop a run uses is in _GENERATED under "<method> <equation>"
+    # ("call" for a plain f); its stages hold the equation's own text once per
+    # evaluation: 6 a DOPRI5 step, 15 a DOP853 one (12, and 3 for the dense
+    # output).  The compiled loop names its source, so a traceback from it
+    # points to the lines there
+    yl.solve_profile(_params(3, 1.0, 1.0), r_max=100.0)
+    for name, equation, evaluations in [("dopri5 power", ps._POWER, 6), ("dop853 log", ps._LOG, 15)]:
+        source = ps._GENERATED[name]
+        assert source.count(equation.body[-1]) == evaluations
+        assert ps._COMPILED[name].__code__.co_filename == f"<{name}>"
+    assert "f(" not in ps._GENERATED["dop853 log"]
+    ps._dopri5(lambda r, y, dy: -y, 0.0, (1.0, 0.0), 1.0, 1e-9, 1e-12)
+    assert ps._GENERATED["dopri5 call"].count("= f(t + ") == 6
+
+
 def _float_only(kernel, calls):
     """_dopri5 whose right-hand side and event assert that every argument
     and every returned value is exactly a Python float."""
@@ -1336,6 +1424,35 @@ def _step_past_grid(csv, doc):
     doc["step_indices"][-1] = doc["grid_points"]
 
 
+def _steps_out_of_order(csv, doc):
+    doc["step_indices"][1:3] = [5, 1]
+
+
+def _set_radius(csv, row, text):
+    header, *rows = csv.read_text().splitlines()
+    rows[row] = text + rows[row][rows[row].index(","):]
+    csv.write_text("\n".join([header, *rows]) + "\n")
+
+
+def _inf_last_radius(csv, doc):
+    _set_radius(csv, -1, "inf")
+
+
+def _negative_first_radius(csv, doc):
+    _set_radius(csv, 0, "-1")
+
+
+def _huge_step(csv, doc):
+    # no int64 holds it: an untyped OverflowError once
+    doc["step_indices"][-1] = 2**70
+
+
+def _single_row(csv, doc):
+    header, first, *_ = csv.read_text().splitlines()
+    csv.write_text(header + "\n" + first + "\n")
+    doc["grid_points"], doc["step_indices"] = 1, [0]
+
+
 def _negative_eta(csv, doc):
     doc["params"]["eta"] = -1.0
 
@@ -1405,6 +1522,11 @@ def _string_status(csv, doc):
         (_skip_first_step, "start at 0"),
         (_repeat_step, "strictly increasing"),
         (_step_past_grid, "outside the grid"),
+        (_steps_out_of_order, "step_indices must be strictly increasing"),
+        (_inf_last_radius, "grid radii must be positive and finite"),
+        (_negative_first_radius, "grid radii must be positive and finite"),
+        (_single_row, "at least 2"),
+        (_huge_step, "step_indices must be a 1-D array of integers"),
         (_negative_eta, "invalid parameters: eta-positive"),
         (_dimension_two, "invalid parameters: dimension"),
         (_fractional_dimension, "invalid parameters: dimension"),
