@@ -227,6 +227,8 @@ def w_equation_defect(
     _require_soliton(p, "the log-radius equation")
     if num_points < 3:
         raise ValueError(f"num_points must be at least 3, got {num_points!r}")
+    if not (-np.inf < s_span[0] < s_span[1] < np.inf):
+        raise ValueError(f"s_span must be finite and increasing, got {s_span!r}")
     n, m, beta, rho = p.n, p.m, p.beta, p.rho
     one_m = 1.0 - m
     s = np.linspace(s_span[0], s_span[1], num_points)

@@ -27,11 +27,11 @@ in the O(h^2) corrections, so the routes agree to about 1e-9 yet stay
 independent at leading order.
 
 As a function of s = log r, w~(s) = w(e^s) obeys an autonomous second-order
-equation; w_log_dynamics integrates it for long-range continuation where
-direct r-integration would waste steps.  It runs W = log w~ through
-profile_solver._log_wpp on the kernel profile_solver._log_kernel picks, the
-equation and kernel solve_profile carries alpha, beta > 0 tails on, and
-stops at one terminal event when w~ collapses or W_s runs away.
+equation; w_log_dynamics integrates it from initial data (w~, w~_s) at any
+s0 (log_handoff reads them from a profile) with the equation, kernel and
+read of solve_profile's own alpha, beta > 0 tail: W = log w~ through
+profile_solver's _log_wpp, _log_kernel and _fill.  It stops at one terminal
+event when w~ collapses or W_s runs away.
 analysis.w_equation_defect keeps its own copy of the equation, in w~ rather
 than W and in array arithmetic: it is the reference the stored profile,
 W-form tail included, is checked against, so it must not share _log_wpp's
@@ -59,6 +59,7 @@ from .core_params import SolitonParams, _require_soliton, _soliton_alpha
 from .profile_solver import (
     RadialProfile,
     _check_numerics,
+    _fill,
     _hermite_ends,
     _hermite_weights,
     _log_kernel,
@@ -301,19 +302,12 @@ def w_log_dynamics(
     # a non-finite end would run the kernel to STEP_BUDGET
     if not (math.isfinite(s0) and math.isfinite(s1) and s0 < s1):
         raise ValueError(f"s_range must be finite and increasing, got {s_range!r}")
-    traj = _log_kernel(params)(
-        _log_wpp(params),
-        s0,
-        (math.log(wt0), wts0 / wt0),
-        s1,
-        _LOG_RTOL,
-        _LOG_ATOL,
-        _log_stop,
-    )
+    log_rhs, start = _log_wpp(params), (math.log(wt0), wts0 / wt0)
+    traj = _log_kernel(params)(log_rhs, s0, start, s1, _LOG_RTOL, _LOG_ATOL, _log_stop)
     s_end = traj.t[-1]
     count = max(int(math.ceil((s_end - s0) * _LOG_SAMPLES_PER_UNIT)), 2)
     s = np.linspace(s0, s_end, count)
-    W, Ws = traj(s)
+    W, Ws = _fill(log_rhs, traj, s)
     wt = np.exp(W)
     return LogDynamics(
         s=s,
@@ -427,11 +421,13 @@ def pde_residual(
     f'' + (n-1)/r f'.  The whole stencil, each row scaled by
     _self_similar_scale at its own time, is read in one value_at call.
     Sup-norm normalized; returns 0 for an identically flat lattice.  The
-    steps h_r and h_t must be positive and finite."""
+    radii and the steps h_r and h_t must be positive and finite."""
     _check_numerics(h_r=h_r, h_t=h_t)
     n, m = spec.params.n, spec.params.m
     coef = (n - 1) / m
     r = np.array(r_points, dtype=float, ndmin=1)
+    if not (r.size and np.all((r > 0.0) & (r < math.inf))):
+        raise ValueError("r_points must be a nonempty set of positive, finite radii")
     ts = np.array(t_points, dtype=float, ndmin=1)
     k, nr = len(ts), len(r)
     times = np.concatenate((ts + h_t, ts - h_t, np.repeat(ts, 3)))

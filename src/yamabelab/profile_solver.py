@@ -14,19 +14,18 @@ only in eta take the same steps.
 Two scalar Runge-Kutta pairs take the steps on plain floats, with scipy's
 initial step, error norm and controller, a 10 ulp(r) minimum step, at most
 STEP_BUDGET accepted steps and one terminal event: _dopri5 (Dormand-Prince
-5(4), quartic dense output, scipy's RK45) on the r-form, the pressure phase
-and expanding log tails, whose steps must resolve geometry's K0 quadrature;
-_dop853 (Prince-Dormand 8(5,3), 7th-order dense output, scipy's DOP853) on
-log tails that do not grow (_log_kernel): 6,141 steps on verify_nonstiff's
-seed-3 ops 0-79 where _dopri5 took 28,672.  Both run one step-loop template
-(_LOOP), filled in from the method's tableau (_Method) and generated once
-per (method, equation) on first use (_loop_source).  Each right side has one
-home, a template with named constants (_Equation); the generated stages
-write it out, so no stage pays a Python call, and a plain callable gets the
-same loop with stages that call it: the two take the same steps to the bit.
-Each step is recorded by one struct pack (array.extend took about 0.65 us a
-call).  Against the hand-written loops, the 40 expand_tail seed-3 log tails
-took 28% less kernel time; a loop costs 1-4 ms to compile, once per process.
+5(4), scipy's RK45) on the r-form, the pressure phase and expanding log
+tails, whose steps must resolve geometry's K0 quadrature; _dop853
+(Prince-Dormand 8(5,3), scipy's DOP853) on log tails that do not grow
+(_log_kernel).  Both run one step-loop template (_LOOP), filled in from the
+method's tableau (_Method) and generated once per (method, equation) on
+first use (_loop_source).  Each right side has one home, a template with
+named constants (_Equation); the generated stages write it out, so no stage
+pays a Python call, and a plain callable gets the same loop with stages
+that call it: the two take the same steps to the bit.  The kernels keep no
+dense output: each accepted step records (r, y, y', h, y''), y'' its last
+stage, and a run is read between its steps (_fill), and an event's root
+found, by value_at's rule in its own variable (_read).
 
 The r-form runs from r0 up to the cap v = 1e12 (BLOWUP_CAP).  Two kinds of
 run hand it over (in the units of the eta = 1 problem):
@@ -48,11 +47,11 @@ run hand it over (in the units of the eta = 1 problem):
 Every other run (touch-down alpha > 0 > beta; alpha < 0 < beta; beta = 0
 with alpha >= 0) is the r-form alone.  The stored grid is the union of every
 phase's accepted steps and a log-uniform refinement at POINTS_PER_DECADE,
-each phase filled from its own dense output.  The identity checks integrate
+each phase filled from its own steps (_fill).  The identity checks integrate
 over it with the quintic Hermite rule (_hermite_ends); the pointwise check
 takes v'' from the quintic through three points (_quintic_vpp).  value_at
-reads v and v' from quintic Hermites whose v'' and v''' come from the
-equation (_vpp_array, _vppp_array).  Runs end in one of three statuses:
+reads the stored (v, v') as the r-form's steps are read, v'' from the
+equation (_vpp_array).  Runs end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -70,9 +69,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from struct import Struct
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,9 +96,7 @@ DEFAULT_R0_SCALE = 1e-6
 # refinement density of the stored grid.  With the quintic value_at and the
 # quintic Hermite rule, 100 points per decade hold the integral defect and
 # the K0 gap of the reference runs within 1.4% of 200 per decade, and keep
-# the step-halving order of pde_residual above 2.  The benchmark's worst v, v'
-# error is not monotone in the density (set by which knots bracket a check
-# radius): 2.9e-10 on the sweep panel at 100, 9.7e-10 at 200
+# the step-halving order of pde_residual above 2
 POINTS_PER_DECADE = 100
 # alpha, beta > 0 runs hand the r-form over to the log-radius equation at
 # r_h = l = eta^((m-1)/2), which runs at LOG_TOL_FACTOR * rtol, as rtol and
@@ -126,11 +123,12 @@ class RadialProfile:
     """Sampled solution (r, v, v') with status and tolerances.
 
     step_indices marks the subset of grid points that were accepted
-    integrator steps; points between them were filled from dense output.
-    The constructor checks the shape: 1-D r, v and v' of one length, at least
-    2; r finite, positive and strictly increasing, v positive, v' finite;
-    integer step indices that start at 0, rise strictly and stay on the grid.
-    Arrays are read-only and q and w are computed once, on first access;
+    integrator steps; points between them were filled from the steps of
+    their phase (_fill).  The constructor checks the shape: 1-D r, v and v'
+    of one length, at least 2; r finite, positive and strictly increasing,
+    v positive, v' finite; integer step indices that start at 0, rise
+    strictly and stay on the grid.  The arrays are the profile's own
+    read-only copies, and q and w are computed once, on first access;
     nothing else is stored on the profile after construction.
     """
 
@@ -145,7 +143,7 @@ class RadialProfile:
         atol: float,
         step_indices: np.ndarray,
     ):
-        r, v, dv = (np.asarray(a, dtype=float) for a in (r, v, dv))
+        r, v, dv = (np.array(a, dtype=float) for a in (r, v, dv))  # copies, frozen below
         steps = np.asarray(step_indices)
         if r.ndim != 1 or v.shape != r.shape or dv.shape != r.shape or len(r) < 2:
             raise ValueError("r, v and v' must be 1-D arrays of one length, at least 2")
@@ -192,12 +190,10 @@ class RadialProfile:
         return _frozen(_w(self.params.m, self.r, self.v))
 
     def value_at(self, radius, derivative: bool = False):
-        """v at arbitrary radii: series below r0, the quintic Hermite through
-        the stored (v, v') and v'' from the equation on the grid.  With
-        derivative=True returns (v, v'), v' from the quintic Hermite through
-        (v', v'', v'''), v''' from the differentiated equation at the knots,
-        so v' never divides differences of v by the knot spacing.  Negative,
-        non-finite and past-the-grid radii raise (no extrapolation)."""
+        """v, or (v, v') with derivative=True, at any radii: the series below
+        r0, elsewhere the stored (v, v') read as r-form steps (_read), v'' and
+        v''' from the equation, so v' never divides differences of v by the
+        knot spacing.  Negative, non-finite and past-the-grid radii raise."""
         radius = np.asarray(radius, dtype=float)
         if not np.all(np.isfinite(radius)):
             raise ValueError("radius must be finite")
@@ -205,23 +201,17 @@ class RadialProfile:
             raise ValueError(f"radius beyond profile grid end {self.r[-1]!r}; no extrapolation")
         if np.any(radius < 0.0):
             raise ValueError("radius must be nonnegative")
-        p, r, v, dv = self.params, self.r, self.v, self.dv
-        x = np.clip(radius, r[0], r[-1])
-        i = np.clip(np.searchsorted(r, x, side="right") - 1, 0, len(r) - 2)
-        # the two knots of each interval along the first axis
-        k = np.stack((i, i + 1))
-        rk, vk, dvk = r[k], v[k], dv[k]
-        h = rk[1] - rk[0]
-        s = x - rk[0]
-        vpp = _vpp_array(p, rk, vk, dvk)
+        p, r = self.params, self.r
+        k, h, s = _interval(r, np.clip(radius, r[0], r[-1]))
+        rk, vk, dvk = r[k], self.v[k], self.dv[k]
+        rform = _power_pp(p.n, p.m, p.alpha, p.beta, 1.0)
+        A, B = rform.read(rk, vk, dvk, _vpp_array(p, rk, vk, dvk), h)
         v2 = second_derivative_at_origin(p)
         small = radius < r[0]
-        hermite = _quintic_hermite(h, s, vk, dvk, vpp)
-        out = np.where(small, p.eta + 0.5 * v2 * radius**2, hermite)
+        out = np.where(small, p.eta + 0.5 * v2 * radius**2, _evaluate(A, h, s))
         if not derivative:
             return float(out) if out.ndim == 0 else out
-        slope = _quintic_hermite(h, s, dvk, vpp, _vppp_array(p, rk, vk, dvk, vpp))
-        dout = np.where(small, v2 * radius, slope)
+        dout = np.where(small, v2 * radius, _evaluate(B, h, s))
         if out.ndim == 0:
             return float(out), float(dout)
         return out, dout
@@ -232,21 +222,74 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _quintic_hermite(h, s, y, d, dd):
-    """The quintic through (y, y', y'') = (y[0], d[0], dd[0]) and (y[1], d[1],
-    dd[1]) at the ends of an interval of length h, at offset s: the Taylor
-    quadratic of the left end plus t^3 (c3 + c4 t + c5 t^2), t = s/h, whose
-    coefficients make up what it misses of the right end's value, slope and
-    curvature."""
-    h2 = h * h
-    a = y[1] - y[0] - h * d[0] - 0.5 * h2 * dd[0]
-    b = h * (d[1] - d[0]) - h2 * dd[0]
-    c = 0.5 * h2 * (dd[1] - dd[0])
-    t = s / h
-    c3 = 10.0 * a - 4.0 * b + c
-    c4 = -15.0 * a + 7.0 * b - 2.0 * c
-    c5 = 6.0 * a - 3.0 * b + c
-    return y[0] + s * (d[0] + 0.5 * s * dd[0]) + t * t * t * (c3 + t * (c4 + t * c5))
+@cache
+def _hermite_matrices(K: int):
+    """binom(i, j), i, j < K, which carries the scaled derivatives of one end
+    to its Taylor polynomial's at the other; the integer inverse of
+    binom(k, j), j < K <= k < 2K; and the factorials j!, j < K."""
+    binom = np.array([[math.comb(k, j) for k in range(2 * K)] for j in range(K)], dtype=float)
+    return binom[:, :K], np.rint(np.linalg.inv(binom[:, K:])), np.cumprod([1.0, *range(1, K)])
+
+
+def _hermite(h, y) -> np.ndarray:
+    """The coefficients, along the first axis, of the Hermite of degree
+    2K - 1 through y[j] = (j-th derivative at the left end, at the right
+    end), j < K, on intervals of length h: the left end's Taylor polynomial
+    in s, then those of t^K .. t^(2K-1), t = s/h, which make up its misses."""
+    y = np.asarray(y, dtype=float)
+    K = len(y)
+    C, M, factorials = _hermite_matrices(K)
+    factorials = factorials.reshape((K,) + (1,) * np.ndim(h))
+    scale = np.ones((K,) + np.shape(h))  # h^j, by products: np.power is 3x slower
+    for j in range(1, K):
+        scale[j] = scale[j - 1] * h
+    taylor = y[:, 0] / factorials
+    return np.concatenate((taylor, M @ (y[:, 1] * scale / factorials - C @ (taylor * scale))))
+
+
+def _evaluate(coef, h, s):
+    """The polynomial of _hermite's coefficients (an array, or a list of
+    floats for float arithmetic) at offsets s, by Horner's rule in s and t."""
+    K, t = len(coef) // 2, s / h
+    value, correction = coef[K - 1], coef[-1]
+    for c in coef[K - 2::-1]:
+        value = c + s * value
+    for c in coef[-2:K - 1:-1]:
+        correction = c + t * correction
+    for _ in range(K):
+        correction = t * correction
+    return value + correction
+
+
+def _read(t, y, dy, ypp, h, derivatives=lambda *knots: ()):
+    """The _hermite coefficients of y and of y' on intervals of length h
+    from their knots (t, y, y', y'') and the higher derivatives: value_at's
+    rule, y from the Hermite through all but the last, y' from the one
+    through all but y; quintics in the profile equation, which gives y''',
+    nonics in the log-radius form, cubics for a plain callable."""
+    knots = (y, dy, ypp, *derivatives(t, y, dy, ypp))
+    return _hermite(h, knots[:-1]), _hermite(h, knots[1:])
+
+
+def _interval(t: np.ndarray, x):
+    """For x in [t[0], t[-1]]: the knots (i, i + 1) of the interval of t that
+    holds each, stacked, the interval's length and x's offset in it."""
+    i = np.searchsorted(t[1:-1], x, side="right")
+    k = np.stack((i, i + 1))
+    tk = t[k]
+    return k, tk[1] - tk[0], x - tk[0]
+
+
+def _fill(f, traj, x):
+    """(y, y') of a run of the right side f at the points x of [t[0], t[-1]],
+    stacked: a step point's state, and elsewhere the read that f.read gives
+    (_read) of the step that holds the point."""
+    k, h, s = _interval(traj.t, x)
+    out, inside = traj.y[:, k[0]], s != 0.0
+    k, h, s = k[:, inside], h[inside], s[inside]
+    A, B = getattr(f, "read", _read)(traj.t[k], *traj.y[:, k], traj.ypp[k], h)
+    out[:, inside] = _evaluate(A, h, s), _evaluate(B, h, s)
+    return out
 
 
 def _w(m: float, r, v):
@@ -277,24 +320,53 @@ class _Equation(NamedTuple):
     over the argument names (_ for one it does not read) and the named
     constants, the last of them an expression whose value is y''.  _rhs
     makes the function that evaluates it, and the generated step loops write
-    the same statements, in the same order, into every stage."""
+    the same statements, in the same order, into every stage.
+    derivatives(values, r, y, y', y'') gives y''' and the higher derivatives
+    from the equation on arrays, as many as its runs are read with (_read)."""
 
     name: str
     args: tuple[str, str, str]
     constants: tuple[str, ...]
     body: tuple[str, ...]
+    derivatives: Callable
+
+
+def _power_yppp(values, r, y, dy, ypp):
+    """(y''',) of the profile equation in y = v^gamma at _POWER's constants
+    (a, ga, e, n1, beta), on arrays of (r, y, y', y''): its right side
+    differentiated along the solution."""
+    a, ga, e, n1, beta = values
+    d = dy / y
+    source = (ga * (1.0 + e) + beta) * dy + beta * r * (e * dy * d + ypp)
+    return (n1 * (dy / r - ypp) / r + a * d * (2.0 * ypp - dy * d) - y**e * source / n1,)
+
+
+def _log_derivatives(values, s, W, Ws, Wpp):
+    """(W''', W'''', W''''') of the log-radius equation W'' = k d^2 - n2 d
+    - E g, d = W_s - 2, g = c + beta W_s, E = e^W inv_n1, at _LOG's constants,
+    on arrays of (s, W, W_s, W''), differentiated along the solution."""
+    k, n2, c, beta, inv_n1 = values
+    g, E, lin = c + beta * Ws, np.exp(W) * inv_n1, 2.0 * k * (Ws - 2.0) - n2
+    gb = g + beta * Ws
+    g1 = Ws * g + beta * Wpp  # (E g)' / E, as (E G)' = E (W_s G + G')
+    W3 = lin * Wpp - E * g1
+    dg1 = Wpp * gb + beta * W3
+    g2 = Ws * g1 + dg1  # (E g1)' / E
+    W4 = 2.0 * k * Wpp * Wpp + lin * W3 - E * g2
+    dg2 = Wpp * g1 + Ws * dg1 + W3 * gb + beta * (2.0 * Wpp * Wpp + W4)
+    return W3, W4, 6.0 * k * Wpp * W3 + lin * W4 - E * (Ws * g2 + dg2)
 
 
 # the profile equation in y = v^gamma.  At y <= 0 it is NaN, which makes the
 # error norm NaN, so the trial step is rejected instead of taking a complex power
 _POWER = _Equation("power", ("r", "y", "dy"), ("a", "ga", "e", "n1", "beta"), (
     "nan if y <= 0.0 else a * dy * dy / y - n1 * dy / r - (ga * y + beta * r * dy) * y**e / n1",
-))
+), _power_yppp)
 # the log-radius equation in W = log w~, s = log r (_log_wpp)
 _LOG = _Equation("log", ("_", "W", "Ws"), ("k", "n2", "c", "beta", "inv_n1"), (
     "d = Ws - 2.0",
     "k * (d * d) - n2 * d - exp(W) * (c + beta * Ws) * inv_n1",
-))
+), _log_derivatives)
 
 
 def _rhs(equation: _Equation, *values):
@@ -314,6 +386,7 @@ def _rhs(equation: _Equation, *values):
 
     f = _generated(equation.name, source)(*values)
     f.equation, f.values = equation, values
+    f.read = partial(_read, derivatives=partial(equation.derivatives, values))
     return f
 
 
@@ -340,19 +413,6 @@ def _vpp_array(params: SolitonParams, r: np.ndarray, v: np.ndarray, dv: np.ndarr
         -(m - 1.0) * dv * dv / v
         - (n - 1) * dv / r
         - (params.alpha * v + params.beta * r * dv) * v ** (1.0 - m) / (n - 1)
-    )
-
-
-def _vppp_array(params: SolitonParams, r, v, dv, vpp) -> np.ndarray:
-    """v''' of the profile equation on arrays of (r, v, v', v''): the
-    derivative of _vpp_array's right side along the solution."""
-    n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
-    d = dv / v
-    source = (alpha * (2.0 - m) + beta) * dv + beta * r * ((1.0 - m) * dv * d + vpp)
-    return (
-        (n - 1) * (dv / r - vpp) / r
-        + (1.0 - m) * d * (2.0 * vpp - dv * d)
-        - v ** (1.0 - m) * source / (n - 1)
     )
 
 
@@ -426,25 +486,22 @@ def _sparse(shape, rows) -> np.ndarray:
 
 class _Method(NamedTuple):
     """An explicit Runge-Kutta pair as _loop_source reads it.  Stage 0 is f
-    at the step's start; row `last` of a holds the weights b, and stage `last`
-    is f at the new point; later rows serve the dense output only.  error
-    sets err from sums {key}v, {key}d of the stages' y' and f parts under
-    weights[key]; dense maps the stages to the dense-output coefficients;
-    order is the error estimator's (the exponent is -1/(order + 1))."""
+    at the step's start; the last row of a holds the weights b, and the last
+    stage is f at the new point, y'' there, which the next step reuses and
+    the step record keeps.  error sets err from sums {key}v, {key}d of the
+    stages' y' and f parts under weights[key]; order is the error
+    estimator's (the exponent is -1/(order + 1))."""
 
     name: str
     a: np.ndarray
     c: np.ndarray
-    last: int
     order: int
     error: str
     weights: dict
-    dense: np.ndarray
 
 
-# Dormand & Prince (1980) 5(4) pair with Shampine's quartic dense output, the
-# error norm of scipy.integrate.RK45 (Hairer, Norsett & Wanner, Solving ODEs
-# I, II.4-II.6)
+# Dormand & Prince (1980) 5(4) pair with the error norm of scipy.integrate.RK45
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6)
 _DOPRI5 = _Method(
     "dopri5",
     _sparse((7, 7), {
@@ -456,27 +513,16 @@ _DOPRI5 = _Method(
         6: {0: 35 / 384, 2: 500 / 1113, 3: 125 / 192, 4: -2187 / 6784, 5: 11 / 84},
     }),
     np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1, 1]),
-    6,
     4,
     """ev = h * ({ev}) / sv
 ed = h * ({ed}) / sd
 err = sqrt(ev * ev + ed * ed) / 1.4142135623730951""",
     {"e": np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])},
-    np.array([
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]),
 )
 
-# Prince & Dormand's (1981) 8(5,3) pair with its 7th-order dense output, as
-# scipy.integrate.DOP853 holds it (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.10)
-_A853 = _sparse((16, 16), {
+# Prince & Dormand's (1981) 8(5,3) pair as scipy.integrate.DOP853 holds it
+# (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
+_A853 = _sparse((13, 13), {
     1: {0: 0.05260015195876773},
     2: {0: 0.0197250569845379, 1: 0.0591751709536137},
     3: {0: 0.02958758547680685, 2: 0.08876275643042054},
@@ -499,33 +545,6 @@ _A853 = _sparse((16, 16), {
     12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
         10: 0.20136540080403034, 11: 0.04471061572777259},
-    13: {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
-        8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
-        11: 0.007567897660545699, 12: -0.008298},
-    14: {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
-        7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
-        12: -0.00034046500868740456, 13: 0.1413124436746325},
-    15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599, 7: 4.06898981839711,
-        8: 0.3567271874552811, 12: -0.0013990241651590145, 13: 2.9475147891527724,
-        14: -9.15095847217987},
-})
-_D853 = _sparse((4, 16), {
-    0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917, 7: 2.38466765651207,
-        8: 2.117034582445028, 9: -0.871391583777973, 10: 2.2404374302607883,
-        11: 0.6315787787694688, 12: -0.08899033645133331, 13: 18.148505520854727,
-        14: -9.194632392478356, 15: -4.436036387594894},
-    1: {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028, 7: -374.5467547226902,
-        8: -22.113666853125306, 9: 7.733432668472264, 10: -30.674084731089398,
-        11: -9.332130526430229, 12: 15.697238121770845, 13: -31.139403219565178,
-        14: -9.35292435884448, 15: 35.81684148639408},
-    2: {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758, 7: 527.8081592054236,
-        8: -11.57390253995963, 9: 6.8812326946963, 10: -1.0006050966910838, 11: 0.7777137798053443,
-        12: -2.778205752353508, 13: -60.19669523126412, 14: 84.32040550667716,
-        15: 11.99229113618279},
-    3: {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455, 7: 357.6391179106141,
-        8: 93.40532418362432, 9: -37.45832313645163, 10: 104.0996495089623, 11: 29.8402934266605,
-        12: -43.53345659001114, 13: 96.32455395918828, 14: -39.17726167561544,
-        15: -149.72683625798564},
 })
 _E5_853 = np.array([
     0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
@@ -533,20 +552,14 @@ _E5_853 = np.array([
 ])
 _E3_853 = np.append(_A853[12, :12], 0.0)
 _E3_853[[0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
-# The dense output y_old + h sum_j (K P)_j x^(j+1), x = (r - t_old)/h, is
-# linear in the 16 stages K: scipy's F_0 = dy = h sum b_i k_i, F_1 = h k_0 - dy,
-# F_2 = 2 dy - h (k_0 + k_12) and F_3..F_6 = h D K, and the integer matrix
-# expands its nested x (F_0 + (1-x) (F_1 + x (F_2 + (1-x) (...)))) in powers of x
-_B16, (_K0, _K12) = _A853[12], np.eye(16)[[0, 12]]
 _DOP853 = _Method(
     "dop853",
     _A853,
     np.array([
         0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
         0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
-        1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+        1.0, 1.0,
     ]),
-    12,
     7,
     # scipy's h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) N) over the scaled fifth-
     # and third-order estimates of the N = 2 components
@@ -558,23 +571,15 @@ n5 = e5v * e5v + e5d * e5d
 n3 = e3v * e3v + e3d * e3d
 err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)""",
     {"e5": _E5_853, "e3": _E3_853},
-    (np.array([
-        [1, 1, 0, 0, 0, 0, 0],
-        [0, -1, 1, 1, 0, 0, 0],
-        [0, 0, -1, -2, 1, 1, 0],
-        [0, 0, 0, 1, -2, -3, 1],
-        [0, 0, 0, 0, 1, 3, -3],
-        [0, 0, 0, 0, 0, -1, 3],
-        [0, 0, 0, 0, 0, 0, -1],
-    ]) @ np.vstack((_B16, _K0 - _B16, 2.0 * _B16 - _K0 - _K12, _D853))).T,
 )
 
 # The step loop of every method and right side, with scipy's controller (safety
 # 0.9, factors in [0.2, 10], at most 1 after a rejection); _loop_source fills in
-# the stages, the error norm and the dense-only stages
+# the stages and the error norm.  Each accepted step records (t, y, y', h, y'')
+# at its new point, y'' the last stage
 _LOOP = """def loop(f, event, t, v, dv, fv, g, h_abs, r_end, rtol, atol{constants}):
     sqrt, ulp, exp, nan, budget = math.sqrt, math.ulp, math.exp, math.nan, STEP_BUDGET
-    record, pack = bytearray(), Struct("{width}d").pack
+    record, pack = bytearray(), Struct("5d").pack
     steps, av, adv = 0, abs(v), abs(dv)
     while True:
         min_step = 10 * ulp(t)
@@ -606,8 +611,8 @@ _LOOP = """def loop(f, event, t, v, dv, fv, g, h_abs, r_end, rtol, atol{constant
             rejected = True
         else:
             status = -1
-            break{dense}
-        record += pack(t_new, v_new, dv_new, h, {record})
+            break
+        record += pack(t_new, v_new, dv_new, h, f_new)
         steps += 1
         g_new = event(v_new, dv_new)
         if g <= 0.0 <= g_new:
@@ -643,7 +648,7 @@ def _apply(equation: _Equation | None, args, out: str) -> list[str]:
 def _loop_source(method: _Method, equation: _Equation | None) -> str:
     """The step loop of method, its stages calling f (equation None) or
     writing out equation's body."""
-    a, c, last = method.a, method.c.tolist(), method.last
+    a, c, last = method.a, method.c.tolist(), len(method.a) - 1
     names = [(f"k{i}v", f"k{i}d") for i in range(len(a))]
     names[0], names[last] = ("dv", "fv"), ("dv_new", "f_new")
     ys, fs = zip(*names)
@@ -666,9 +671,6 @@ def _loop_source(method: _Method, equation: _Equation | None) -> str:
         stages=block([line for i in range(1, last + 1) for line in stage(i)], 12),
         error=block(method.error.format(**sums).splitlines(), 12),
         exponent=-1 / (method.order + 1),
-        dense=block([line for i in range(last + 1, len(a)) for line in stage(i)], 8),
-        record=", ".join(ys + fs),
-        width=4 + 2 * len(a),
     )
 
 
@@ -689,18 +691,6 @@ def _generated(name: str, build):
     return _COMPILED[name]
 
 
-def _dense(t0, h, y0, q, r):
-    """Dense output y0 + h * sum_j q_j x^(j+1), x = (r - t0)/h, of one step,
-    summed in ascending powers; q holds the q_j along its first axis."""
-    x = (r - t0) / h
-    power = x
-    total = q[0] * x
-    for qj in q[1:]:
-        power = power * x
-        total = total + qj * power
-    return y0 + h * total
-
-
 _EPS = float(np.finfo(float).eps)
 _SQRT2 = 2**0.5
 
@@ -711,23 +701,16 @@ def _rms(a: float, b: float) -> float:
 
 
 class _Trajectory(NamedTuple):
-    """Accepted steps of a kernel run: radii t[i], states y[:, i] = (v, v');
-    step i starts at t[i], has size h[i] and dense-output coefficients
-    q[:, i] (2 x 4 on _dopri5, 2 x 7 on _dop853).  After an event, t[-1] and
-    y[:, -1] are the event's root, inside the last step."""
+    """Accepted steps of a kernel run: radii t[i], states y[:, i] = (y, y')
+    and y''[i] = ypp[i] from the equation; step i starts at t[i] and has
+    size h[i], and _fill reads the run between its steps.  After an event,
+    t[-1], y[:, -1] and ypp[-1] are the event's root, inside the last step."""
 
     status: int  # 0 reached r_end, 1 event fired, -1 step underflow, -2 over budget
     t: np.ndarray
     y: np.ndarray
     h: np.ndarray
-    q: np.ndarray
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """(2, len(r)) states at the radii r; a radius equal to t[i] is taken
-        from the step that ends there."""
-        seg = np.clip(np.searchsorted(self.t, r) - 1, 0, len(self.h) - 1)
-        q = np.moveaxis(self.q[:, seg], -1, 0)
-        return _dense(self.t[seg], self.h[seg], self.y[:, seg], q, r)
+    ypp: np.ndarray
 
 
 def _bracketed_root(fun, a: float, b: float) -> float:
@@ -762,27 +745,26 @@ def _initial_step(f, t, v, dv, fv, r_end, rtol, atol, order) -> float:
     return min(100 * h0, h1, r_end - t)
 
 
-def _trajectory(start, status, record, P, event) -> _Trajectory:
-    """The _Trajectory of a kernel's accepted steps from start = (t, v, v'):
-    record holds a row of floats per step, its new (t, v, v'), its size and
-    its stages, their v' components then their f ones, and P maps the stages
-    to the dense-output coefficients.  After an event the last point is moved
-    to the root on the last step's dense output."""
-    rows = np.frombuffer(record).reshape(-1, 4 + 2 * len(P))
-    q = (rows[:, 4:].reshape(-1, 2, len(P)) @ P).transpose(1, 0, 2)
-    ends = np.column_stack((start + (0.0,), rows[:, :4].T))
-    traj = _Trajectory(status, ends[0], ends[1:3], ends[3, 1:], q)
+def _trajectory(start, status, record, f, event) -> _Trajectory:
+    """The _Trajectory of a kernel's accepted steps from start = (t, v, v',
+    0, v''): record holds a row (t, v, v', h, v'') of floats per step.  After
+    an event the last point is moved to the root on the last step, read as
+    _fill reads it, and v'' there is f's."""
+    rows = np.frombuffer(record).reshape(-1, 5)
+    ends = np.column_stack((start, rows.T))
+    traj = _Trajectory(status, ends[0], ends[1:3], ends[3, 1:], ends[4])
     if status == 1:
-        # the last step read back as floats, so the bisection is scalar
-        (t_old, v_old, dv_old, _), (t_new, *_, h) = ends[:, -2:].T.tolist()
-        qv, qd = q[:, -1].tolist()
+        # the last step's polynomials as lists of floats, so the bisection is scalar
+        t, y, dy, _, ypp = ends[:, -2:]
+        (t_old, t_new), h = t.tolist(), float(t[1] - t[0])
+        A, B = (c.tolist() for c in getattr(f, "read", _read)(t, y, dy, ypp, h))
 
         def state(r):
-            return _dense(t_old, h, v_old, qv, r), _dense(t_old, h, dv_old, qd, r)
+            return _evaluate(A, h, r - t_old), _evaluate(B, h, r - t_old)
 
         root = _bracketed_root(lambda r: event(*state(r)), t_old, t_new)
-        traj.t[-1] = root
-        traj.y[:, -1] = state(root)
+        v, dv = state(root)
+        traj.t[-1], traj.y[:, -1], traj.ypp[-1] = root, (v, dv), f(root, v, dv)
     return traj
 
 
@@ -791,7 +773,7 @@ def _integrate(method: _Method, f, r0, y0, r_end, rtol, atol, event=lambda v, dv
     method's generated loop (with f's equation in its stages if f carries
     one), taking scipy's steps with scipy's operations in scipy's order.
     Stops early when the terminal event(v, v') goes from <= 0 to >= 0 across
-    an accepted step (its root on that step's dense output), when the step
+    an accepted step (its root on that step's Hermite), when the step
     size falls below 10 ulp(r), or after STEP_BUDGET accepted steps.  The
     inputs go through float() once: numpy scalars made a step 3x slower."""
     r_end, atol = float(r_end), float(atol)
@@ -805,7 +787,7 @@ def _integrate(method: _Method, f, r0, y0, r_end, rtol, atol, event=lambda v, dv
     name = f"{method.name} {equation.name if equation else 'call'}"
     loop = _generated(name, lambda: _loop_source(method, equation))
     run = loop(f, event, t, v, dv, fv, g, h_abs, r_end, rtol, atol, *getattr(f, "values", ()))
-    return _trajectory((t, v, dv), *run, method.dense, event)
+    return _trajectory((t, v, dv, 0.0, fv), *run, f, event)
 
 
 # Dormand-Prince 5(4) as scipy's RK45, Prince-Dormand 8(5,3) as its DOP853;
@@ -845,13 +827,13 @@ def solve_profile(
     """Integrate the profile equation from the series start to r_max, in the
     phases the module docstring describes, as the eta = 1 problem in r / l
     and v / eta scaled back.  The returned grid unions the accepted steps
-    with np.geomspace(r0, r_end) at POINTS_PER_DECADE, filled from dense
-    output, so geometry and quadratures work on stored points only.  atol is
-    absolute in v (default 1e-30 * eta): the kernel applies atol / eta to
-    both components of the eta = 1 state, so atol / l to v', and the
-    pressure phase scales it by P at the handoff.  The solver reports
-    whatever trajectory the initial data generates; it makes no uniqueness
-    claim.
+    with np.geomspace(r0, r_end) at POINTS_PER_DECADE, filled from each
+    phase's own steps (_fill), so geometry and quadratures work on stored
+    points only.  atol is absolute in v (default 1e-30 * eta): the kernel
+    applies atol / eta to both components of the eta = 1 state, so atol / l
+    to v', and the pressure phase scales it by P at the handoff.  r_max / r0
+    must be a finite float.  The solver reports whatever trajectory the
+    initial data generates; it makes no uniqueness claim.
     """
     _check_numerics(r_max=r_max, rtol=rtol, atol=atol, r0_scale=r0_scale)
     eta = params.eta
@@ -863,21 +845,17 @@ def solve_profile(
     length = _length_scale(params)
     if r0_scale * length >= r_max:
         raise ValueError(f"r0 = {r0_scale * length!r} must be below r_max = {r_max!r}")
+    if not math.isfinite(r_max / (r0_scale * length)):
+        raise ValueError(f"r_max = {r_max!r} is too far out: r_max / r0 is not a finite float")
     # the eta = 1 problem, in r / length and v / eta
     n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
     r_stop, tol = r_max / length, atol / eta
     log_tail = alpha > 0.0 and beta > 0.0 and 1.0 < r_stop
     pressure = _blowup_regime(params)
     switch = PRESSURE_SWITCH if pressure else BLOWUP_CAP
-    traj = _dopri5(
-        _power_pp(n, m, alpha, beta, 1.0),
-        r0_scale,
-        series_start(params.with_eta(1.0), r0_scale),
-        1.0 if log_tail else r_stop,
-        rtol,
-        tol,
-        lambda v, dv: v - switch,
-    )
+    rform = _power_pp(n, m, alpha, beta, 1.0)
+    traj = _dopri5(rform, r0_scale, series_start(params.with_eta(1.0), r0_scale),
+                   1.0 if log_tail else r_stop, rtol, tol, lambda v, dv: v - switch)
     code, steps, tail = traj.status, traj.t, None
     v_end, dv_end = traj.y[:, -1].tolist()
     if log_tail and code == 0:
@@ -885,10 +863,8 @@ def solve_profile(
         if start is None:
             code = -3  # a handoff state the log form cannot take
         else:
-            log_tol = LOG_TOL_FACTOR * rtol
-            tail = _log_kernel(params)(
-                _log_wpp(params), 0.0, start, math.log(r_stop), log_tol, log_tol
-            )
+            log_tol, tail_rhs = LOG_TOL_FACTOR * rtol, _log_wpp(params)
+            tail = _log_kernel(params)(tail_rhs, 0.0, start, math.log(r_stop), log_tol, log_tol)
             code = tail.status
             r_tail = np.exp(tail.t[1:])
             if code == 0:
@@ -899,16 +875,8 @@ def solve_profile(
         # from the last accepted step below the switch, not the event root
         r_h, gamma = float(steps[-2]), m - 1.0
         p_h, dp_h = _to_power(gamma, *traj.y[:, -2].tolist())
-        cap = BLOWUP_CAP**gamma
-        tail = _dopri5(
-            _power_pp(n, m, alpha, beta, gamma),
-            r_h,
-            (p_h, dp_h),
-            r_stop,
-            rtol,
-            tol * p_h,
-            lambda P, dP: cap - P,
-        )
+        cap, tail_rhs = BLOWUP_CAP**gamma, _power_pp(n, m, alpha, beta, gamma)
+        tail = _dopri5(tail_rhs, r_h, (p_h, dp_h), r_stop, rtol, tol * p_h, lambda P, dP: cap - P)
         code = tail.status
         steps = np.concatenate((steps[:-1], tail.t[1:]))
         v_end, dv_end = map(float, _from_power(gamma, *tail.y[:, -1]))
@@ -929,13 +897,17 @@ def solve_profile(
         # the pressure phase's steps shrink with r* - r; so does this fill
         lattices.append(r_end - _refinement(r_end - tail.t[-2], r_end - r_h)[1:-1])
     grid = _sorted_union(lattices)
+    # each phase from the Hermite of its own steps, in its own variable
     if tail is None:
-        v, dv = traj(grid)
+        v, dv = _fill(rform, traj, grid)
     else:
         head = int(np.searchsorted(grid, r_h, side="right"))
         r = grid[head:]
-        fill = _from_log(m, r, *tail(np.log(r))) if log_tail else _from_power(gamma, *tail(r))
-        v, dv = np.concatenate((traj(grid[:head]), fill), axis=1)
+        if log_tail:
+            fill = _from_log(m, r, *_fill(tail_rhs, tail, np.log(r)))
+        else:
+            fill = _from_power(gamma, *_fill(tail_rhs, tail, r))
+        v, dv = np.concatenate((_fill(rform, traj, grid[:head]), fill), axis=1)
 
     # defensive: truncate anything past a positivity loss
     bad = np.flatnonzero(v <= 0.0)

@@ -159,3 +159,35 @@ def test_report_json_shape(expand_params):
         assert set(rec) == {"name", "applicable", "margin", "location", "threshold", "ok"}
     # compact, with sorted keys, so the document is byte-stable
     assert yl.report_to_json(report) == json.dumps(doc, sort_keys=True)
+
+
+def test_verdict_fails_a_settled_contradiction():
+    # Fail needs the last decade's drift under a tenth of the gap to the
+    # target; a wider drift leaves the curve free to head for it
+    from yamabelab.analysis import LimitEstimate, _verdict
+
+    settled = LimitEstimate(value=2.0, tail_width=0.05, converged=False)
+    assert _verdict(1.0, settled, 2.0).verdict == "Fail"
+    drifting = LimitEstimate(value=2.0, tail_width=0.2, converged=False)
+    assert _verdict(1.0, drifting, 2.0).verdict == "Inconclusive"
+    assert _verdict(2.05, settled, 2.0).verdict == "Pass"
+
+
+def test_verify_fails_on_a_failed_verdict(expand_params, monkeypatch):
+    # the expanding run passes everything; against a target r v'/v it
+    # settled far from (-1 for -1.25, over a last-decade drift of 7e-4), that
+    # verdict is Fail, and so is the report, with every invariant ok
+    from dataclasses import replace
+
+    from yamabelab import analysis
+
+    real = analysis.predictions
+
+    def off_target(*args, **kwargs):
+        return replace(real(*args, **kwargs), rvp_over_v_limit=-1.0)
+
+    monkeypatch.setattr(analysis, "predictions", off_target)
+    report = yl.verify(expand_params)
+    assert report.verdicts["rvp_over_v"].verdict == "Fail"
+    assert all(rec.ok for rec in report.invariant_log)
+    assert report.overall == "Fail"

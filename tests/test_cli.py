@@ -347,3 +347,27 @@ def test_limit_columns_are_the_observed_limits():
     # the expanding run is the one that reports r2v2k too
     p = yl.make_params(n=3, m=0.2, beta=1.0, rho=-1.0, eta=1.0)
     assert tuple(yl.verify(p, r_max=1e3).observed) == LIMIT_COLUMNS
+
+
+def test_numeric_failures_exit_one(capsys):
+    # alpha > 0 > beta touches down: the solver stalls short of r_max
+    touchdown = ["--n", "3", "--m", "0.2", "--beta", "-2.5", "--alpha", "1", "--eta", "1"]
+    assert run(["geometry", *touchdown, "--r-max", "100"]) == 1
+    assert capsys.readouterr().err.startswith("solver stalled at r = ")
+    # verify raises RuntimeError on a run that is not Global
+    assert run(["verify", *touchdown]) == 1
+    assert capsys.readouterr().err.startswith("numeric failure: solver did not reach r_max")
+    # forward scaling at beta = -1 has alpha = -3.75 < 0: the profile blows up
+    assert run(["selfsim", "--kind", "forward", "--n", "3", "--m", "0.2", "--beta", "-1",
+                "--eta", "1", "--r-max", "100"]) == 1
+    assert capsys.readouterr().err.startswith("profile is not global (BlowUp at r = ")
+
+
+def test_malformed_numeric_setting_and_empty_list(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 3\nm = 0.2\nbeta = 1\nrho = 1\neta = 1\nrtol = tight\n")
+    assert run(["solve", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: rtol: expected a number, got 'tight'\n"
+    for value in (",", " , "):
+        assert run(["sweep", *SOLVE_FLAGS[:6], "--rho", value, "--eta", "1"]) == 2
+        assert capsys.readouterr().err == "error: rho: empty value\n"

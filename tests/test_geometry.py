@@ -207,6 +207,14 @@ def test_w_equation_defect_converges(shrink3_profile):
         yl.w_equation_defect(prof)
 
 
+def test_w_equation_defect_refuses_a_bad_span(shrink3_profile):
+    # equal ends made the spacing 0 and the defect 0/0 = NaN; reversed ends
+    # ran backwards and passed
+    for s_span in [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0)]:
+        with pytest.raises(ValueError, match="^s_span must be finite and increasing"):
+            yl.w_equation_defect(shrink3_profile, s_span=s_span)
+
+
 def test_w_equation_defect_reads_the_stored_profile(tmp_path, shrink3_profile):
     # one stored v near r = 10 off by 1e-6 shows in the defect, past C8's bound
     i = int(np.searchsorted(shrink3_profile.r, 10.0))
@@ -328,7 +336,12 @@ def test_w_log_dynamics_matches_solve_ivp(request, name):
     if s_stop is not None:
         assert ref.s[-1] == pytest.approx(s_stop, abs=1e-4)
     assert dyn.s[-1] == pytest.approx(ref.s[-1], rel=1e-12, abs=0.0)
-    assert np.max(np.abs(dyn.w_tilde / ref.w_tilde - 1.0)) <= 1e-12
+    # the continuation reads its steps by the nonic pair (profile_solver's
+    # _read), scipy by its 7th-order dense output, so they part by the
+    # latter's interpolation error, 3.8e-10 on shrink3.  On the same steps
+    # the nonic pair is the closer of the two to a tight reference
+    # (test_fill_and_roots_are_closer_than_scipys_dense_output)
+    assert np.max(np.abs(dyn.w_tilde / ref.w_tilde - 1.0)) <= 1e-9
 
     def sup_rel(a, b):
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
@@ -495,6 +508,27 @@ def test_pde_residual_rejects_a_step_that_is_not_positive(kind, fixture, request
     for h_r, h_t in [(0.0, 1e-2), (1e-2, 0.0), (-1e-2, 1e-2), (1e-2, math.nan), (math.inf, 1e-2)]:
         with pytest.raises(ValueError, match="must be positive and finite"):
             yl.pde_residual(spec, profile, r_pts, t_pts, h_r, h_t)
+
+
+@pytest.mark.parametrize("kind, fixture", _PDE_CASES)
+def test_pde_residual_rejects_bad_radii(kind, fixture, request):
+    # r = 0 divided by zero in the Laplacian and returned NaN; no radius at
+    # all failed in numpy's reshape
+    profile = request.getfixturevalue(fixture)
+    spec, t_pts = _spec(kind, profile), np.array([1.0])
+    for r_pts in ([], [0.0, 1.0], [-1.0, 1.0], [1.0, math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="^r_points must be"):
+            yl.pde_residual(spec, profile, np.array(r_pts), t_pts, 1e-2, 1e-2)
+
+
+def test_backward_scaling_needs_positive_alpha():
+    # Backward scaling's alpha = (2 beta + 1)/(1 - m) is 0 at beta = -1/2 and
+    # negative below it
+    for beta in (-0.5, -1.0):
+        params = yl.make_params(n=3, m=0.2, beta=beta, eta=1.0, rho=1.0)
+        assert params.alpha <= 0.0
+        with pytest.raises(ValueError, match="Backward scaling requires alpha > 0"):
+            yl.SelfSimilarSpec(kind="Backward", params=params, T=1.0)
 
 
 def test_pde_residual_zero_on_constant():
