@@ -24,8 +24,10 @@ named constants (_Equation); the generated stages write it out, so no stage
 pays a Python call, and a plain callable gets the same loop with stages
 that call it: the two take the same steps to the bit.  The kernels keep no
 dense output: each accepted step records (r, y, y', h, y''), y'' its last
-stage, and a run is read between its steps (_fill), and an event's root
-found, by value_at's rule in its own variable (_read).
+stage.  A run is read between its steps (_fill), and an event's root found
+(_bracketed_root), by value_at's rule in its own variable (_read): y''' and
+up from the equation once per knot (_chain), then at each point one set of
+two-point Hermite basis weights (_end) that y and y' share.
 
 The r-form runs from r0 up to the cap v = 1e12 (BLOWUP_CAP).  Two kinds of
 run hand it over (in the units of the eta = 1 problem):
@@ -191,9 +193,10 @@ class RadialProfile:
 
     def value_at(self, radius, derivative: bool = False):
         """v, or (v, v') with derivative=True, at any radii: the series below
-        r0, elsewhere the stored (v, v') read as r-form steps (_read), v'' and
-        v''' from the equation, so v' never divides differences of v by the
-        knot spacing.  Negative, non-finite and past-the-grid radii raise."""
+        r0, elsewhere the stored (v, v') read as r-form steps (_read) from
+        the two grid points around each radius, with v'' and v''' there from
+        the equation, so v' never divides differences of v by the knot
+        spacing.  Negative, non-finite and past-the-grid radii raise."""
         radius = np.asarray(radius, dtype=float)
         if not np.all(np.isfinite(radius)):
             raise ValueError("radius must be finite")
@@ -205,13 +208,13 @@ class RadialProfile:
         k, h, s = _interval(r, np.clip(radius, r[0], r[-1]))
         rk, vk, dvk = r[k], self.v[k], self.dv[k]
         rform = _power_pp(p.n, p.m, p.alpha, p.beta, 1.0)
-        A, B = rform.read(rk, vk, dvk, _vpp_array(p, rk, vk, dvk), h)
+        y, dy = _read(_chain(rform, rk, vk, dvk, _vpp_array(p, rk, vk, dvk)), h, s)
         v2 = second_derivative_at_origin(p)
         small = radius < r[0]
-        out = np.where(small, p.eta + 0.5 * v2 * radius**2, _evaluate(A, h, s))
+        out = np.where(small, p.eta + 0.5 * v2 * radius**2, y)
         if not derivative:
             return float(out) if out.ndim == 0 else out
-        dout = np.where(small, v2 * radius, _evaluate(B, h, s))
+        dout = np.where(small, v2 * radius, dy)
         if out.ndim == 0:
             return float(out), float(dout)
         return out, dout
@@ -222,53 +225,59 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@cache
-def _hermite_matrices(K: int):
-    """binom(i, j), i, j < K, which carries the scaled derivatives of one end
-    to its Taylor polynomial's at the other; the integer inverse of
-    binom(k, j), j < K <= k < 2K; and the factorials j!, j < K."""
-    binom = np.array([[math.comb(k, j) for k in range(2 * K)] for j in range(K)], dtype=float)
-    return binom[:, :K], np.rint(np.linalg.inv(binom[:, K:])), np.cumprod([1.0, *range(1, K)])
+def _end(K: int, x, far, d, start: int = 0) -> list:
+    """The weights of one end's y^(j), j = start .. K - 1, at points of
+    intervals of length h: with x and far = 1 - x the points' distances from
+    this end and from the other in units of h, and d their offset from this
+    end, (d^j / j!) far^K S_j(x), where S_j holds the first K - j terms of
+    (1 - x)^-K = sum_i binom(K - 1 + i, i) x^i.  Plain arithmetic, so it
+    takes floats and arrays alike, and an array's entries do not depend on
+    its size."""
+    sums = [1.0]  # S_(K-1) down to S_start
+    for i in range(1, K - start):
+        power = x if i == 1 else power * x
+        sums.append(sums[-1] + math.comb(K - 1 + i, i) * power)
+    scale = far  # far^K d^j / j!
+    for _ in range(K - 1):
+        scale = scale * far
+    weights = []
+    for j in range(K):
+        if j >= start:
+            weights.append(scale if j == K - 1 else scale * sums[K - 1 - j])
+        if j < K - 1:
+            scale = scale * d if j == 0 else scale * d / (j + 1)
+    return weights
 
 
-def _hermite(h, y) -> np.ndarray:
-    """The coefficients, along the first axis, of the Hermite of degree
-    2K - 1 through y[j] = (j-th derivative at the left end, at the right
-    end), j < K, on intervals of length h: the left end's Taylor polynomial
-    in s, then those of t^K .. t^(2K-1), t = s/h, which make up its misses."""
-    y = np.asarray(y, dtype=float)
-    K = len(y)
-    C, M, factorials = _hermite_matrices(K)
-    factorials = factorials.reshape((K,) + (1,) * np.ndim(h))
-    scale = np.ones((K,) + np.shape(h))  # h^j, by products: np.power is 3x slower
-    for j in range(1, K):
-        scale[j] = scale[j - 1] * h
-    taylor = y[:, 0] / factorials
-    return np.concatenate((taylor, M @ (y[:, 1] * scale / factorials - C @ (taylor * scale))))
+def _read(chain, h, s):
+    """(y, y') at offsets s on intervals of length h: value_at's rule.  chain
+    is (y, y', y'', ..) at the intervals' ends, K + 1 items, each indexed [0]
+    at the left end and [1] at the right; y is the two-point Hermite of
+    degree 2K - 1 through the first K of them, y' the one through the last
+    K.  Both are read through one set of basis weights (_end), as the left
+    end's value plus a sum in a fixed order, with y1 - y0 in place of y1 (the
+    left end's y0 has weight 1 - that of y1): exact at the left end and on a
+    constant, and a point reads the same bits in a call of any size.
+    Quintics in the profile equation, which gives y''', nonics in the
+    log-radius form, cubics for a plain callable."""
+    K, t = len(chain) - 1, s / h
+    u = 1.0 - t
+    right = _end(K, u, t, s - h)
+    weights = [w for pair in zip(_end(K, t, u, s, 1), right[1:]) for w in pair]
+
+    def hermite(c):
+        total = right[0] * (c[0][1] - c[0][0])
+        for w, end in zip(weights, (end for d in c[1:] for end in d)):
+            total = total + w * end
+        return c[0][0] + total
+
+    return hermite(chain[:K]), hermite(chain[1:])
 
 
-def _evaluate(coef, h, s):
-    """The polynomial of _hermite's coefficients (an array, or a list of
-    floats for float arithmetic) at offsets s, by Horner's rule in s and t."""
-    K, t = len(coef) // 2, s / h
-    value, correction = coef[K - 1], coef[-1]
-    for c in coef[K - 2::-1]:
-        value = c + s * value
-    for c in coef[-2:K - 1:-1]:
-        correction = c + t * correction
-    for _ in range(K):
-        correction = t * correction
-    return value + correction
-
-
-def _read(t, y, dy, ypp, h, derivatives=lambda *knots: ()):
-    """The _hermite coefficients of y and of y' on intervals of length h
-    from their knots (t, y, y', y'') and the higher derivatives: value_at's
-    rule, y from the Hermite through all but the last, y' from the one
-    through all but y; quintics in the profile equation, which gives y''',
-    nonics in the log-radius form, cubics for a plain callable."""
-    knots = (y, dy, ypp, *derivatives(t, y, dy, ypp))
-    return _hermite(h, knots[:-1]), _hermite(h, knots[1:])
+def _chain(f, t, y, dy, ypp) -> tuple:
+    """(y, y', y'', ..) at knots (t, y, y', y''): the higher derivatives from
+    f's equation (f.derivatives), none for a plain callable."""
+    return (y, dy, ypp, *getattr(f, "derivatives", lambda *knots: ())(t, y, dy, ypp))
 
 
 def _interval(t: np.ndarray, x):
@@ -281,15 +290,15 @@ def _interval(t: np.ndarray, x):
 
 
 def _fill(f, traj, x):
-    """(y, y') of a run of the right side f at the points x of [t[0], t[-1]],
-    stacked: a step point's state, and elsewhere the read that f.read gives
-    (_read) of the step that holds the point."""
+    """(y, y') of a run of the right side f at the points x of [t[0], t[-1]]:
+    each read (_read) on the step that holds it, from the derivative chain
+    (_chain) taken once per knot of the run.  A step point reads its state
+    to the bit."""
     k, h, s = _interval(traj.t, x)
-    out, inside = traj.y[:, k[0]], s != 0.0
-    k, h, s = k[:, inside], h[inside], s[inside]
-    A, B = getattr(f, "read", _read)(traj.t[k], *traj.y[:, k], traj.ypp[k], h)
-    out[:, inside] = _evaluate(A, h, s), _evaluate(B, h, s)
-    return out
+    chain = np.array(_chain(f, traj.t, *traj.y, traj.ypp))[:, k]
+    y, dy = _read(chain, h, s)
+    end = s == h  # the run's last knot, at the right end of its step
+    return np.where(end, chain[0, 1], y), np.where(end, chain[1, 1], dy)
 
 
 def _w(m: float, r, v):
@@ -386,7 +395,7 @@ def _rhs(equation: _Equation, *values):
 
     f = _generated(equation.name, source)(*values)
     f.equation, f.values = equation, values
-    f.read = partial(_read, derivatives=partial(equation.derivatives, values))
+    f.derivatives = partial(equation.derivatives, values)
     return f
 
 
@@ -703,8 +712,9 @@ def _rms(a: float, b: float) -> float:
 class _Trajectory(NamedTuple):
     """Accepted steps of a kernel run: radii t[i], states y[:, i] = (y, y')
     and y''[i] = ypp[i] from the equation; step i starts at t[i] and has
-    size h[i], and _fill reads the run between its steps.  After an event,
-    t[-1], y[:, -1] and ypp[-1] are the event's root, inside the last step."""
+    size h[i].  _fill reads the run between them, from these knots and the
+    higher derivatives _chain adds.  After an event, t[-1], y[:, -1] and
+    ypp[-1] are the event's root, inside the last step."""
 
     status: int  # 0 reached r_end, 1 event fired, -1 step underflow, -2 over budget
     t: np.ndarray
@@ -715,15 +725,26 @@ class _Trajectory(NamedTuple):
 
 def _bracketed_root(fun, a: float, b: float) -> float:
     """The end with the smaller |fun| of a bracket [a, b], fun(a) <= 0 <= fun(b),
-    bisected below 4 eps (1 + |b|), brentq's width at xtol = rtol = 4 eps."""
+    narrowed below 4 eps (1 + |b|), brentq's width at xtol = rtol = 4 eps.
+    Each trial is the secant through the ends by the Illinois rule (an end
+    kept twice in a row has its fun halved in the secant), held half that
+    width inside the bracket so that a trial next to the root closes it, or
+    the midpoint where the last two trials have not halved the bracket."""
     fa, fb = fun(a), fun(b)
-    while fa != 0.0 and fb != 0.0 and b - a > 4 * _EPS * (1.0 + abs(b)):
-        mid = a + 0.5 * (b - a)
-        fm = fun(mid)
-        if fm < 0.0:
-            a, fa = mid, fm
+    ga, gb, kept, widths = fa, fb, 0, [math.inf, math.inf]
+    while fa != 0.0 and fb != 0.0 and b - a > (tol := 4 * _EPS * (1.0 + abs(b))):
+        if b - a > 0.5 * widths[-2]:
+            x = a + 0.5 * (b - a)
+        else:  # a NaN secant takes the lower bound
+            x = max(a + 0.5 * tol, min(a + (b - a) * (ga / (ga - gb)), b - 0.5 * tol))
+        widths.append(b - a)
+        fx = fun(x)
+        if fx < 0.0:
+            gb *= 0.5 if kept > 0 else 1.0
+            a, fa, ga, kept = x, fx, fx, 1
         else:
-            b, fb = mid, fm
+            ga *= 0.5 if kept < 0 else 1.0
+            b, fb, gb, kept = x, fx, fx, -1
     return a if abs(fa) < abs(fb) else b
 
 
@@ -749,18 +770,18 @@ def _trajectory(start, status, record, f, event) -> _Trajectory:
     """The _Trajectory of a kernel's accepted steps from start = (t, v, v',
     0, v''): record holds a row (t, v, v', h, v'') of floats per step.  After
     an event the last point is moved to the root on the last step, read as
-    _fill reads it, and v'' there is f's."""
+    _fill reads it but in float arithmetic, and v'' there is f's."""
     rows = np.frombuffer(record).reshape(-1, 5)
     ends = np.column_stack((start, rows.T))
     traj = _Trajectory(status, ends[0], ends[1:3], ends[3, 1:], ends[4])
     if status == 1:
-        # the last step's polynomials as lists of floats, so the bisection is scalar
+        # the last step's chain as lists of floats, so the root search is scalar
         t, y, dy, _, ypp = ends[:, -2:]
         (t_old, t_new), h = t.tolist(), float(t[1] - t[0])
-        A, B = (c.tolist() for c in getattr(f, "read", _read)(t, y, dy, ypp, h))
+        chain = [c.tolist() for c in _chain(f, t, y, dy, ypp)]
 
         def state(r):
-            return _evaluate(A, h, r - t_old), _evaluate(B, h, r - t_old)
+            return _read(chain, h, r - t_old)
 
         root = _bracketed_root(lambda r: event(*state(r)), t_old, t_new)
         v, dv = state(root)
@@ -804,9 +825,16 @@ def _check_numerics(**values) -> None:
 
 
 def _refinement(lo: float, hi: float) -> np.ndarray:
-    """np.geomspace(lo, hi) at POINTS_PER_DECADE, both ends included."""
-    decades = max(np.log10(hi / lo), 1e-9)
-    return np.geomspace(lo, hi, max(int(np.ceil(decades * POINTS_PER_DECADE)), 2))
+    """np.geomspace(lo, hi) at POINTS_PER_DECADE, both ends included, bit
+    for bit: its float operations on positive ends, written out, which
+    skips its sign, complex and result_type handling."""
+    num = max(int(np.ceil(max(np.log10(hi / lo), 1e-9) * POINTS_PER_DECADE)), 2)
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    exponents = np.arange(num, dtype=float) * ((log_hi - log_lo) / (num - 1)) + log_lo
+    exponents[-1] = log_hi
+    lattice = np.power(10.0, exponents)
+    lattice[0], lattice[-1] = lo, hi
+    return lattice
 
 
 def _sorted_union(parts) -> np.ndarray:
@@ -1083,10 +1111,15 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
     _write_csv(path, PROFILE_CSV_HEADER, (profile.r, profile.v, profile.dv))
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _fields(record) -> dict:
     """A dataclass of plain values as a dict, one level deep: asdict would
-    deep-copy every value."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    deep-copy every value.  The field names are looked up once per class."""
+    return {name: getattr(record, name) for name in _field_names(type(record))}
 
 
 def _write_sidecar(profile: RadialProfile, path, **extra) -> None:

@@ -248,9 +248,26 @@ def test_value_at_matches_scipy_spline(request, name):
         vx, dvx = prof.value_at(x, derivative=True)
         assert prof.value_at(x) == vx
         worst = max(worst, _ulps(vx, spline(x)), _ulps(dvx, slope(x)))
-    # the Taylor-plus-correction form against scipy's Bernstein form: at
-    # most 5 ulp on these four profiles
+    # the read's basis weights against scipy's Bernstein form: at most 5
+    # ulp on these four profiles
     assert worst <= 6.0
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_read_is_the_two_point_hermite(K):
+    # cubics for a plain callable, quintics in y = v^gamma, nonics in the
+    # log-radius form: y through the first K of the chain, y' through the
+    # last K, against scipy's Bernstein form on random data
+    from scipy.interpolate import BPoly
+
+    rng = np.random.default_rng(K)
+    knots = np.sort(rng.uniform(0.0, 10.0, 12))
+    chain = rng.normal(size=(K + 1, 12))
+    x = np.concatenate((rng.uniform(knots[0], knots[-1], 500), knots[:-1]))
+    k, h, s = ps._interval(knots, x)
+    for got, data in zip(ps._read(chain[:, k], h, s), (chain[:K], chain[1:])):
+        ref = BPoly.from_derivatives(knots, data.T)(x)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_vppp_is_the_derivative_of_the_equation():
@@ -1088,12 +1105,12 @@ def test_blowup_radius_matches_scipy_event(alpha, beta):
 
 
 def _step_reads(f, traj, every):
-    """(t_old, t_new, v on the step as f.read reads it) for every so-many
-    steps of a run."""
+    """(t_old, t_new, v on the step as the run is read, in floats) for every
+    so-many steps of a run."""
     for k in range(0, len(traj.h), every):
         t, h = traj.t[k : k + 2], traj.h[k]
-        coef = f.read(t, *traj.y[:, k : k + 2], traj.ypp[k : k + 2], h)[0].tolist()
-        yield t[0], t[0] + h, lambda r, coef=coef, t0=t[0], h=h: ps._evaluate(coef, h, r - t0)
+        chain = [c.tolist() for c in ps._chain(f, t, *traj.y[:, k : k + 2], traj.ypp[k : k + 2])]
+        yield t[0], t[0] + h, lambda r, chain=chain, t0=t[0], h=h: ps._read(chain, h, r - t0)[0]
 
 
 @pytest.mark.parametrize(
@@ -1123,6 +1140,104 @@ def test_bracketed_root_matches_brentq(alpha, beta, rho):
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
         checked += 1
     assert checked >= 20
+
+
+def test_a_root_takes_at_most_15_reads(monkeypatch):
+    # both roots of each blow-up solve (the r-form's switch, the pressure's
+    # cap), and levels near either end and inside every step of a run where
+    # v is not flat to 1e-8: at most 15 reads of the step, the two ends
+    # included (bisection took 17-43 on the blow-up roots)
+    reads, real = [], ps._bracketed_root
+
+    def counting(fun, a, b):
+        reads.append(0)
+
+        def counted(r):
+            reads[-1] += 1
+            return fun(r)
+
+        return real(counted, a, b)
+
+    monkeypatch.setattr(ps, "_bracketed_root", counting)
+    for alpha in (-1.0, -4.0):
+        p = yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=alpha)
+        assert yl.solve_profile(p, r_max=100.0, rtol=1e-9).status.kind == "BlowUp"
+    assert len(reads) == 4
+    f = ps._power_pp(p.n, p.m, p.alpha, p.beta, 1.0)
+    cap = lambda v, dv: v - ps.BLOWUP_CAP
+    traj = ps._dopri5(f, 1e-6, yl.series_start(p, 1e-6), 100.0, 1e-9, 1e-30, cap)
+    for a, b, v_of in _step_reads(f, traj, 1):
+        if a < 1e-2 or abs(v_of(b) - v_of(a)) < 1e-8 * abs(v_of(a)):
+            continue
+        sign = 1.0 if v_of(b) > v_of(a) else -1.0
+        for fraction in (1e-9, 0.01, 0.37, 0.99, 1.0 - 1e-9):
+            level = v_of(a + fraction * (b - a))
+            ps._bracketed_root(lambda r: sign * (v_of(r) - level), a, b)
+    assert len(reads) > 100 and max(reads) <= 15
+
+
+@given(lo=st.floats(1e-300, 1e300), decades=st.floats(0.0, 300.0))
+@example(lo=1e-6, decades=0.0)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_refinement_is_geomspace_to_the_bit(lo, decades):
+    # _refinement writes out np.geomspace's float operations, at the number
+    # of points it draws for the pair
+    hi = lo * 10.0**decades
+    if not math.isfinite(hi):
+        return
+    num = max(int(np.ceil(max(np.log10(hi / lo), 1e-9) * ps.POINTS_PER_DECADE)), 2)
+    assert ps._refinement(lo, hi).tobytes() == np.geomspace(lo, hi, num).tobytes()
+
+
+def _recorded_runs(monkeypatch, solve):
+    """(f, trajectory) of every kernel run of solve()."""
+    runs = []
+    for name in ("_dopri5", "_dop853"):
+        def recording(f, *args, kernel=getattr(ps, name)):
+            runs.append((f, kernel(f, *args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(ps, name, recording)
+    solve()
+    return runs
+
+
+@pytest.mark.parametrize("case", ["shrink3", "blowup", "log_dynamics"])
+def test_fill_reads_each_knot_once_and_keeps_the_states(monkeypatch, case):
+    # the equation's higher derivatives are taken at no more knots than the
+    # run has, however many points are read, and every step point, the run's
+    # last included, reads the kernel's state to the bit
+    for f, traj in _recorded_runs(monkeypatch, _KERNEL_RUNS[case]):
+        knots, derivatives = [], f.derivatives
+
+        def counting(t, *rest, f=f):
+            knots.append(np.size(t))
+            return derivatives(t, *rest)
+
+        monkeypatch.setattr(f, "derivatives", counting)
+        x = np.sort(np.concatenate((traj.t, np.linspace(traj.t[0], traj.t[-1], 3000))))
+        ps._fill(f, traj, x)
+        assert sum(knots) <= len(traj.t)
+        y, dy = ps._fill(f, traj, traj.t)
+        assert y.tobytes() == traj.y[0].tobytes() and dy.tobytes() == traj.y[1].tobytes()
+
+
+def test_a_read_does_not_depend_on_the_calls_size(monkeypatch, shrink3_profile):
+    # a radius read alone gets the bits it gets inside a 1,500-radius call,
+    # by value_at and by _fill alike: the reads are sums in a fixed order,
+    # where a basis matmul may round a 1-wide product differently
+    rng = np.random.default_rng(7)
+    radii = np.sort(rng.uniform(shrink3_profile.r[0], shrink3_profile.r[-1], 1500))
+    picks = rng.choice(1500, 20, replace=False)
+    v, dv = shrink3_profile.value_at(radii, derivative=True)
+    for i in picks:
+        assert shrink3_profile.value_at(radii[i], derivative=True) == (v[i], dv[i])
+    for f, traj in _recorded_runs(monkeypatch, _KERNEL_RUNS["shrink3"]):
+        x = np.sort(rng.uniform(traj.t[0], traj.t[-1], 1500))
+        y, dy = ps._fill(f, traj, x)
+        for i in picks:
+            one = ps._fill(f, traj, x[i : i + 1])
+            assert (one[0][0], one[1][0]) == (y[i], dy[i])
 
 
 # One public call per case.  The conftest profiles, the touch-down stall, a
@@ -1276,7 +1391,7 @@ _KERNEL_PINS = {
                 121: ("0x1.5da3d9f7de43dp+1", "0x1.1bc9014fb3781p+2", "0x1.b7c4fd951f217p+3"),
                 241: ("0x1.840cf9c2c065bp+1", "0x1.8ecd47239fc9ep+6", "0x1.68b30a5fc4508p+12"),
             },
-            ("0x1.840eabf20e172p+1", "0x1.900000000022fp+6", "0x1.6ab099d135ec7p+12"),
+            ("0x1.840eabf20e16fp+1", "0x1.9000000000010p+6", "0x1.6ab099d135b3ep+12"),
         ),
         (
             43,
@@ -1286,7 +1401,7 @@ _KERNEL_PINS = {
                 21: ("0x1.86ba888fa58ddp+1", "0x1.f7eb981c2cee2p-13", "-0x1.386fb5997d89ep+0"),
                 42: ("0x1.86c0fbb496d06p+1", "0x1.27dfdd71981dap-32", "-0x1.389a62f3da692p+0"),
             },
-            ("0x1.86c0fbb49ee06p+1", "0x1.142f23f5fa299p-32", "-0x1.389a62f4143c7p+0"),
+            ("0x1.86c0fbb49ee05p+1", "0x1.142f4b0946881p-32", "-0x1.389a62f4143c0p+0"),
         ),
     ),
     "log_dynamics": (
@@ -1360,7 +1475,7 @@ def test_inlined_loop_takes_the_call_loops_steps(n, m_frac, alpha, beta, form, k
     def called(r, y, dy):
         return f(r, y, dy)
 
-    called.read = f.read
+    called.derivatives = f.derivatives
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ps, "STEP_BUDGET", 3000)
         runs = [getattr(ps, kernel)(g, r0, y0, r_end, 1e-9, 1e-12, event) for g in (f, called)]
