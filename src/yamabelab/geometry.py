@@ -61,7 +61,6 @@ from .profile_solver import (
     _check_numerics,
     _fill,
     _hermite_ends,
-    _hermite_weights,
     _log_kernel,
     _log_wpp,
     _vpp_array,
@@ -205,10 +204,10 @@ def _k0_quadrature(
     dL = ((1.0 + m) * (dq - lv) - (n - 1) * inv_r) * inv_r + c * dtau
     B = L * A + RR * (dL - D * vp / (n - 1)) + R_r * (mlv * D + 2.0 * R_r)
     g = P * RR
-    weights = _hermite_weights(np.diff(r))
-    dI = c * np.add(*_hermite_ends(weights, tau, dtau, ddtau))
+    dr = np.diff(r)
+    dI = c * np.add(*_hermite_ends(dr, tau, dtau, ddtau))
     # the rule's end shares of g, G' e^(-I) and G'' e^(-I) on each segment
-    left, right = _hermite_ends(weights, g, P * A, P * B)
+    left, right = _hermite_ends(dr, g, P * A, P * B)
     level = np.floor(np.cumsum(dI) / _K0_BLOCK_SPAN)
     starts = np.flatnonzero(np.diff(level, prepend=0.0)) + 1
     bounds = np.concatenate(([0], starts, [len(r)]))

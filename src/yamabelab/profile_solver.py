@@ -30,7 +30,7 @@ up from the equation once per knot (_chain), then at each point one set of
 two-point Hermite basis weights (_end) that y and y' share.
 
 The r-form runs from r0 up to the cap v = 1e12 (BLOWUP_CAP).  Two kinds of
-run hand it over (in the units of the eta = 1 problem):
+run hand it over at its last point r_h (in the units of the eta = 1 problem):
 
   * alpha > 0, beta > 0, when l lies below r_max: at r_h = l the autonomous
     equation of W = log w, w = r^2 v^(1-m), in s = log r (_log_wpp, any m)
@@ -41,8 +41,8 @@ run hand it over (in the units of the eta = 1 problem):
   * alpha < 0, beta <= 0 (Theorem 1's blow-up regime): near the blow-up
     radius v ~ (R_b - r)^(-1/(1-m)) holds the r-form's steps in proportion
     to the distance left, while P = v^-(1-m) goes smoothly to zero.  So from
-    the r-form's last accepted step below v = PRESSURE_SWITCH the same
-    equation at gamma = m - 1, in P, runs at atol times P there to the event
+    the r-form's event root v = PRESSURE_SWITCH, r_h, the same equation at
+    gamma = m - 1, in P, runs at atol times P there to the event
     P = BLOWUP_CAP^gamma: r* is still where v reaches the cap.  Its part of
     the grid adds points log-uniform in r* - r, as its steps shrink with it.
 
@@ -884,10 +884,11 @@ def solve_profile(
     rform = _power_pp(n, m, alpha, beta, 1.0)
     traj = _dopri5(rform, r0_scale, series_start(params.with_eta(1.0), r0_scale),
                    1.0 if log_tail else r_stop, rtol, tol, lambda v, dv: v - switch)
+    # both end phases start at the r-form's last point: l, or the root v = switch
     code, steps, tail = traj.status, traj.t, None
-    v_end, dv_end = traj.y[:, -1].tolist()
+    r_h, state = float(steps[-1]), traj.y[:, -1].tolist()
     if log_tail and code == 0:
-        r_h, start = 1.0, _log_start(m, 1.0, v_end, dv_end)
+        start = _log_start(m, r_h, *state)
         if start is None:
             code = -3  # a handoff state the log form cannot take
         else:
@@ -898,33 +899,21 @@ def solve_profile(
             if code == 0:
                 r_tail[-1] = r_stop
             steps = np.concatenate((steps, r_tail))
-            v_end, dv_end = map(float, _from_log(m, steps[-1], *tail.y[:, -1]))
     elif pressure and code == 1:
-        # from the last accepted step below the switch, not the event root
-        r_h, gamma = float(steps[-2]), m - 1.0
-        p_h, dp_h = _to_power(gamma, *traj.y[:, -2].tolist())
+        gamma = m - 1.0
+        p_h, dp_h = _to_power(gamma, *state)
         cap, tail_rhs = BLOWUP_CAP**gamma, _power_pp(n, m, alpha, beta, gamma)
         tail = _dopri5(tail_rhs, r_h, (p_h, dp_h), r_stop, rtol, tol * p_h, lambda P, dP: cap - P)
         code = tail.status
-        steps = np.concatenate((steps[:-1], tail.t[1:]))
-        v_end, dv_end = map(float, _from_power(gamma, *tail.y[:, -1]))
+        steps = np.concatenate((steps, tail.t[1:]))
 
     r_end = steps[-1]
-    if code == 1 or (code == -1 and dv_end > 0.0 and v_end > 1.0):
-        # the cap, or a controller stall while v was still climbing
-        status = ProfileStatus("BlowUp", float(length * r_end))
-    elif code == 0:
-        status = ProfileStatus("Global", float(r_max))
-    else:
-        # a stall without blow-up indicators, the step budget used up, or a
-        # handoff state that is not positive and finite
-        status = ProfileStatus("StepFailure", float(length * r_end))
-
     lattices = [steps, _refinement(r0_scale, r_end)]
     if tail is not None and not log_tail:
         # the pressure phase's steps shrink with r* - r; so does this fill
         lattices.append(r_end - _refinement(r_end - tail.t[-2], r_end - r_h)[1:-1])
     grid = _sorted_union(lattices)
+    at = np.searchsorted(grid, steps)  # the steps' rows
     # each phase from the Hermite of its own steps, in its own variable
     if tail is None:
         v, dv = _fill(rform, traj, grid)
@@ -932,22 +921,31 @@ def solve_profile(
         head = int(np.searchsorted(grid, r_h, side="right"))
         r = grid[head:]
         if log_tail:
-            fill = _from_log(m, r, *_fill(tail_rhs, tail, np.log(r)))
+            s = np.log(r)
+            s[at[len(traj.t):] - head] = tail.t[1:]  # each step at its own knot
+            fill = _from_log(m, r, *_fill(tail_rhs, tail, s))
         else:
             fill = _from_power(gamma, *_fill(tail_rhs, tail, r))
         v, dv = np.concatenate((_fill(rform, traj, grid[:head]), fill), axis=1)
 
-    # defensive: truncate anything past a positivity loss
+    # the ending, from the stored last state unless a positivity loss cuts it
     bad = np.flatnonzero(v <= 0.0)
     if bad.size:
         cut = bad[0]
         if cut < 10:
             raise RuntimeError("profile lost positivity immediately; inspect parameters")
         grid, v, dv = grid[:cut], v[:cut], dv[:cut]
-        status = ProfileStatus("StepFailure", float(length * grid[-1]))
+        kind = "StepFailure"
+    elif code == 1 or (code == -1 and dv[-1] > 0.0 and v[-1] > 1.0):
+        kind = "BlowUp"  # the cap, or a controller stall while v was still climbing
+    else:
+        # StepFailure: a stall without blow-up indicators, the step budget
+        # used up, or a handoff state that is not positive and finite
+        kind = "Global" if code == 0 else "StepFailure"
+    status = ProfileStatus(kind, float(r_max if kind == "Global" else length * grid[-1]))
 
     fill = np.ones(len(grid), dtype=bool)
-    fill[np.searchsorted(grid, steps[steps <= grid[-1]])] = False
+    fill[at[steps <= grid[-1]]] = False
     r = length * grid
     r[-1] = status.radius  # r_max / length * length can miss r_max by an ulp
     # a fill radius an ulp from an accepted step can round onto the step's
@@ -986,22 +984,15 @@ def _quintic_vpp(r: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return np.concatenate((ends[:1], mid, ends[1:]))
 
 
-def _hermite_weights(dr: np.ndarray):
-    """Weights (dr/2, dr^2/10, dr^3/120) of the quintic Hermite rule on
-    segments of lengths dr; _hermite_ends applies them."""
+def _hermite_ends(dr: np.ndarray, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
+    """The quintic Hermite rule on segments of lengths dr, as the shares of
+    each segment's two ends: the segment integral dr/2 (f0 + f1)
+    + dr^2/10 (f0' - f1') + dr^3/120 (f0'' + f1'') is left + right, left
+    from (f0, f0', f0'') and right from (f1, f1', f1'').  The rule
+    integrates the quintic Hermite through both ends, so it is exact for
+    quintics and O(h^6) per unit length given exact f' and f''."""
     h2 = dr * dr / 10.0
-    return 0.5 * dr, h2, h2 * dr / 12.0
-
-
-def _hermite_ends(weights, f: np.ndarray, df: np.ndarray, ddf: np.ndarray):
-    """The quintic Hermite rule on each segment of a grid, as the shares of
-    its two ends: with weights (h, h2, h3) = _hermite_weights(dr), the
-    segment integral dr/2 (f0 + f1) + dr^2/10 (f0' - f1')
-    + dr^3/120 (f0'' + f1'') is left + right, left from (f0, f0', f0'') and
-    right from (f1, f1', f1'').  The rule integrates the quintic Hermite
-    through both ends, so it is exact for quintics and O(h^6) per unit
-    length given exact f' and f''."""
-    h, h2, h3 = weights
+    h, h3 = 0.5 * dr, h2 * dr / 12.0
     return h * f[:-1] + h2 * df[:-1] + h3 * ddf[:-1], h * f[1:] - h2 * df[1:] + h3 * ddf[1:]
 
 
@@ -1019,12 +1010,12 @@ def residuals(profile: RadialProfile) -> ResidualReport:
         its steps lie 4-7x farther apart than _dopri5's, too far for the
         quintic through three of them.  Its steps are then checked by the
         integral identity only.
-      * a BlowUp profile in the blow-up regime, from l, or from the pressure
-        handoff (the last step point below PRESSURE_SWITCH * eta) if that
-        comes first, in P = v^-(1-m): P'' from the quintic through (P, P')
-        against the gamma = m - 1 equation, normalised by the sum of its terms'
-        magnitudes (_pressure_terms).  In v, across which v grows by orders
-        of magnitude, the last steps read up to 4.1e10; in P, 3.0e-8 or less.
+      * a BlowUp profile in the blow-up regime, from l, or from the last
+        step point below PRESSURE_SWITCH * eta (the handoff root or the step
+        before it) if that comes first, in P = v^-(1-m): P'' from the quintic
+        through (P, P') against the gamma = m - 1 equation, normalised by
+        the sum of its terms' magnitudes (_pressure_terms).  In v the last
+        steps read up to 1.9e9, in P 1.3e-7 or less.
 
     The integral defect tests
 
@@ -1066,8 +1057,8 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     den = np.abs(alpha * vs) + np.abs(beta * rs * dvs) + floor
     defect = np.abs(vpp_data - vpp_ode) / den
     if profile.status.kind == "BlowUp" and _blowup_regime(p):
-        # past the core r = l, or from the pressure handoff (the last step
-        # point below the switch) if that comes first, in P = v^-(1-m)
+        # past the core r = l, or from the last step point below the switch
+        # (at or just before the handoff) if that comes first, in P = v^-(1-m)
         handoff = np.flatnonzero(vs < PRESSURE_SWITCH * p.eta)[-1]
         k = min(int(np.count_nonzero(rs <= length)), int(handoff))
         P, dP = _to_power(m - 1.0, vs, dvs)
@@ -1082,7 +1073,7 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     rn2v, rn1dv = integrand / r, rn1 * dv
     slope = (n - 1) * rn2v + rn1dv
     curvature = (n - 1) * ((n - 2) * rn2v + 2.0 * rn1dv) / r + rn1 * vpp
-    left, right = _hermite_ends(_hermite_weights(np.diff(r)), integrand, slope, curvature)
+    left, right = _hermite_ends(np.diff(r), integrand, slope, curvature)
     v2 = second_derivative_at_origin(p)
     stub = p.eta * r[0] ** n / n + v2 * r[0] ** (n + 2) / (2 * (n + 2))
     integral = stub + np.concatenate(([0.0], np.cumsum(left + right)))

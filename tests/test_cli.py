@@ -236,6 +236,18 @@ def test_missing_and_malformed_parameters(tmp_path, capsys):
         assert err.startswith("error: invalid parameters: finite: ") and "alpha" not in err
 
 
+def test_certify_blowup_ending_before_the_blow_up(tmp_path, capsys):
+    # r_max below r* = 3.05: the solve ends Global, which certify-blowup
+    # reports and fails, and a sweep writes as a Global row that fails
+    flags = ["--n", "3", "--m", "0.2", "--alpha", "-1", "--beta", "-1", "--eta", "1",
+             "--r-max", "1"]
+    assert run(["certify-blowup", *flags]) == 1
+    assert capsys.readouterr().out.strip() == "Case2: no blow-up detected before r = 1 (Global)"
+    assert run(["sweep", *flags]) == 1
+    (row,) = csv.DictReader(open(tmp_path / "sweep.csv"))
+    assert (row["status"], row["overall"], row["error"]) == ("Global", "Fail", "")
+
+
 def test_sweep_grid(tmp_path, capsys):
     code = run(["sweep", "--n", "3", "--m", "0.2", "--beta", "1",
                 "--rho=-1,0", "--eta", "1", "--r-max", "150"])

@@ -72,18 +72,14 @@ def test_hermite_rule_is_exact_for_quintics():
     r = np.sort(rng.uniform(0.0, 1.0, 12))
     dr = np.diff(r)
     quintic = np.polynomial.Polynomial(rng.normal(size=6))
-    weights = ps._hermite_weights(dr)
-    left, right = ps._hermite_ends(weights, quintic(r), quintic.deriv()(r), quintic.deriv(2)(r))
+    left, right = ps._hermite_ends(dr, quintic(r), quintic.deriv()(r), quintic.deriv(2)(r))
     assert np.allclose(left + right, np.diff(quintic.integ()(r)), rtol=0.0, atol=1e-15)
     # on a degree-6 polynomial c6 x^6 + ... the segment error is exactly
     # c6 dr^7/140: it falls 128x per halving
     sextic = np.polynomial.Polynomial(rng.normal(size=7))
     for h in (0.4, 0.2, 0.1, 0.05):
         x = np.array([0.3, 0.3 + h])
-        ends = ps._hermite_ends(
-            ps._hermite_weights(np.diff(x)), sextic(x), sextic.deriv()(x), sextic.deriv(2)(x)
-        )
-        segment = np.add(*ends)
+        segment = np.add(*ps._hermite_ends(np.diff(x), sextic(x), sextic.deriv()(x), sextic.deriv(2)(x)))
         error = segment[0] - np.diff(sextic.integ()(x))[0]
         assert error == pytest.approx(sextic.coef[6] * h**7 / 140.0, rel=1e-4)
 
@@ -168,6 +164,13 @@ def test_ode_residual_is_pinned(request, name):
         prof = request.getfixturevalue(f"{name}_profile")
     got = yl.residuals(prof).max_ode_residual
     assert got == pytest.approx(_ODE_RESIDUAL_PINS[name], rel=1e-6, abs=0.0)
+
+
+def test_residuals_need_ten_grid_points(shrink3_params):
+    prof = yl.solve_profile(shrink3_params, r_max=1.1e-6, rtol=RTOL)
+    assert len(prof.r) == 5
+    with pytest.raises(ValueError, match="residuals need at least 10 grid points"):
+        yl.residuals(prof)
 
 
 def test_residuals_need_three_step_points(shrink3_params):
@@ -984,17 +987,18 @@ def test_fill_and_roots_are_closer_than_scipys_dense_output(monkeypatch, case):
 
 @pytest.mark.parametrize("alpha", [-1.0, -4.0])
 def test_blowup_residual_reads_the_pressure(alpha):
-    # past the core l = 1 the blow-up profile is read in P = v^-(1-m): its
-    # pressure steps read at most 3.0e-8 (alpha = -1) and 2.7e-8 (-4), and
-    # the maximum, 8.2e-8 and 4.0e-7, sits at r-form steps near the origin.
-    # In v every step read it 5.7e8 and 4.1e10
+    # past the core l = 1 the blow-up profile is read in P = v^-(1-m): the
+    # pressure steps read at most 7.5e-9 (alpha = -1) and 1.0e-8 (-4), the
+    # handoff root, 0.3% and 1% in v past the r-form's last step, 9.9e-8 and
+    # 1.3e-7, and the maximum, 9.9e-8 and 4.0e-7, sits at the root and at
+    # r-form steps near the origin.  In v every step read it 1.5e9 and 1.9e9
     p = yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=alpha)
     prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
     assert prof.status.kind == "BlowUp"
     clean = yl.residuals(prof).max_ode_residual
     assert clean < 1e-6
     # a 1 ppm bump on a pressure step an eighth of the way from the handoff
-    # to the cap reads 4.8e-5 and 6.1e-5 in P
+    # to the cap reads 5.2e-5 and 6.1e-5 in P
     si = prof.step_indices
     handoff = int(np.flatnonzero(prof.v[si] < ps.PRESSURE_SWITCH)[-1])
     bump = int(si[handoff + (len(si) - handoff) // 8])
@@ -1006,8 +1010,8 @@ def test_blowup_fill_radius_an_ulp_from_a_step(monkeypatch):
     # a pressure-phase fill radius one ulp below an accepted step of the
     # eta = 1 problem, where l = eta^((m-1)/2) maps both to one float: the
     # profile keeps the step and drops the fill.  l = 0.693 keeps the steps
-    # near r* = 3.05 in [2, 4), 0.693 ulp apart, and 17 of the pressure
-    # phase's 42 steps round together with their lower neighbour
+    # near r* = 3.05 in [2, 4), 0.693 ulp apart, and 12 of the pressure
+    # phase's 40 steps before the cap round together with their lower neighbour
     p = yl.make_params(n=3, m=0.2, alpha=-1.0, beta=-1.0, eta=2.5)
     length = _length_scale(p)
     trajs, below, kernel, refinement = [], [], ps._dopri5, ps._refinement
@@ -1032,7 +1036,8 @@ def test_blowup_fill_radius_an_ulp_from_a_step(monkeypatch):
     assert prof.status.kind == "BlowUp" and len(trajs) == 2 and below
     assert np.all(np.diff(prof.r) > 0.0)
     head, tail = trajs
-    steps = np.concatenate((head.t[:-1], tail.t[1:]))
+    # the pressure phase starts at the r-form's end point, its event root
+    steps = np.concatenate((head.t, tail.t[1:]))
     assert np.array_equal(prof.r[prof.step_indices], length * steps)
 
 
@@ -1081,23 +1086,27 @@ def _terminal(event, direction):
 @pytest.mark.parametrize("alpha, beta", list(_C7_POINTS.values()), ids=list(_C7_POINTS))
 def test_blowup_radius_matches_scipy_event(alpha, beta):
     # same method and controller, phase by phase (as _check_against_scipy
-    # for the log tail): scipy's RK45 on the r-form to the handoff, the last
-    # step below v = PRESSURE_SWITCH, and on the pressure equation from the
-    # state there to the cap.  RK45 on the r-form alone to the cap read up to
-    # 1.2e-11 from this two-phase radius (case3)
+    # for the log tail): scipy's RK45 on the r-form to the handoff, the root
+    # v = PRESSURE_SWITCH, and on the pressure equation from the state there
+    # to the cap.  RK45 on the r-form alone to the cap read up to 1.2e-11
+    # from this two-phase radius (case3)
     p = yl.make_params(n=3, m=0.2, beta=beta, eta=1.0, alpha=alpha)
     prof = yl.solve_profile(p, r_max=100.0, rtol=1e-9)
     assert prof.status.kind == "BlowUp"
     switch = _terminal(lambda r, y: y[0] - ps.PRESSURE_SWITCH, 1)
     near = _scipy_solve(prof, 100.0, "RK45", 1e-9, events=switch)
     assert near.status == 1
-    # after a terminal event solve_ivp ends on the root, so t[-2] is its last
-    # step; the two controllers' steps drift apart by about 1e-9 there
+    # after a terminal event solve_ivp ends on its root, so t[-2] is its last
+    # step; the two controllers' steps drift apart by about 1e-9 there.  The
+    # profile's root is the step point after that step, 2e-12 or less from
+    # scipy's, which scipy reads from its quartic dense output
     steps = prof.r[prof.step_indices]
-    r_h = steps[np.argmin(np.abs(steps - near.t[-2]))]
-    head = _scipy_solve(prof, r_h, "RK45", 1e-9)
-    v, dv = prof.value_at(r_h, derivative=True)
+    k = int(np.argmin(np.abs(steps - near.t[-2])))
+    head = _scipy_solve(prof, steps[k], "RK45", 1e-9)
+    v, dv = prof.value_at(steps[k], derivative=True)
     assert head.y[:, -1] == pytest.approx([v, dv], rel=1e-12, abs=0.0)
+    r_h = steps[k + 1]
+    assert r_h == pytest.approx(near.t[-1], rel=1e-11, abs=0.0)
     cap = _terminal(lambda r, y: y[0] - ps.BLOWUP_CAP ** (p.m - 1.0), -1)
     tail = _scipy_pressure_solve(prof, r_h, 100.0, "RK45", 1e-9, events=cap)
     assert tail.status == 1
@@ -1222,6 +1231,49 @@ def test_fill_reads_each_knot_once_and_keeps_the_states(monkeypatch, case):
         assert y.tobytes() == traj.y[0].tobytes() and dy.tobytes() == traj.y[1].tobytes()
 
 
+@pytest.mark.parametrize("case", ["shrink3", "shrink5", "steady", "expand", "blowup", "case1"])
+def test_each_step_point_stores_its_kernels_state(monkeypatch, case):
+    # every accepted step of every phase is stored as its kernel's state,
+    # mapped to (v, v'), to the bit: the r-form's as it is, the log tail's
+    # (W, W_s) by _from_log at the stored radius, the pressure's (P, P') by
+    # _from_power (eta = 1, so l = 1 and nothing is rescaled)
+    solve = _KERNEL_RUNS.get(case, lambda: yl.solve_profile(
+        yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=-4.0), r_max=100.0, rtol=RTOL))
+    profiles = []
+    (_, head), (_, tail) = _recorded_runs(monkeypatch, lambda: profiles.append(solve()))
+    (prof,) = profiles
+    m, si = prof.params.m, prof.step_indices
+    assert len(si) == len(head.t) + len(tail.t) - 1
+    tail_at = si[len(head.t):]
+    if prof.status.kind == "BlowUp":
+        assert prof.r[tail_at].tobytes() == tail.t[1:].tobytes()
+        expected = ps._from_power(m - 1.0, *tail.y[:, 1:])
+    else:
+        expected = ps._from_log(m, prof.r[tail_at], *tail.y[:, 1:])
+    assert prof.r[si[: len(head.t)]].tobytes() == head.t.tobytes()
+    assert prof.v[si].tobytes() == np.concatenate((head.y[0], expected[0])).tobytes()
+    assert prof.dv[si].tobytes() == np.concatenate((head.y[1], expected[1])).tobytes()
+
+
+@pytest.mark.parametrize("eta", [1.0, 2.5])
+def test_pressure_phase_starts_at_the_rform_root(monkeypatch, eta):
+    # one handoff for both end phases, the r-form's last point: in a blow-up
+    # its event root, where v = PRESSURE_SWITCH eta to within the root's
+    # width 4 eps (1 + |r|) times v', and a stored step point
+    p = yl.make_params(n=3, m=0.2, alpha=-1.0, beta=-1.0, eta=eta)
+    profiles = []
+    (_, head), (_, tail) = _recorded_runs(
+        monkeypatch, lambda: profiles.append(yl.solve_profile(p, r_max=100.0, rtol=RTOL)))
+    (prof,) = profiles
+    r_h, (v, dv) = head.t[-1], head.y[:, -1]
+    assert head.status == 1 and tail.t[0] == r_h
+    assert tail.y[:, 0].tolist() == list(ps._to_power(p.m - 1.0, float(v), float(dv)))
+    assert abs(v - ps.PRESSURE_SWITCH) <= dv * 4 * np.finfo(float).eps * (1.0 + r_h)
+    length = _length_scale(p)
+    i = prof.step_indices[len(head.t) - 1]
+    assert (prof.r[i], prof.v[i], prof.dv[i]) == (length * r_h, eta * v, eta / length * dv)
+
+
 def test_a_read_does_not_depend_on_the_calls_size(monkeypatch, shrink3_profile):
     # a radius read alone gets the bits it gets inside a 1,500-radius call,
     # by value_at and by _fill alike: the reads are sums in a fixed order,
@@ -1267,8 +1319,8 @@ _KERNEL_RUNS = {
 # run twice, the r-form to r_h = l = 1, then (s, W, W_s) from log r_h
 # to log R_MAX, on _dop853 for shrink3, shrink5 and steady and on _dopri5
 # for expand; log_dynamics (rho = 1) runs on _dop853.  So does the blow-up
-# run twice: the r-form up to its event v = 100, then (r, P, P') from the
-# step before it (point 241) up to the cap.
+# run twice: the r-form up to its event v = 100, then (r, P, P') from that
+# root, the r-form's end point, up to the cap.
 _KERNEL_PINS = {
     "shrink3": (
         (
@@ -1394,14 +1446,14 @@ _KERNEL_PINS = {
             ("0x1.840eabf20e16fp+1", "0x1.9000000000010p+6", "0x1.6ab099d135b3ep+12"),
         ),
         (
-            43,
+            41,
             1,
             {
-                1: ("0x1.846653e74269dp+1", "0x1.684d026be4ad6p-6", "-0x1.2c24491e5f1bdp+0"),
-                21: ("0x1.86ba888fa58ddp+1", "0x1.f7eb981c2cee2p-13", "-0x1.386fb5997d89ep+0"),
-                42: ("0x1.86c0fbb496d06p+1", "0x1.27dfdd71981dap-32", "-0x1.389a62f3da692p+0"),
+                1: ("0x1.8467f97de9867p+1", "0x1.6755db0a8b15cp-6", "-0x1.2c2c2111dde11p+0"),
+                20: ("0x1.86b7b7e38aa6bp+1", "0x1.69e4222d2dbd2p-12", "-0x1.385d995b20625p+0"),
+                40: ("0x1.86c0fbb44a245p+1", "0x1.e31b843e95560p-32", "-0x1.389a62f1b5c4ep+0"),
             },
-            ("0x1.86c0fbb49ee05p+1", "0x1.142f4b0946881p-32", "-0x1.389a62f4143c0p+0"),
+            ("0x1.86c0fbb49ede9p+1", "0x1.142f56aa34b06p-32", "-0x1.389a62f415b1ap+0"),
         ),
     ),
     "log_dynamics": (
