@@ -284,14 +284,13 @@ def verify(params: SolitonParams, r_max: float = 1e4, **numerics) -> AsymptoticR
     observed = estimate_limits(curves, profile)
     pred = predictions(params, strict=False)
 
-    sup = lambda a: float(np.max(np.abs(a)))
     pred_map = {
-        "w": (pred.w_limit, sup(curves.w)),
-        "R": (pred.R_limit, sup(curves.R)),
-        "K0": (pred.K0_limit, sup(curves.K0)),
-        "K1": (pred.K1_limit, sup(curves.K1)),
-        "rvp_over_v": (pred.rvp_over_v_limit, sup(profile.q)),
-        "w_over_logr": (pred.w_over_logr_limit, sup(curves.w)),
+        "w": (pred.w_limit, _sup(curves.w)),
+        "R": (pred.R_limit, _sup(curves.R)),
+        "K0": (pred.K0_limit, _sup(curves.K0)),
+        "K1": (pred.K1_limit, _sup(curves.K1)),
+        "rvp_over_v": (pred.rvp_over_v_limit, _sup(profile.q)),
+        "w_over_logr": (pred.w_over_logr_limit, _sup(curves.w)),
     }
     verdicts = {}
     for name, (target, scale) in pred_map.items():

@@ -18,8 +18,8 @@ shared by compute_geometry and the invariant battery.
 K1 is evaluated in compute_geometry in the algebraically identical factored
 form -(1-m) q (1 + (1-m) q / 4)/w, which avoids the 1-(1+x)^2 cancellation
 near the origin.  K0's numerator R_r is taken along the trajectory in
-_k0_trajectory (the v'' needed is substituted from the profile equation,
-profile_solver._vpp_array, which cancels beta), and a second, independent
+_k0_trajectory (the v'' needed comes from the profile equation, through
+the profile's r-form chain, which cancels beta), and a second, independent
 evaluation of R_r through its source-integral representation, _k0_quadrature,
 is recorded as a cross-check.  Its quintic Hermite rule takes the first and
 second derivatives in closed form and borrows R_r from the first route only
@@ -63,7 +63,6 @@ from .profile_solver import (
     _hermite_ends,
     _log_kernel,
     _log_wpp,
-    _vpp_array,
     _w_tilde,
     _write_csv,
 )
@@ -131,9 +130,8 @@ def _psi_s_and_R(params: SolitonParams, q: np.ndarray) -> tuple[np.ndarray, np.n
 def _k0_trajectory(profile: RadialProfile) -> np.ndarray:
     # K0 = -R_r/(2 beta r v^(1-m)); R_r = (1-m) beta (q'), and substituting
     # v'' from the equation cancels beta, leaving a formula finite at r -> 0.
-    r, v, dv = profile.r, profile.v, profile.dv
+    r, (v, dv, vpp) = profile.r, profile._rform_chain[:3]
     one_m = 1.0 - profile.params.m
-    vpp = _vpp_array(profile.params, r, v, dv)
     lv = dv / v
     return -one_m * (lv / r + vpp / v - lv * lv) / (2.0 * v**one_m)
 

@@ -24,15 +24,16 @@ named constants (_Equation); the generated stages write it out, so no stage
 pays a Python call, and a plain callable gets the same loop with stages
 that call it: the two take the same steps to the bit.  The kernels keep no
 dense output: each accepted step records (r, y, y', h, y''), y'' its last
-stage.  A run is read between its steps (_fill), and an event's root found
-(_bracketed_root), by value_at's rule in its own variable (_read): y''' and
+stage.  A run is read between its steps (_fill), a stored profile between
+its grid points (value_at), both by _read_at, and an event's root found
+(_bracketed_root), by one rule in the run's own variable (_read): y''' and
 up from the equation once per knot (_chain), then at each point one set of
 two-point Hermite basis weights (_end) that y and y' share.
 
 The r-form runs from r0 up to the cap v = 1e12 (BLOWUP_CAP).  Two kinds of
 run hand it over at its last point r_h (in the units of the eta = 1 problem):
 
-  * alpha > 0, beta > 0, when l lies below r_max: at r_h = l the autonomous
+  * alpha > 0, beta > 0, when r0 < l < r_max: at r_h = l the autonomous
     equation of W = log w, w = r^2 v^(1-m), in s = log r (_log_wpp, any m)
     carries the tail to log r_max at LOG_TOL_FACTOR * rtol.  The paper's
     limits are statements in s, and its power-law tails are smooth there.
@@ -47,13 +48,14 @@ run hand it over at its last point r_h (in the units of the eta = 1 problem):
     the grid adds points log-uniform in r* - r, as its steps shrink with it.
 
 Every other run (touch-down alpha > 0 > beta; alpha < 0 < beta; beta = 0
-with alpha >= 0) is the r-form alone.  The stored grid is the union of every
-phase's accepted steps and a log-uniform refinement at POINTS_PER_DECADE,
-each phase filled from its own steps (_fill).  The identity checks integrate
-over it with the quintic Hermite rule (_hermite_ends); the pointwise check
-takes v'' from the quintic through three points (_quintic_vpp).  value_at
-reads the stored (v, v') as the r-form's steps are read, v'' from the
-equation (_vpp_array).  Runs end in one of three statuses:
+with alpha >= 0; a series start at or past l) is the r-form alone.  The
+stored grid is the union of every phase's accepted steps and a log-uniform
+refinement at POINTS_PER_DECADE, each phase filled from its own steps
+(_fill).  value_at reads it as the r-form's steps are read, from one chain
+(v, v', v'', v''') per profile, which also gives the identity checks their
+v'' (_hermite_ends, the quintic Hermite rule); the pointwise check takes
+v'' from the quintic through three points (_quintic_vpp).  Runs end in one
+of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -130,8 +132,8 @@ class RadialProfile:
     of one length, at least 2; r finite, positive and strictly increasing,
     v positive, v' finite; integer step indices that start at 0, rise
     strictly and stay on the grid.  The arrays are the profile's own
-    read-only copies, and q and w are computed once, on first access;
-    nothing else is stored on the profile after construction.
+    read-only copies; q, w and the r-form chain on the grid are computed
+    once, on first access, and nothing else is stored after construction.
     """
 
     def __init__(
@@ -191,12 +193,22 @@ class RadialProfile:
         on first access."""
         return _frozen(_w(self.params.m, self.r, self.v))
 
+    @cached_property
+    def _rform_chain(self) -> np.ndarray:
+        """(v, v', v'', v''') on the grid, v'' and v''' from the profile
+        equation (_chain), computed on first access."""
+        p, r, v, dv = self.params, self.r, self.v, self.dv
+        rform = _power_pp(p.n, p.m, p.alpha, p.beta, 1.0)
+        a, alpha, e, n1, beta = rform.values
+        vpp = a * dv * dv / v - n1 * dv / r - (alpha * v + beta * r * dv) * v**e / n1
+        return _frozen(np.array(_chain(rform, r, v, dv, vpp)))
+
     def value_at(self, radius, derivative: bool = False):
         """v, or (v, v') with derivative=True, at any radii: the series below
-        r0, elsewhere the stored (v, v') read as r-form steps (_read) from
-        the two grid points around each radius, with v'' and v''' there from
-        the equation, so v' never divides differences of v by the knot
-        spacing.  Negative, non-finite and past-the-grid radii raise."""
+        r0, elsewhere the stored (v, v') read as r-form steps (_read_at) from
+        the chain at the two grid points around each radius, so v' never
+        divides differences of v by the knot spacing and a grid point reads
+        its own (v, v').  Negative, non-finite and past-the-grid radii raise."""
         radius = np.asarray(radius, dtype=float)
         if not np.all(np.isfinite(radius)):
             raise ValueError("radius must be finite")
@@ -205,19 +217,12 @@ class RadialProfile:
         if np.any(radius < 0.0):
             raise ValueError("radius must be nonnegative")
         p, r = self.params, self.r
-        k, h, s = _interval(r, np.clip(radius, r[0], r[-1]))
-        rk, vk, dvk = r[k], self.v[k], self.dv[k]
-        rform = _power_pp(p.n, p.m, p.alpha, p.beta, 1.0)
-        y, dy = _read(_chain(rform, rk, vk, dvk, _vpp_array(p, rk, vk, dvk)), h, s)
-        v2 = second_derivative_at_origin(p)
-        small = radius < r[0]
-        out = np.where(small, p.eta + 0.5 * v2 * radius**2, y)
-        if not derivative:
-            return float(out) if out.ndim == 0 else out
-        dout = np.where(small, v2 * radius, dy)
-        if out.ndim == 0:
-            return float(out), float(dout)
-        return out, dout
+        y, dy = _read_at(r, self._rform_chain, np.clip(radius, r[0], r[-1]))
+        v2, small = second_derivative_at_origin(p), radius < r[0]
+        out = np.where(small, p.eta + 0.5 * v2 * radius**2, y), np.where(small, v2 * radius, dy)
+        if radius.ndim == 0:
+            out = float(out[0]), float(out[1])
+        return out if derivative else out[0]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -280,25 +285,23 @@ def _chain(f, t, y, dy, ypp) -> tuple:
     return (y, dy, ypp, *getattr(f, "derivatives", lambda *knots: ())(t, y, dy, ypp))
 
 
-def _interval(t: np.ndarray, x):
-    """For x in [t[0], t[-1]]: the knots (i, i + 1) of the interval of t that
-    holds each, stacked, the interval's length and x's offset in it."""
+def _read_at(t: np.ndarray, chain: np.ndarray, x):
+    """(y, y') at the points x of [t[0], t[-1]] from chain, (y, y', y'', ..)
+    on the knots t: each read (_read) on the interval of t that holds it.  A
+    knot reads its state to the bit."""
     i = np.searchsorted(t[1:-1], x, side="right")
     k = np.stack((i, i + 1))
-    tk = t[k]
-    return k, tk[1] - tk[0], x - tk[0]
+    tk, chain = t[k], chain[:, k]
+    h, s = tk[1] - tk[0], x - tk[0]
+    y, dy = _read(chain, h, s)
+    end = s == h  # the last knot, at the right end of its interval
+    return np.where(end, chain[0, 1], y), np.where(end, chain[1, 1], dy)
 
 
 def _fill(f, traj, x):
-    """(y, y') of a run of the right side f at the points x of [t[0], t[-1]]:
-    each read (_read) on the step that holds it, from the derivative chain
-    (_chain) taken once per knot of the run.  A step point reads its state
-    to the bit."""
-    k, h, s = _interval(traj.t, x)
-    chain = np.array(_chain(f, traj.t, *traj.y, traj.ypp))[:, k]
-    y, dy = _read(chain, h, s)
-    end = s == h  # the run's last knot, at the right end of its step
-    return np.where(end, chain[0, 1], y), np.where(end, chain[1, 1], dy)
+    """(y, y') of a run of the right side f at the points x of [t[0], t[-1]],
+    read (_read_at) from the run's chain (_chain), taken once per step point."""
+    return _read_at(traj.t, np.array(_chain(f, traj.t, *traj.y, traj.ypp)), x)
 
 
 def _w(m: float, r, v):
@@ -413,16 +416,6 @@ def _pressure_terms(params: SolitonParams, r, P, dP) -> np.ndarray:
     one_m, n1 = 1.0 - params.m, params.n - 1
     source = np.full_like(P, one_m * params.alpha / n1)
     return np.stack((dP * dP / (one_m * P), -params.beta * r * dP / (n1 * P), -n1 * dP / r, source))
-
-
-def _vpp_array(params: SolitonParams, r: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """v'' of the profile equation on arrays of (r, v, v')."""
-    n, m = params.n, params.m
-    return (
-        -(m - 1.0) * dv * dv / v
-        - (n - 1) * dv / r
-        - (params.alpha * v + params.beta * r * dv) * v ** (1.0 - m) / (n - 1)
-    )
 
 
 def _w_tilde(m: float, r, v, dv):
@@ -860,8 +853,10 @@ def solve_profile(
     points only.  atol is absolute in v (default 1e-30 * eta): the kernel
     applies atol / eta to both components of the eta = 1 state, so atol / l
     to v', and the pressure phase scales it by P at the handoff.  r_max / r0
-    must be a finite float.  The solver reports whatever trajectory the
-    initial data generates; it makes no uniqueness claim.
+    must be a finite float, and the series start's first dropped term at
+    most rtol (relative to eta), or it raises ValueError.  The solver
+    reports whatever trajectory the initial data generates; it makes no
+    uniqueness claim.
     """
     _check_numerics(r_max=r_max, rtol=rtol, atol=atol, r0_scale=r0_scale)
     eta = params.eta
@@ -877,8 +872,16 @@ def solve_profile(
         raise ValueError(f"r_max = {r_max!r} is too far out: r_max / r0 is not a finite float")
     # the eta = 1 problem, in r / length and v / eta
     n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
+    # series_start's first dropped term b r0^4 over eta, the same at any eta;
+    # r0 does not scale with (alpha, beta) -> c (alpha, beta), so it grows as c^2
+    r2 = r0_scale * r0_scale  # r0_scale**4 could raise OverflowError
+    dropped = abs(alpha * (alpha * (m * n + 2 * m - 2 * n - 2) - 2 * beta * n)) * r2 * r2 / (
+        8 * n * n * (n - 1) ** 2 * (n + 2))
+    if dropped > rtol:
+        raise ValueError(f"r0_scale = {r0_scale!r} is too large: the series start drops a "
+                         f"term {dropped:.3g} of eta, above rtol = {rtol!r}")
     r_stop, tol = r_max / length, atol / eta
-    log_tail = alpha > 0.0 and beta > 0.0 and 1.0 < r_stop
+    log_tail = alpha > 0.0 and beta > 0.0 and r0_scale < 1.0 < r_stop
     pressure = _blowup_regime(params)
     switch = PRESSURE_SWITCH if pressure else BLOWUP_CAP
     rform = _power_pp(n, m, alpha, beta, 1.0)
@@ -1038,8 +1041,7 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     si = profile.step_indices
     if len(si) < 3:
         raise ValueError(f"residuals need at least 3 accepted step points, got {len(si)}")
-    vpp = _vpp_array(p, r, v, dv)
-    length, points = _length_scale(p), si
+    vpp, length, points = profile._rform_chain[2], _length_scale(p), si
     if _log_kernel(p) is _dop853:
         # the r-form's steps up to l, then the tail's lattice points
         lattice = np.ones(len(r), dtype=bool)

@@ -355,6 +355,30 @@ def test_sweep_verify_row_honours_r0_scale(tmp_path):
     assert scaled["w"].value != default["w"].value
 
 
+@pytest.mark.parametrize("r0_scale", ["1", "2"])
+def test_a_start_at_or_past_l_solves_and_sweeps(tmp_path, r0_scale):
+    # a series start at l = eta^((m-1)/2) ended in a ZeroDivisionError, past
+    # it in an IndexError: the r-form alone now carries the run
+    flags = ["--n", "3", "--m", "0.2", "--alpha", "1e-9", "--beta", "1", "--eta", "1",
+             "--r-max", "100", "--r0-scale", r0_scale]
+    assert run(["solve", *flags]) == 0
+    doc = json.loads((tmp_path / "profile.json").read_text())
+    assert doc["status"] == {"kind": "Global", "radius": 100.0}
+    assert run(["sweep", *flags]) == 0
+    [row] = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+    assert (row["status"], row["error"]) == ("Global", "")
+
+
+def test_a_series_start_past_rtol_is_a_usage_error(tmp_path, capsys):
+    # shrink3's series start at r0_scale 1 drops 0.084 of eta
+    assert run(["solve", *SOLVE_FLAGS, "--r-max", "100", "--r0-scale", "1"]) == 2
+    assert "r0_scale = 1.0 is too large" in capsys.readouterr().err
+    assert run(["sweep", *SOLVE_FLAGS, "--r-max", "100", "--r0-scale", "1"]) == 1
+    [row] = list(csv.DictReader(open(tmp_path / "sweep.csv")))
+    assert row["status"] == "Error"
+    assert row["error"].startswith("ValueError: r0_scale = 1.0 is too large")
+
+
 def test_limit_columns_are_the_observed_limits():
     # the expanding run is the one that reports r2v2k too
     p = yl.make_params(n=3, m=0.2, beta=1.0, rho=-1.0, eta=1.0)

@@ -83,7 +83,7 @@ def _exponent_steps(profile):
     p = profile.params
     m = p.m
     r, v, dv = profile.r, profile.v, profile.dv
-    vpp = ps._vpp_array(p, r, v, dv)
+    vpp = profile._rform_chain[2]
     f = r * v ** (1.0 - m)
     df = v ** (1.0 - m) + (1.0 - m) * r * v ** (-m) * dv
     ddf = (1.0 - m) * (
@@ -108,7 +108,7 @@ def _k0_quadrature_sequential(profile, R):
     p = profile.params
     n, m, beta, rho = p.n, p.m, p.beta, p.rho
     r, v, dv = profile.r, profile.v, profile.dv
-    vpp = ps._vpp_array(p, r, v, dv)
+    vpp = profile._rform_chain[2]
     RR, D = R * (R - rho), 2.0 * R - rho
     Q = v ** (1.0 + m) * RR / (n - 1)
     g = r ** (n - 1) * Q
@@ -235,10 +235,10 @@ def test_w_equation_defect_reads_the_stored_profile(tmp_path, shrink3_profile):
         again = [yl.w_equation_defect(rebuilt, num_points=num) for num in (1400, 2799)]
         assert [x.hex() for x in again] == [x.hex() for x in pair]
 
-    # the checks leave nothing on the profile but the cached q and w
+    # the checks leave nothing on the profile but the cached q, w and chain
     yl.compute_geometry(prof)
     yl.residuals(prof)
-    assert set(vars(prof)) == fields | {"q", "w"}
+    assert set(vars(prof)) == fields | {"q", "w", "_rform_chain"}
 
 
 def test_log_handoff_reads_the_profile_at_r_h(shrink3_params):

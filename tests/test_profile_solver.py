@@ -233,10 +233,7 @@ def test_value_at_matches_scipy_spline(request, name):
     prof = request.getfixturevalue(f"{name}_profile")
     # v is the quintic Hermite through (v, v', v''), v' the one through
     # (v', v'', v'''), v'' and v''' from the equation
-    vpp = ps._vpp_array(prof.params, prof.r, prof.v, prof.dv)
-    p = prof.params
-    values = ps._power_pp(p.n, p.m, p.alpha, p.beta, 1.0).values
-    (vppp,) = ps._power_yppp(values, prof.r, prof.v, prof.dv, vpp)
+    vpp, vppp = prof._rform_chain[2:]
     spline = BPoly.from_derivatives(prof.r, np.column_stack((prof.v, prof.dv, vpp)))
     slope = BPoly.from_derivatives(prof.r, np.column_stack((prof.dv, vpp, vppp)))
     rng = np.random.default_rng(7)
@@ -267,8 +264,7 @@ def test_read_is_the_two_point_hermite(K):
     knots = np.sort(rng.uniform(0.0, 10.0, 12))
     chain = rng.normal(size=(K + 1, 12))
     x = np.concatenate((rng.uniform(knots[0], knots[-1], 500), knots[:-1]))
-    k, h, s = ps._interval(knots, x)
-    for got, data in zip(ps._read(chain[:, k], h, s), (chain[:K], chain[1:])):
+    for got, data in zip(ps._read_at(knots, chain, x), (chain[:K], chain[1:])):
         ref = BPoly.from_derivatives(knots, data.T)(x)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -288,8 +284,8 @@ def test_vppp_is_the_derivative_of_the_equation():
             beta=rng.normal(), eta=1.0,
         )
         x, y, dy = rng.uniform(0.1, 10.0), rng.uniform(0.1, 2.0), rng.normal()
-        values = ps._power_pp(p.n, p.m, p.alpha, p.beta, 1.0).values
-        (got,) = ps._power_yppp(values, x, y, dy, ps._vpp_array(p, x, y, dy))
+        rform = ps._power_pp(p.n, p.m, p.alpha, p.beta, 1.0)
+        (got,) = ps._power_yppp(rform.values, x, y, dy, rform(x, y, dy))
         assert got == pytest.approx(exact(x, y, dy, p.n, p.m, p.alpha, p.beta), rel=1e-12)
 
 
@@ -734,20 +730,49 @@ def test_blowup_across_the_cone(n, m_frac, alpha, beta, log_eta):
     assert np.all(err <= [1e-8, 1e-7, 8e-7])
 
 
+_DECADE_POINTS = (
+    _params(3, 1.0, 1.0),
+    yl.make_params(n=3, m=0.2, alpha=-1.0, beta=-1.0, eta=1.0),
+    _params(5, 2.0, -1.2).with_eta(0.01),
+)
+
+
+def _decades(test):
+    """test at each point of _DECADE_POINTS and every decade of c up to 1e14."""
+    for p in _DECADE_POINTS:
+        for log_c in range(1, 15):
+            test = example(p=p, log_c=float(log_c))(test)
+    return test
+
+
 @given(p=_symmetry_point(), log_c=st.floats(min_value=-0.7, max_value=0.7))
 @settings(max_examples=25, deadline=None, derandomize=True)
+@_decades
 def test_alpha_beta_scaling(p, log_c):
     # (alpha, beta) -> c (alpha, beta) maps v(r) to v(sqrt(c) r).  r0 does not
     # scale with c, so the runs take different steps (worst of these 25
     # examples, 12 of them blow-ups: 5.3e-10 in v', 3.6e-14 in the blow-up
-    # radius)
+    # radius), and series_start's dropped term b r0^4 grows like c^2: past
+    # rtol the scaled run is refused (from c = 1e9 at these decade points),
+    # never silently off in v
     c = 10.0**log_c
     p_c = yl.make_params(n=p.n, m=p.m, alpha=c * p.alpha, beta=c * p.beta, eta=p.eta)
     lam = 1.0 / math.sqrt(c)
-    prof, prof_c, (v, dv), (v_c, dv_c) = _scaled_pair(p, p_c, lam)
+    try:
+        prof, prof_c, (v, dv), (v_c, dv_c) = _scaled_pair(p, p_c, lam)
+    except ValueError as err:
+        assert str(err).startswith("r0_scale = 1e-06 is too large") and c >= 1e9
+        return
     assert _rel(v_c, v) <= 1e-8
-    assert _rel(lam * dv_c, dv) <= 1e-8
     assert prof_c.status.kind == prof.status.kind
+    # v' = v''(0) r0 of the series start is off by 2 |b| r0^2 / |v''(0)/2|
+    # relatively, which grows like c and fades as (r0 / r)^n.  At c = 1e7 and
+    # 1e8 the scaled run's first read radii lie within 3.2 r0 of its start:
+    # v' reads 1.7e-7 and 5.4e-5 off at shrink3, and r* moves by 1.8e-12 and
+    # 1.8e-10 on the blow-up.  The refusal bounds v only
+    if c >= 1e7:
+        return
+    assert _rel(lam * dv_c, dv) <= 1e-8
     if prof.status.kind == "BlowUp":
         assert prof_c.status.radius == pytest.approx(lam * prof.status.radius, rel=1e-12, abs=0.0)
 
@@ -799,6 +824,29 @@ def test_log_tail_only_for_positive_alpha_and_beta(monkeypatch, params, r_max, k
         # the handoff radius is a step point of both phases
         r_h = params.eta ** ((params.m - 1.0) / 2.0)
         assert r_h in prof.r[prof.step_indices]
+
+
+@pytest.mark.parametrize("r0_scale", [1.0, 2.0])
+def test_a_start_at_or_past_l_runs_the_rform_alone(monkeypatch, r0_scale):
+    # the log tail takes over at l = eta^((m-1)/2) only from a series start
+    # below it: the r-form from l to l raised ZeroDivisionError, and a tail
+    # past l read a one-knot r-form run (IndexError)
+    runs = _recording_kernels(monkeypatch)
+    p = yl.make_params(n=3, m=0.2, alpha=1e-9, beta=1.0, eta=1.0)
+    prof = yl.solve_profile(p, r_max=100.0, r0_scale=r0_scale)
+    assert [name for name, _ in runs] == ["_dopri5"]
+    assert prof.status == yl.ProfileStatus("Global", 100.0)
+    assert prof.r0 == r0_scale
+
+
+def test_a_series_start_past_rtol_is_refused(shrink3_params):
+    # series_start drops b r0^4, 0.084 r0_scale^4 of eta at shrink3: 8.4e-10
+    # at r0_scale 1e-2, 1.2e-9 at 1.1e-2
+    assert yl.solve_profile(shrink3_params, r_max=100.0, r0_scale=1e-2).status.kind == "Global"
+    assert yl.solve_profile(shrink3_params, r_max=100.0, rtol=1e-8, r0_scale=1.1e-2).status.kind == "Global"
+    for r0_scale in (1.1e-2, 1.0, 2.0):
+        with pytest.raises(ValueError, match=f"^r0_scale = {r0_scale!r} is too large"):
+            yl.solve_profile(shrink3_params, r_max=100.0, r0_scale=r0_scale)
 
 
 def _recording_kernels(monkeypatch):
@@ -1290,6 +1338,46 @@ def test_a_read_does_not_depend_on_the_calls_size(monkeypatch, shrink3_profile):
         for i in picks:
             one = ps._fill(f, traj, x[i : i + 1])
             assert (one[0][0], one[1][0]) == (y[i], dy[i])
+
+
+_C7_RUNS = {
+    f"c7-alpha{alpha:g}": (yl.make_params(n=3, m=0.2, beta=-1.0, eta=1.0, alpha=alpha), 100.0)
+    for alpha in (-1.0, -4.0)
+}
+
+
+@pytest.mark.parametrize("case", ["shrink3", "shrink5", "steady", "expand", *_C7_RUNS, "eta12.5"])
+def test_value_at_returns_every_stored_knot(request, case):
+    # every grid point, the last included, reads its stored (v, v') to the
+    # bit, in one call and alone
+    if case in _C7_RUNS:
+        p, r_max = _C7_RUNS[case]
+        prof = yl.solve_profile(p, r_max=r_max, rtol=RTOL)
+    elif case == "eta12.5":
+        prof = yl.solve_profile(_params(5, 1.0, 1.0).with_eta(12.5), r_max=R_MAX, rtol=RTOL)
+    else:
+        prof = request.getfixturevalue(f"{case}_profile")
+    v, dv = prof.value_at(prof.r, derivative=True)
+    assert v.tobytes() == prof.v.tobytes()
+    assert dv.tobytes() == prof.dv.tobytes()
+    for i in (0, len(prof.r) // 2, len(prof.r) - 1):
+        assert prof.value_at(prof.r[i], derivative=True) == (prof.v[i], prof.dv[i])
+
+
+def test_a_profile_takes_its_chain_once(monkeypatch, shrink3_params):
+    # v'' and v''' of a stored profile come from one chain over its grid,
+    # taken on first use: value_at (scalar and array), geometry and the
+    # residuals all read it
+    prof = yl.solve_profile(shrink3_params, r_max=1e3, rtol=RTOL)
+    calls = []
+    chain = ps._chain
+    monkeypatch.setattr(ps, "_chain", lambda f, t, *knots: calls.append(np.shape(t)) or chain(f, t, *knots))
+    prof.value_at(5.0)
+    prof.value_at(np.geomspace(1e-3, 900.0, 1400), derivative=True)
+    yl.compute_geometry(prof)
+    yl.residuals(prof)
+    prof.value_at(0.5, derivative=True)
+    assert calls == [prof.r.shape]
 
 
 # One public call per case.  The conftest profiles, the touch-down stall, a
