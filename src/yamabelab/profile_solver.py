@@ -218,11 +218,15 @@ class RadialProfile:
             raise ValueError("radius must be nonnegative")
         p, r = self.params, self.r
         y, dy = _read_at(r, self._rform_chain, np.clip(radius, r[0], r[-1]))
-        v2, small = second_derivative_at_origin(p), radius < r[0]
-        out = np.where(small, p.eta + 0.5 * v2 * radius**2, y), np.where(small, v2 * radius, dy)
-        if radius.ndim == 0:
-            out = float(out[0]), float(out[1])
-        return out if derivative else out[0]
+        v2 = second_derivative_at_origin(p)
+        small = radius < r[0]
+        out = np.where(small, p.eta + 0.5 * v2 * radius**2, y)
+        if not derivative:
+            return float(out) if out.ndim == 0 else out
+        dout = np.where(small, v2 * radius, dy)
+        if out.ndim == 0:
+            return float(out), float(dout)
+        return out, dout
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -291,8 +295,9 @@ def _read_at(t: np.ndarray, chain: np.ndarray, x):
     knot reads its state to the bit."""
     i = np.searchsorted(t[1:-1], x, side="right")
     k = np.stack((i, i + 1))
-    tk, chain = t[k], chain[:, k]
+    tk = t[k]
     h, s = tk[1] - tk[0], x - tk[0]
+    chain = chain[:, k]
     y, dy = _read(chain, h, s)
     end = s == h  # the last knot, at the right end of its interval
     return np.where(end, chain[0, 1], y), np.where(end, chain[1, 1], dy)
@@ -1009,10 +1014,10 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     by |alpha v| + |beta r v'| plus a small floor.  Two kinds of profile are
     read elsewhere past the core r = l = eta^((m-1)/2):
 
-      * a log tail on _dop853 (_log_kernel) at its refinement lattice points:
-        its steps lie 4-7x farther apart than _dopri5's, too far for the
-        quintic through three of them.  Its steps are then checked by the
-        integral identity only.
+      * a log tail on _dop853 (_log_kernel; a start r0 < l has one) at its
+        refinement lattice points: its steps lie 4-7x farther apart than
+        _dopri5's, too far for the quintic through three of them.  Its steps
+        are then checked by the integral identity only.
       * a BlowUp profile in the blow-up regime, from l, or from the last
         step point below PRESSURE_SWITCH * eta (the handoff root or the step
         before it) if that comes first, in P = v^-(1-m): P'' from the quintic
@@ -1041,8 +1046,9 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     si = profile.step_indices
     if len(si) < 3:
         raise ValueError(f"residuals need at least 3 accepted step points, got {len(si)}")
-    vpp, length, points = profile._rform_chain[2], _length_scale(p), si
-    if _log_kernel(p) is _dop853:
+    vpp = profile._rform_chain[2]
+    length, points = _length_scale(p), si
+    if _log_kernel(p) is _dop853 and r[0] < length:
         # the r-form's steps up to l, then the tail's lattice points
         lattice = np.ones(len(r), dtype=bool)
         lattice[si] = False
