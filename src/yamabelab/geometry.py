@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_params import SolitonParams, _require_soliton, _soliton_alpha
+from .core_params import SolitonParams, _length_scale, _require_soliton, _soliton_alpha
 from .profile_solver import (
     RadialProfile,
     _check_numerics,
@@ -63,6 +63,8 @@ from .profile_solver import (
     _hermite_ends,
     _log_kernel,
     _log_wpp,
+    _SERIES_TERMS,
+    _series,
     _w_tilde,
     _write_csv,
 )
@@ -136,6 +138,45 @@ def _k0_trajectory(profile: RadialProfile) -> np.ndarray:
     return -one_m * (lv / r + vpp / v - lv * lv) / (2.0 * v**one_m)
 
 
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], from the eigenvectors of
+    the Jacobi matrix of the Legendre recurrence (Golub-Welsch)."""
+    k = np.arange(1.0, count)
+    x, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return 0.5 * (1.0 + x), vectors[0] ** 2
+
+
+# the nodes of _k0_stub's integrals over [0, r0]: 12 hold J(r0) within
+# 4.2e-15 of 40 at r0 = l / 2, n = 3..8
+_GAUSS_NODES, _GAUSS_WEIGHTS = _gauss_legendre(12)
+# the stub's radii over r0, the nodes t and then t_i t_j for each [0, z_i],
+# and their powers t^(2k): the series at them is one product with its terms
+_GAUSS_RADII = np.concatenate((_GAUSS_NODES, np.outer(_GAUSS_NODES, _GAUSS_NODES).ravel()))
+_GAUSS_POWERS = _GAUSS_RADII[:, None] ** (2.0 * np.arange(_SERIES_TERMS))
+
+
+def _k0_stub(profile: RadialProfile) -> float:
+    """J(r0) = int_0^r0 z^(n-1) Q(z) e^(I(z) - I(r0)) dz of _k0_quadrature
+    from the origin series: Gauss-Legendre nodes z on [0, r0] for J, and on
+    each [0, z] for I(z).  Q's R comes from the series' q = r v'/v, so the
+    stub borrows nothing from the trajectory route."""
+    p = profile.params
+    n, m, r0 = p.n, p.m, profile.r0
+    weights, k, order = _GAUSS_WEIGHTS, len(_GAUSS_WEIGHTS), np.arange(_SERIES_TERMS)
+    # the series' terms at r0, c_k (r0 / l)^(2k): v / eta and r v' / eta
+    # at t r0 are the powers t^(2k) times these and 2k times these
+    terms = np.array(_series(p)[:_SERIES_TERMS]) * ((r0 / _length_scale(p)) ** 2) ** order
+    series = _GAUSS_POWERS @ terms
+    q = _GAUSS_POWERS[:k] @ (2.0 * order * terms) / series[:k]
+    radii, z, v = r0 * _GAUSS_RADII, r0 * _GAUSS_NODES, p.eta * series
+    tau = radii * v ** (1.0 - m)
+    # I(z) on the rows of nested nodes, and I(r0) on the nodes z themselves
+    I = p.beta / (n - 1) * np.append(z, r0) * (np.vstack((tau[k:].reshape(k, k), tau[:k])) @ weights)
+    v, R = v[:k], _psi_s_and_R(p, q)[1]
+    g = z ** (n - 1) * v ** (1.0 + m) * R * (R - p.rho) / (n - 1)
+    return float(r0 * (weights @ (g * np.exp(I[:k] - I[k]))))
+
+
 def _k0_quadrature(
     profile: RadialProfile, w: np.ndarray, R: np.ndarray, K0: np.ndarray
 ) -> np.ndarray:
@@ -157,8 +198,9 @@ def _k0_quadrature(
     I(r) = beta/(n-1) int_0^r tau v^(1-m) dtau.
 
     Both integrals use the quintic Hermite rule (profile_solver's
-    _hermite_ends, exact for quintics); the first segment of J uses the
-    analytic r^n/n stub.  The derivatives come in closed form:
+    _hermite_ends, exact for quintics) over the grid, from J(r0) of the
+    origin series (_k0_stub; r0 g(r0) / n is off by O(r0^2), 5% at n = 3,
+    beta = rho = 1 and r0 = l / 2).  The derivatives come in closed form:
     tau' = v^(1-m) (1 + (1-m) q) and tau'' = (1-m) (tau' v'/v + v^(1-m) q')
     for tau = r v^(1-m) = w/r and q = r v'/v; with g = r^(n-1) Q and
     G = g e^I, G' = (g' + g I') e^I and G'' = (g'' + 2 g' I'
@@ -211,7 +253,7 @@ def _k0_quadrature(
     bounds = np.concatenate(([0], starts, [len(r)]))
 
     J = np.empty_like(r)
-    J_a = r[0] * g[0] / n
+    J_a = _k0_stub(profile)
     for a, b in zip(bounds[:-1], bounds[1:]):
         if a > 0:  # one step of the recurrence carries J across the seam
             J_a = math.exp(-dI[a - 1]) * (J[a - 1] + left[a - 1]) + right[a - 1]

@@ -5,11 +5,16 @@ The second-order equation is integrated in y = v^gamma (_power_pp), gamma != 0,
     y'' = (1 - m/gamma) y'^2/y - (n-1) y'/r
           - (gamma alpha y + beta r y') y^((1-m)/gamma) / (n-1),
 
-with state (y, y').  The r-form is gamma = 1, y = v; it starts from a
-fourth-order series at r0 = r0_scale * l, l = eta^((m-1)/2), since the origin
-is a regular singular point.  Every run solves the eta = 1 problem in r / l
-and v / eta and scales it back: eta is an exact gauge, so runs that differ
-only in eta take the same steps.
+with state (y, y').  The r-form is gamma = 1, y = v.  The origin is a
+regular singular point where the profile is even and analytic, so the r-form
+starts from the origin series v = sum c_k r^(2k), its coefficients by
+recurrence (_series) and summed to _SERIES_TERMS terms, at r0: by default
+the largest radius up to l / 2, l = eta^((m-1)/2), at which the terms the
+series drops stay within _SERIES_TOL_FACTOR * rtol (_series_reach), so r0
+scales like |(alpha, beta)|^(-1/2); below r0 a profile reads the series.
+Every run solves the eta = 1 problem in r / l and v / eta and scales it
+back: eta is an exact gauge, so runs that differ only in eta take the same
+steps.
 
 Two scalar Runge-Kutta pairs take the steps on plain floats, with scipy's
 initial step, error norm and controller, a 10 ulp(r) minimum step, at most
@@ -39,6 +44,10 @@ run hand it over at its last point r_h (in the units of the eta = 1 problem):
     limits are statements in s, and its power-law tails are smooth there.
     Just past the core W_s = 2 + (1-m) r v'/v is close to 2, and relative
     control of W_s loses r v'/v: that sets both r_h = l and the tolerance.
+    The r-form of such a run, from r0 <= l / 2 to l, runs at the same
+    tolerance: from l / 2 at rtol its error reached the PDE check's central
+    differences (C8's step-halving order read 1.9999 on the expanding
+    reference).
   * alpha < 0, beta <= 0 (Theorem 1's blow-up regime): near the blow-up
     radius v ~ (R_b - r)^(-1/(1-m)) holds the r-form's steps in proportion
     to the distance left, while P = v^-(1-m) goes smoothly to zero.  So from
@@ -49,13 +58,13 @@ run hand it over at its last point r_h (in the units of the eta = 1 problem):
 
 Every other run (touch-down alpha > 0 > beta; alpha < 0 < beta; beta = 0
 with alpha >= 0; a series start at or past l) is the r-form alone.  The
-stored grid is the union of every phase's accepted steps and a log-uniform
-refinement at POINTS_PER_DECADE, each phase filled from its own steps
-(_fill).  value_at reads it as the r-form's steps are read, from one chain
-(v, v', v'', v''') per profile, which also gives the identity checks their
-v'' (_hermite_ends, the quintic Hermite rule); the pointwise check takes
-v'' from the quintic through three points (_quintic_vpp).  Runs end in one
-of three statuses:
+stored grid is the union of every phase's accepted steps and, past r0, a
+log-uniform refinement at POINTS_PER_DECADE from 1e-6 l, each phase filled
+from its own steps (_fill).  value_at reads it as the r-form's steps are
+read, from one chain (v, v', v'', v''') per profile, which also gives the
+identity checks their v'' (_hermite_ends, the quintic Hermite rule); the
+pointwise check takes v'' from the quintic through three points
+(_quintic_vpp).  Runs end in one of three statuses:
 
     Global(r_max)       integration reached r_max,
     BlowUp(r_star)      v crossed the cap 1e12*eta, or the step size
@@ -73,7 +82,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from struct import Struct
 from typing import Callable, NamedTuple
 
@@ -96,15 +105,21 @@ __all__ = [
 BLOWUP_CAP = 1e12          # v > cap * eta counts as blow-up
 PRESSURE_SWITCH = 100.0    # blow-up runs go on in the pressure from v ~ this * eta
 STEP_BUDGET = 10**6        # accepted steps before a kernel run gives up
-DEFAULT_R0_SCALE = 1e-6
+# the origin series is summed to _SERIES_TERMS terms, and a run starts where
+# the terms it drops are at most _SERIES_TOL_FACTOR * rtol of eta
+_SERIES_TERMS = 16
+_SERIES_TOL_FACTOR = 1e-3
+# the refinement lattice runs from this radius (in units of l) or from the
+# start, whichever is smaller, and is stored past the start only
+_LATTICE_ANCHOR = 1e-6
 # refinement density of the stored grid.  With the quintic value_at and the
 # quintic Hermite rule, 100 points per decade hold the integral defect and
 # the K0 gap of the reference runs within 1.4% of 200 per decade, and keep
 # the step-halving order of pde_residual above 2
 POINTS_PER_DECADE = 100
 # alpha, beta > 0 runs hand the r-form over to the log-radius equation at
-# r_h = l = eta^((m-1)/2), which runs at LOG_TOL_FACTOR * rtol, as rtol and
-# atol alike
+# r_h = l = eta^((m-1)/2); both run at LOG_TOL_FACTOR * rtol, the tail as
+# rtol and atol alike
 LOG_TOL_FACTOR = 0.01
 
 PROFILE_CSV_HEADER = "r,v,dv"
@@ -204,9 +219,9 @@ class RadialProfile:
         return _frozen(np.array(_chain(rform, r, v, dv, vpp)))
 
     def value_at(self, radius, derivative: bool = False):
-        """v, or (v, v') with derivative=True, at any radii: the series below
-        r0, elsewhere the stored (v, v') read as r-form steps (_read_at) from
-        the chain at the two grid points around each radius, so v' never
+        """v, or (v, v') with derivative=True, at any radii: the origin series
+        below r0, elsewhere the stored (v, v') read as r-form steps (_read_at)
+        from the chain at the two grid points around each radius, so v' never
         divides differences of v by the knot spacing and a grid point reads
         its own (v, v').  Negative, non-finite and past-the-grid radii raise."""
         radius = np.asarray(radius, dtype=float)
@@ -216,17 +231,16 @@ class RadialProfile:
             raise ValueError(f"radius beyond profile grid end {self.r[-1]!r}; no extrapolation")
         if np.any(radius < 0.0):
             raise ValueError("radius must be nonnegative")
-        p, r = self.params, self.r
-        y, dy = _read_at(r, self._rform_chain, np.clip(radius, r[0], r[-1]))
-        v2 = second_derivative_at_origin(p)
+        r = self.r
+        v, dv = _read_at(r, self._rform_chain, np.clip(radius, r[0], r[-1]))
         small = radius < r[0]
-        out = np.where(small, p.eta + 0.5 * v2 * radius**2, y)
+        if small.any():
+            v[small], dv[small] = _series_at(self.params, _series(self.params), radius[small])
         if not derivative:
-            return float(out) if out.ndim == 0 else out
-        dout = np.where(small, v2 * radius, dy)
-        if out.ndim == 0:
-            return float(out), float(dout)
-        return out, dout
+            return float(v) if v.ndim == 0 else v
+        if v.ndim == 0:
+            return float(v), float(dv)
+        return v, dv
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -314,22 +328,68 @@ def _w(m: float, r, v):
     return r * r * v ** (1.0 - m)
 
 
-def second_derivative_at_origin(params: SolitonParams) -> float:
-    n = params.n
-    return -params.alpha * params.eta ** (2.0 - params.m) / (n * (n - 1))
+@lru_cache(maxsize=256)
+def _series(params: SolitonParams) -> tuple[float, ...]:
+    """The coefficients C_0 .. C_(_SERIES_TERMS + 1) of the origin series of
+    the eta = 1 problem, v = sum C_k x^k in x = (r / l)^2: the profile is
+    even and analytic at 0, with C_0 = 1.  Written as a divergence,
+    (n-1)/m Lap(v^m) = -(alpha v + beta r v'), the equation gives the
+    coefficients of u = v^m one order up, u_(k+1) = -m (alpha + 2k beta)
+    C_k / ((n-1)(2k+2)(2k+n)), and J.C.P. Miller's recurrence for a power of
+    a power series (Knuth, TAOCP vol. 2, 4.7) takes u to C = u^(1/m):
+    C_(k+1) = sum_(j=1..k+1) ((1/m + 1) j - k - 1) u_j C_(k+1-j) / (k+1).
+    The last two are the first terms the series drops.  Coefficients that
+    overflow raise ValueError.  Cached per params: a run and every reader of
+    its profile below r0 share one set."""
+    n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
+    c, u, power = [1.0], [1.0], 1.0 / m + 1.0
+    for k in range(_SERIES_TERMS + 1):
+        u.append(-m * (alpha + 2 * k * beta) * c[k] / ((n - 1) * (2 * k + 2) * (2 * k + n)))
+        total = 0.0
+        for j in range(1, k + 2):
+            total += (power * j - k - 1) * u[j] * c[k + 1 - j]
+        c.append(total / (k + 1))
+    if not all(map(math.isfinite, c)):
+        raise ValueError(f"the origin series overflows at alpha = {alpha!r}, beta = {beta!r}")
+    return tuple(c)
+
+
+def _series_reach(c: tuple[float, ...], rtol: float) -> float:
+    """The largest r / l at which each term the series drops, k = _SERIES_TERMS
+    and the next, is at most _SERIES_TOL_FACTOR * rtol (of eta) in r v', so
+    also in v: 2k |C_k| x^k <= tol, in closed form.  Where both vanish
+    (alpha = 0: v = eta exactly) it is infinite."""
+    tol = _SERIES_TOL_FACTOR * rtol
+    dropped = (_SERIES_TERMS, _SERIES_TERMS + 1)
+    return min([(tol / (2 * k * abs(c[k]))) ** (0.5 / k) for k in dropped if c[k]], default=math.inf)
+
+
+def _series_at(params: SolitonParams, c: tuple[float, ...], r):
+    """(v, v') of the origin series c (_series) at radii r, summed to
+    _SERIES_TERMS terms in x = (r / l)^2 by Horner's rule, which carries the
+    sum's x-derivative along; at r = 0 exactly (eta, 0).  r is a float or
+    an array, and a float stays a float: numpy scalars made the start 40x
+    slower (75 against 1.8 us)."""
+    length = _length_scale(params)
+    rho = r / length
+    x = rho * rho
+    v, dv = c[_SERIES_TERMS - 1], 0.0
+    for a in c[_SERIES_TERMS - 2 :: -1]:
+        dv *= x
+        dv += v
+        v *= x
+        v += a
+    return params.eta * v, 2.0 * params.eta / length * rho * dv
 
 
 def series_start(params: SolitonParams, r0: float) -> tuple[float, float]:
-    """Taylor start at r0: v = eta + v''(0) r0^2 / 2, v' = v''(0) r0.
-
-    v''(0) = -alpha eta^(2-m) / (n (n-1)) follows from the equation at the
-    origin with v'(0) = 0, where the v'/r term contributes (n-1) v''(0).
-    Truncation error is O(r0^4) because the profile is even in r.
-    """
+    """(v, v') at r0 > 0 from the origin series (_series), summed to
+    _SERIES_TERMS terms.  Within the series' reach (_series_reach) the first
+    dropped term is at most _SERIES_TOL_FACTOR * rtol of eta, in v and in
+    r v'."""
     if not (r0 > 0.0):
         raise ValueError(f"r0 must be positive, got {r0!r}")
-    v2 = second_derivative_at_origin(params)
-    return params.eta + 0.5 * v2 * r0 * r0, v2 * r0
+    return _series_at(params, _series(params), float(r0))
 
 
 class _Equation(NamedTuple):
@@ -582,8 +642,9 @@ err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)"
 
 # The step loop of every method and right side, with scipy's controller (safety
 # 0.9, factors in [0.2, 10], at most 1 after a rejection); _loop_source fills in
-# the stages and the error norm.  Each accepted step records (t, y, y', h, y'')
-# at its new point, y'' the last stage
+# the stages, the error norm and the event check (_EVENT) of a run that has an
+# event.  Each accepted step records (t, y, y', h, y'') at its new point, y''
+# the last stage
 _LOOP = """def loop(f, event, t, v, dv, fv, g, h_abs, r_end, rtol, atol{constants}):
     sqrt, ulp, exp, nan, budget = math.sqrt, math.ulp, math.exp, math.nan, STEP_BUDGET
     record, pack = bytearray(), Struct("5d").pack
@@ -620,20 +681,22 @@ _LOOP = """def loop(f, event, t, v, dv, fv, g, h_abs, r_end, rtol, atol{constant
             status = -1
             break
         record += pack(t_new, v_new, dv_new, h, f_new)
-        steps += 1
-        g_new = event(v_new, dv_new)
-        if g <= 0.0 <= g_new:
-            status = 1
-            break
+        steps += 1{event}
         if t_new >= r_end:
             status = 0
             break
         if steps >= budget:
             status = -2
             break
-        t, v, dv, fv, g, av, adv = t_new, v_new, dv_new, f_new, g_new, av_new, adv_new
+        t, v, dv, fv, av, adv = t_new, v_new, dv_new, f_new, av_new, adv_new
     return status, record
 """
+# the event check of a loop that has one
+_EVENT = """g_new = event(v_new, dv_new)
+if g <= 0.0 <= g_new:
+    status = 1
+    break
+g = g_new"""
 
 
 def _weighted(weights: np.ndarray, names) -> str:
@@ -652,9 +715,9 @@ def _apply(equation: _Equation | None, args, out: str) -> list[str]:
     return [*bind, *equation.body[:-1], f"{out} = {equation.body[-1]}"]
 
 
-def _loop_source(method: _Method, equation: _Equation | None) -> str:
+def _loop_source(method: _Method, equation: _Equation | None, event: bool) -> str:
     """The step loop of method, its stages calling f (equation None) or
-    writing out equation's body."""
+    writing out equation's body, with the event check if event."""
     a, c, last = method.a, method.c.tolist(), len(method.a) - 1
     names = [(f"k{i}v", f"k{i}d") for i in range(len(a))]
     names[0], names[last] = ("dv", "fv"), ("dv_new", "f_new")
@@ -677,6 +740,7 @@ def _loop_source(method: _Method, equation: _Equation | None) -> str:
         constants="".join(", " + name for name in equation.constants) if equation else "",
         stages=block([line for i in range(1, last + 1) for line in stage(i)], 12),
         error=block(method.error.format(**sums).splitlines(), 12),
+        event=block(_EVENT.splitlines(), 8) if event else "",
         exponent=-1 / (method.order + 1),
     )
 
@@ -787,24 +851,25 @@ def _trajectory(start, status, record, f, event) -> _Trajectory:
     return traj
 
 
-def _integrate(method: _Method, f, r0, y0, r_end, rtol, atol, event=lambda v, dv: -1.0):
+def _integrate(method: _Method, f, r0, y0, r_end, rtol, atol, event=None):
     """Integrate v'' = f(r, v, v') from (v, v')(r0) = y0 towards r_end on
     method's generated loop (with f's equation in its stages if f carries
     one), taking scipy's steps with scipy's operations in scipy's order.
-    Stops early when the terminal event(v, v') goes from <= 0 to >= 0 across
-    an accepted step (its root on that step's Hermite), when the step
-    size falls below 10 ulp(r), or after STEP_BUDGET accepted steps.  The
-    inputs go through float() once: numpy scalars made a step 3x slower."""
+    Stops early when the terminal event(v, v'), if given, goes from <= 0 to
+    >= 0 across an accepted step (its root on that step's Hermite), when the
+    step size falls below 10 ulp(r), or after STEP_BUDGET accepted steps.  A
+    run without an event runs a loop that has no event check.  The inputs go
+    through float() once: numpy scalars made a step 3x slower."""
     r_end, atol = float(r_end), float(atol)
     rtol = max(float(rtol), 100 * _EPS)
     t = float(r0)
     v, dv = map(float, y0)
     fv = f(t, v, dv)
-    g = event(v, dv)
+    g = event(v, dv) if event else -1.0
     h_abs = _initial_step(f, t, v, dv, fv, r_end, rtol, atol, method.order)
     equation = getattr(f, "equation", None)
-    name = f"{method.name} {equation.name if equation else 'call'}"
-    loop = _generated(name, lambda: _loop_source(method, equation))
+    name = f"{method.name} {equation.name if equation else 'call'}{' event' if event else ''}"
+    loop = _generated(name, lambda: _loop_source(method, equation, bool(event)))
     run = loop(f, event, t, v, dv, fv, g, h_abs, r_end, rtol, atol, *getattr(f, "values", ()))
     return _trajectory((t, v, dv, 0.0, fv), *run, f, event)
 
@@ -848,50 +913,61 @@ def solve_profile(
     r_max: float,
     rtol: float = 1e-9,
     atol: float | None = None,
-    r0_scale: float = DEFAULT_R0_SCALE,
+    r0_scale: float | None = None,
 ) -> RadialProfile:
     """Integrate the profile equation from the series start to r_max, in the
     phases the module docstring describes, as the eta = 1 problem in r / l
-    and v / eta scaled back.  The returned grid unions the accepted steps
-    with np.geomspace(r0, r_end) at POINTS_PER_DECADE, filled from each
-    phase's own steps (_fill), so geometry and quadratures work on stored
-    points only.  atol is absolute in v (default 1e-30 * eta): the kernel
-    applies atol / eta to both components of the eta = 1 state, so atol / l
-    to v', and the pressure phase scales it by P at the handoff.  r_max / r0
-    must be a finite float, and the series start's first dropped term at
-    most rtol (relative to eta), or it raises ValueError.  The solver
-    reports whatever trajectory the initial data generates; it makes no
-    uniqueness claim.
+    and v / eta scaled back.  The run starts from the origin series at
+    r0 = r0_scale * l; by default r0 is the series' reach at rtol
+    (_series_reach), at most l / 2 and r_max / 2, and an explicit r0_scale
+    past that reach raises ValueError.  The returned grid unions the
+    accepted steps with np.geomspace(1e-6 l, r_end) at POINTS_PER_DECADE
+    (from r0 if that is smaller) past r0, filled from each phase's own steps
+    (_fill), so geometry and quadratures work on stored points only.  atol
+    is absolute in v (default 1e-30 * eta): the kernel applies atol / eta to
+    both components of the eta = 1 state, so atol / l to v', and the
+    pressure phase scales it by P at the handoff.  r0 must lie below r_max,
+    and r_max over the lattice's first radius must be a finite float, or it
+    raises ValueError.  The solver reports whatever trajectory the initial
+    data generates; it makes no uniqueness claim.
     """
     _check_numerics(r_max=r_max, rtol=rtol, atol=atol, r0_scale=r0_scale)
     eta = params.eta
     if atol is None:
         # far below v on runs that stay away from zero, so control stays
-        # relative there; a touch-down run (alpha > 0 > beta) passes below it
-        # (v ~ 3.5e-65 at n=3, alpha=0.5, beta=-1.5), and its ending depends on atol
+        # relative there; a touch-down run (alpha > 0 > beta) ends where v
+        # falls through it
         atol = 1e-30 * eta
     length = _length_scale(params)
-    if r0_scale * length >= r_max:
-        raise ValueError(f"r0 = {r0_scale * length!r} must be below r_max = {r_max!r}")
-    if not math.isfinite(r_max / (r0_scale * length)):
-        raise ValueError(f"r_max = {r_max!r} is too far out: r_max / r0 is not a finite float")
     # the eta = 1 problem, in r / length and v / eta
     n, m, alpha, beta = params.n, params.m, params.alpha, params.beta
-    # series_start's first dropped term b r0^4 over eta, the same at any eta;
-    # r0 does not scale with (alpha, beta) -> c (alpha, beta), so it grows as c^2
-    r2 = r0_scale * r0_scale  # r0_scale**4 could raise OverflowError
-    dropped = abs(alpha * (alpha * (m * n + 2 * m - 2 * n - 2) - 2 * beta * n)) * r2 * r2 / (
-        8 * n * n * (n - 1) ** 2 * (n + 2))
-    if dropped > rtol:
-        raise ValueError(f"r0_scale = {r0_scale!r} is too large: the series start drops a "
-                         f"term {dropped:.3g} of eta, above rtol = {rtol!r}")
     r_stop, tol = r_max / length, atol / eta
-    log_tail = alpha > 0.0 and beta > 0.0 and r0_scale < 1.0 < r_stop
+    series = _series(params)
+    reach = _series_reach(series, rtol)
+    if r0_scale is None:
+        r0 = min(reach, 0.5, 0.5 * r_stop)
+    elif r0_scale > reach:
+        raise ValueError(f"r0_scale = {r0_scale!r} is too large: the origin series holds to "
+                         f"rtol = {rtol!r} up to {reach:.3g} l")
+    else:
+        r0 = r0_scale
+    if r0 >= r_stop:
+        raise ValueError(f"r0 = {r0 * length!r} must be below r_max = {r_max!r}")
+    anchor = min(_LATTICE_ANCHOR, r0)
+    if not math.isfinite(r_stop / anchor):
+        raise ValueError(f"r_max = {r_max!r} is too far out: r_max / r0 is not a finite float "
+                         f"for the lattice's r0 = {anchor * length!r}")
+    log_tail = alpha > 0.0 and beta > 0.0 and r0 < 1.0 < r_stop
+    # a run with a log tail runs both phases at the tail's tolerance
+    log_tol = LOG_TOL_FACTOR * rtol
     pressure = _blowup_regime(params)
     switch = PRESSURE_SWITCH if pressure else BLOWUP_CAP
     rform = _power_pp(n, m, alpha, beta, 1.0)
-    traj = _dopri5(rform, r0_scale, series_start(params.with_eta(1.0), r0_scale),
-                   1.0 if log_tail else r_stop, rtol, tol, lambda v, dv: v - switch)
+    # the r-form's event: v rises through switch, or falls through the atol
+    # floor, below which error control is absolute and v is not resolved (a
+    # touch-down, alpha > 0 > beta, passes there: the run ends StepFailure)
+    traj = _dopri5(rform, r0, _series_at(params.with_eta(1.0), series, float(r0)), 1.0 if log_tail else r_stop,
+                   log_tol if log_tail else rtol, tol, lambda v, dv: v - switch if v > 1.0 else tol - v)
     # both end phases start at the r-form's last point: l, or the root v = switch
     code, steps, tail = traj.status, traj.t, None
     r_h, state = float(steps[-1]), traj.y[:, -1].tolist()
@@ -900,7 +976,7 @@ def solve_profile(
         if start is None:
             code = -3  # a handoff state the log form cannot take
         else:
-            log_tol, tail_rhs = LOG_TOL_FACTOR * rtol, _log_wpp(params)
+            tail_rhs = _log_wpp(params)
             tail = _log_kernel(params)(tail_rhs, 0.0, start, math.log(r_stop), log_tol, log_tol)
             code = tail.status
             r_tail = np.exp(tail.t[1:])
@@ -916,7 +992,8 @@ def solve_profile(
         steps = np.concatenate((steps, tail.t[1:]))
 
     r_end = steps[-1]
-    lattices = [steps, _refinement(r0_scale, r_end)]
+    lattice = _refinement(anchor, r_end)
+    lattices = [steps, lattice[lattice > r0]]
     if tail is not None and not log_tail:
         # the pressure phase's steps shrink with r* - r; so does this fill
         lattices.append(r_end - _refinement(r_end - tail.t[-2], r_end - r_h)[1:-1])
@@ -944,7 +1021,7 @@ def solve_profile(
             raise RuntimeError("profile lost positivity immediately; inspect parameters")
         grid, v, dv = grid[:cut], v[:cut], dv[:cut]
         kind = "StepFailure"
-    elif code == 1 or (code == -1 and dv[-1] > 0.0 and v[-1] > 1.0):
+    elif (code == 1 or code == -1 and dv[-1] > 0.0) and v[-1] > 1.0:
         kind = "BlowUp"  # the cap, or a controller stall while v was still climbing
     else:
         # StepFailure: a stall without blow-up indicators, the step budget
@@ -1033,9 +1110,9 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     with the quintic Hermite rule over the stored grid (the integrand's
     derivatives are (n-1) r^(n-2) v + r^(n-1) v' and (n-1)(n-2) r^(n-3) v
     + 2(n-1) r^(n-2) v' + r^(n-1) v'', from the stored v' and v'' from the
-    equation) and the 0-to-r0 stub integrated analytically from the series
-    start; it is normalized by the largest participating term so total
-    cancellations do not divide by zero.
+    equation) and the 0-to-r0 stub I(r0) = sum_k c_k r0^(2k+n) / (2k+n) of
+    the origin series; it is normalized by the largest participating term
+    so total cancellations do not divide by zero.
     """
     p = profile.params
     r, v, dv = profile.r, profile.v, profile.dv
@@ -1082,8 +1159,9 @@ def residuals(profile: RadialProfile) -> ResidualReport:
     slope = (n - 1) * rn2v + rn1dv
     curvature = (n - 1) * ((n - 2) * rn2v + 2.0 * rn1dv) / r + rn1 * vpp
     left, right = _hermite_ends(np.diff(r), integrand, slope, curvature)
-    v2 = second_derivative_at_origin(p)
-    stub = p.eta * r[0] ** n / n + v2 * r[0] ** (n + 2) / (2 * (n + 2))
+    # I(r0) = sum_k c_k r0^(2k+n) / (2k+n) from the origin series
+    k, c = np.arange(_SERIES_TERMS), np.asarray(_series(p)[:_SERIES_TERMS])
+    stub = p.eta * r[0] ** n * float(np.sum(c * ((r[0] / length) ** 2) ** k / (2 * k + n)))
     integral = stub + np.concatenate(([0.0], np.cumsum(left + right)))
     term1 = -beta * r**n * v
     term2 = (n * beta - alpha) * integral

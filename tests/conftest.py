@@ -81,6 +81,24 @@ def expand_geometry(expand_profile):
     return yl.compute_geometry(expand_profile)
 
 
+def origin_profile(profile):
+    """The profile read from its origin series through value_at, at 11
+    radii over the decade from 1e-6 l, far below r0: the small-radius
+    profile whose curves extrapolate_origin fits."""
+    p = profile.params
+    r = 1e-6 * p.eta ** ((p.m - 1.0) / 2.0) * np.geomspace(1.0, 10.0, 11)
+    v, dv = profile.value_at(r, derivative=True)
+    status = yl.ProfileStatus("Global", float(r[-1]))
+    return yl.RadialProfile(p, r, v, dv, status, profile.rtol, profile.atol, np.arange(len(r)))
+
+
+@pytest.fixture(scope="session")
+def shrink3_origin(shrink3_profile):
+    """origin_profile of shrink3 and its geometry."""
+    origin = origin_profile(shrink3_profile)
+    return origin, yl.compute_geometry(origin)
+
+
 @pytest.fixture(scope="session")
 def negcurv_profile():
     # alpha < 0 < beta: scalar curvature stays negative

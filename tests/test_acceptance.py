@@ -75,11 +75,13 @@ def test_c1_strict_monotone_and_bound_n5(shrink5_geometry):
 
 # --- criterion 2: scalar curvature ----------------------------------------
 
-def test_c2_origin_and_tail(shrink3_profile, shrink3_geometry):
-    R = shrink3_geometry.R
-    R0 = yl.extrapolate_origin(shrink3_profile.r, R)
+def test_c2_origin_and_tail(shrink3_origin, shrink3_geometry):
+    # R(0) from the profile's origin series, read at small radii
+    origin, origin_geometry = shrink3_origin
+    R0 = yl.extrapolate_origin(origin.r, origin_geometry.R)
     err0 = abs(R0 - 3.0)
     ok0 = _check("C2 R(0) = alpha(1-m) = 3", err0 < 1e-4, f"extrapolated {R0!r}, err {err0:.3e}")
+    R = shrink3_geometry.R
     rel_end = abs(R[-1] - 1.0)
     ok_end = _check("C2 |R-1| < 5% at r=1e4", rel_end < 0.05, f"R(1e4) = {R[-1]:.6f}")
     assert ok0 and ok_end
@@ -101,11 +103,12 @@ def test_c2_strict_decrease_and_range(shrink3_geometry):
 
 # --- criterion 3: sectional curvatures ------------------------------------
 
-def test_c3_sectional_values(shrink3_profile, shrink3_geometry):
+def test_c3_sectional_values(shrink3_origin, shrink3_geometry):
+    # the origin values from the profile's origin series, read at small radii
+    origin, origin_geometry = shrink3_origin
+    K0_0 = yl.extrapolate_origin(origin.r, origin_geometry.K0)
+    K1_0 = yl.extrapolate_origin(origin.r, origin_geometry.K1)
     g = shrink3_geometry
-    r = shrink3_profile.r
-    K0_0 = yl.extrapolate_origin(r, g.K0)
-    K1_0 = yl.extrapolate_origin(r, g.K1)
     ok_a = _check("C3 K0(0) = 0.5", abs(K0_0 - 0.5) < 1e-4, f"extrapolated {K0_0!r}")
     ok_b = _check("C3 K1(0) = 0.5", abs(K1_0 - 0.5) < 1e-4, f"extrapolated {K1_0!r}")
     ok_c = _check("C3 |K0(0)-K1(0)| < 1e-6", abs(K0_0 - K1_0) < 1e-6, f"gap {abs(K0_0 - K1_0):.3e}")

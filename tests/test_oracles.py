@@ -2,14 +2,20 @@
 
 Each test re-derives a formula from the radial equation with sympy, without
 importing the implementation's algebra, so a wrong sign or dropped term in
-the package cannot silently agree with itself.
+the package cannot silently agree with itself.  The Barenblatt profiles at
+alpha = n beta are an exact family: the origin series and the solved
+profile are checked against their closed form.
 """
 
 import math
 
+import numpy as np
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import yamabelab as yl
+from yamabelab import profile_solver as ps
 
 r, s = sp.symbols("r s", positive=True)
 n, m, alpha, beta, rho, eta = sp.symbols("n m alpha beta rho eta", positive=False)
@@ -56,12 +62,25 @@ def test_second_derivative_at_origin():
     target = -alpha * eta ** (2 - m) / (n * (n - 1))
     assert sp.simplify(vpp0 - target) == 0
 
-    # and the implementation agrees at a concrete parameter set
+    # and the implementation's series agrees at a concrete parameter set,
+    # order by order through r^6: the r^8 term moves v' at 1e-3 by 1e-18
     p = yl.make_params(n=3, m=0.2, beta=1.0, rho=1.0, eta=2.0)
+    values = {alpha: sp.Rational(15, 4), beta: 1, eta: 2, m: sp.Rational(1, 5), n: 3}
+    cs = sp.symbols("c1:4")
+    v = 2 + sum(c * r ** (2 * k + 2) for k, c in enumerate(cs))
+    E = (
+        sp.diff(v, r, 2)
+        + (m - 1) * sp.diff(v, r) ** 2 / v
+        + (n - 1) * sp.diff(v, r) / r
+        + (alpha * v + beta * r * sp.diff(v, r)) * v ** (1 - m) / (n - 1)
+    ).subs(values)
+    terms = sp.series(E, r, 0, 5).removeO()
+    sol = sp.solve([terms.coeff(r, 2 * k) for k in range(3)], cs, dict=True)[0]
+    assert sp.simplify(2 * sol[cs[0]] - target.subs(values)) == 0
     got = yl.series_start(p, 1e-3)
-    v2 = float(target.subs({alpha: sp.Rational(15, 4), eta: 2, m: sp.Rational(1, 5), n: 3}))
-    assert math.isclose(got[0], 2.0 + 0.5 * v2 * 1e-6, rel_tol=1e-15)
-    assert math.isclose(got[1], v2 * 1e-3, rel_tol=1e-15)
+    series = v.subs(sol)
+    assert math.isclose(got[0], float(series.subs(r, sp.Rational(1, 1000))), rel_tol=1e-15)
+    assert math.isclose(got[1], float(sp.diff(series, r).subs(r, sp.Rational(1, 1000))), rel_tol=1e-15)
 
 
 def _third_derivative(v):
@@ -282,3 +301,50 @@ def test_prediction_formula_reciprocity():
     w_limit = (n - 1) * (n - 2) / rho
     K1_limit = rho / ((n - 1) * (n - 2))
     assert sp.simplify(w_limit * K1_limit) == 1
+
+
+# --- the Barenblatt family at alpha = n beta ---------------------------------
+
+@st.composite
+def _barenblatt(draw):
+    """A point of the exact family: alpha = n beta, any m in (0, (n-2)/n],
+    either sign of beta, eta across decades."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    m = draw(st.floats(min_value=0.05, max_value=1.0)) * (n - 2) / n
+    beta = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(min_value=0.1, max_value=3.0))
+    eta = 10.0 ** draw(st.floats(min_value=-2.0, max_value=2.0))
+    return yl.make_params(n=n, m=m, alpha=n * beta, beta=beta, eta=eta)
+
+
+@given(p=_barenblatt())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_origin_series_is_the_barenblatt_binomial_series(p):
+    """At alpha = n beta the equation is a divergence and the pressure
+    P = v^(m-1) = eta^(m-1) + a r^2, a = beta (1-m) / (2(n-1)), is exact
+    (Vazquez 2006), so the eta = 1 series is (1 + a x)^(-1/(1-m)) in
+    x = (r/l)^2: its coefficients are binomial.  value_at reads the closed
+    form below r0 within the series' stated bound, 1e-3 rtol of eta in v and
+    r v' (5.8e-13 at most over 270 grid points at rtol 1e-9), and above it
+    within 20 rtol in v and v', the run's own error (7.0e-9 at most, on
+    blow-ups at 0.9 R_b)."""
+    n, m, beta, eta, rtol = p.n, p.m, p.beta, p.eta, 1e-9
+    a, power = beta * (1.0 - m) / (2.0 * (n - 1)), -1.0 / (1.0 - m)
+    exact = 1.0  # binom(power, k) a^k
+    for k, c in enumerate(ps._series(p)):
+        assert math.isclose(c, exact, rel_tol=1e-13)
+        exact *= (power - k) / (k + 1) * a
+    prof = yl.solve_profile(p, r_max=1e4 if beta > 0 else 100.0, rtol=rtol)
+    assert prof.status.kind == ("Global" if beta > 0 else "BlowUp")
+    length = eta ** ((m - 1.0) / 2.0)
+    end = prof.status.radius * (1.0 if beta > 0 else 0.9)
+    radii = np.geomspace(1e-3 * length, end, 200)
+    v, dv = prof.value_at(radii, derivative=True)
+    x = (radii / length) ** 2
+    exact_v = eta * (1.0 + a * x) ** power
+    exact_dv = exact_v * power / (1.0 + a * x) * 2.0 * a * radii / length**2
+    below = radii < prof.r0
+    assert below.any() and not below.all()
+    assert np.all(np.abs(v - exact_v)[below] <= 1e-3 * rtol * eta)
+    assert np.all(np.abs(radii * (dv - exact_dv))[below] <= 1e-3 * rtol * eta)
+    assert np.all(np.abs(v / exact_v - 1.0)[~below] <= 20 * rtol)
+    assert np.all(np.abs(dv / exact_dv - 1.0)[~below] <= 20 * rtol)
